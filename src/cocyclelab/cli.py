@@ -97,7 +97,7 @@ EXIT_INVARIANT = 4
 NUMERIC_ERRORS = (
     E.SmallDivisor, E.MeanObstruction, E.NoConvergence, E.SamplingFailure,
     E.EmptyCell, E.TruncationTooSmall, E.ScaleTooFine, E.SingularMatrix,
-    E.PreconditionViolated,
+    E.PreconditionViolated, E.NonFinite,
 )
 INVARIANT_ERRORS = (
     E.NotSymmetric, E.NotPositiveDefinite, E.NotUnitDeterminant,
@@ -361,7 +361,7 @@ def cmd_solve(args) -> dict:
         else:
             sol = shift_solve_unilateral(cocycle, args.x)
         rows = [
-            (sol.offset + i, repr(z.real), repr(z.imag))
+            (sol.offset + i, repr(float(z.real)), repr(float(z.imag)))
             for i, z in enumerate(sol.coords)
         ]
         _write_csv(out / "shift_coords.csv", ["index", "re", "im"], rows)
@@ -445,6 +445,8 @@ def cmd_reduce(args) -> dict:
         v0 = (cocycle.oracle_section(args.x0)
               if cocycle.oracle_section is not None else np.eye(cocycle.dim))
         if conformal:
+            # The det-normalized fibre lives on the det = 1 slice.
+            v0 = spd.unit_determinant(v0)
             result = reduce_to_conformal(
                 cocycle, x0=args.x0, v0=v0, steps=args.steps,
                 cells=args.cells, center_tol=args.tol, threads=args.threads,

@@ -358,17 +358,15 @@ class MatrixCocycle:
     """Invertible-matrix cocycle x -> A(x) over a base map."""
 
     def __init__(self, base, dim: int, generator, *, generator_batch=None,
-                 bound: float | None = None, oracle_section=None,
-                 oracle_b=None):
+                 bound: float | None = None, oracle_section=None):
         self.base = base
         self.dim = int(dim)
         self._generator = generator
         self._generator_batch = generator_batch
         self.bound = bound
-        # Known invariant section / conjugacy, attached by coboundary
-        # constructions for oracle comparisons.
+        # Known invariant section, attached by coboundary constructions
+        # for oracle comparisons.
         self.oracle_section = oracle_section
-        self.oracle_b = oracle_b
 
     def generator(self, x: float) -> np.ndarray:
         return np.asarray(self._generator(x), dtype=float)

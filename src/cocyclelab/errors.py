@@ -18,6 +18,10 @@ class ConfigInvalid(CocycleLabError):
 
 # -- matrix geometry ---------------------------------------------------------
 
+class NonFinite(CocycleLabError):
+    """A matrix has NaN or infinite entries."""
+
+
 class NotSymmetric(CocycleLabError):
     """Symmetry defect of a matrix exceeds tolerance."""
 

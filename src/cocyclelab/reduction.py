@@ -41,8 +41,8 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
 
     ``b_gen`` maps x to an invertible matrix, ``q_gen`` to an orthogonal
     one (checked on a sample grid).  The returned cocycle carries
-    ``oracle_section``  phi*(x) = B(x) B(x)^T  and ``oracle_b`` = B; its
-    products telescope, hence stay bounded by sup||B|| * sup||B^{-1}||.
+    ``oracle_section``  phi*(x) = B(x) B(x)^T; its products telescope,
+    hence stay bounded by sup||B|| * sup||B^{-1}||.
     An optional positive ``scalar_gen`` multiplies A by c(x), which the
     det-normalized (conformal) pipeline must absorb.
     """
@@ -88,7 +88,6 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
     return MatrixCocycle(
         base, dim, generator, generator_batch=generator_batch,
         bound=sup_b * sup_b_inv, oracle_section=oracle_section,
-        oracle_b=lambda x: np.asarray(b_gen(x), dtype=float),
     )
 
 

@@ -58,14 +58,6 @@ class TrigPoly:
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + other.scale(-1.0)
 
-    def conj_real_part(self) -> "TrigPoly":
-        """Polynomial whose values are Re of this one (hermitian symmetrization)."""
-        out: dict[int, complex] = {}
-        for n, c in self.coeffs.items():
-            out[n] = out.get(n, 0.0) + 0.5 * c
-            out[-n] = out.get(-n, 0.0) + 0.5 * c.conjugate()
-        return TrigPoly(out)
-
     def sup_norm(self, grid: int = 4096) -> float:
         thetas = np.arange(grid) / grid
         return float(np.max(np.abs(self(thetas))))

@@ -28,6 +28,13 @@ def random_spd(rng, n=2, spread=0.5):
     return (vecs * np.exp(vals)) @ vecs.T
 
 
+def reference_spd_distance(P, Q):
+    """d(P, Q) from the eigenvalues of the Cholesky-whitened L^{-1} Q L^{-T}."""
+    w = np.linalg.inv(np.linalg.cholesky(P))
+    lam = np.linalg.eigvalsh(w @ Q @ w.T)
+    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
+
+
 def tetrahedron(side=1.0):
     pts = np.array([
         [1.0, 1.0, 1.0],

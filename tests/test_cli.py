@@ -66,6 +66,15 @@ class TestCenterCommand:
         code, _, _ = run_cli(tmp_path, "center", "--input", "/nope.json")
         assert code == 2
 
+    def test_non_finite_spd_point_is_numeric_error(self, tmp_path):
+        pts = [np.eye(3).tolist(), [[1.0, float("nan"), 0.0],
+                                    [float("nan"), 1.0, 0.0],
+                                    [0.0, 0.0, 1.0]]]
+        path = tmp_path / "spd.json"
+        path.write_text(json.dumps({"space": "spd", "points": pts}))
+        code, _, _ = run_cli(tmp_path, "center", "--input", str(path))
+        assert code == 3
+
 
 class TestSolveCommand:
     def test_fourier(self, tmp_path):
@@ -92,7 +101,12 @@ class TestSolveCommand:
         assert code == 0
         assert summary["coordinate_bound"] <= 2.0 + 1e-9
         assert summary["invariance_residual"] <= 1e-10
-        assert (out / "shift_coords.csv").exists()
+        rows = (out / "shift_coords.csv").read_text().splitlines()
+        assert rows[0] == "index,re,im" and len(rows) > 1
+        for row in rows[1:]:
+            _, real, imag = row.split(",")
+            float(real)
+            float(imag)
 
     def test_mean_obstruction_exit_code(self, tmp_path):
         code, _, _ = run_cli(
@@ -121,6 +135,15 @@ class TestOtherCommands:
         assert summary["defect"] <= 0.1
         assert summary["occupancy"]["min"] >= 1
         assert (out / "reduction_cells.csv").exists()
+
+    def test_reduce_coboundary_conformal(self, tmp_path):
+        code, summary, _ = run_cli(
+            tmp_path, "reduce", "--preset", "coboundary", "--conformal",
+            "--cells", "16", "--steps", "1000", "--tol", "1e-3",
+        )
+        assert code == 0
+        assert summary["conformal"]
+        assert np.isfinite(summary["defect"])
 
     def test_reduce_oracle(self, tmp_path):
         code, summary, _ = run_cli(

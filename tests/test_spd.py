@@ -5,14 +5,16 @@ import pytest
 
 from cocyclelab import spd
 from cocyclelab.errors import (
+    CocycleLabError,
     DimensionMismatch,
+    NonFinite,
     NotPositiveDefinite,
     NotSymmetric,
     NotUnitDeterminant,
     SingularMatrix,
 )
 
-from conftest import random_spd
+from conftest import random_spd, reference_spd_distance
 
 
 class TestSymEigen:
@@ -55,6 +57,21 @@ class TestSymEigen:
     def test_dimension_range(self):
         with pytest.raises(DimensionMismatch):
             spd.sym_eigen(np.ones((9, 9)))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_lapack_contract(self, rng, n):
+        P = random_spd(rng, n, spread=2.0)
+        norm = np.linalg.norm(P)
+        eig = spd.sym_eigen(P)
+        want = np.linalg.eigvalsh(P)[::-1]
+        assert np.max(np.abs(eig.values - want)) <= 1e-12 * norm
+        assert np.linalg.norm(eig.reconstruct() - P) <= 1e-12 * norm
+        # Canonical sign: each column's largest-magnitude entry is positive.
+        top = np.argmax(np.abs(eig.rotation), axis=0)
+        assert np.all(eig.rotation[top, np.arange(n)] > 0.0)
+        again = spd.sym_eigen(P)
+        assert eig.values.tobytes() == again.values.tobytes()
+        assert eig.rotation.tobytes() == again.rotation.tobytes()
 
 
 class TestExpLog:
@@ -137,6 +154,56 @@ class TestDistance:
         iu, ju = np.triu_indices(6, k=1)
         want = [spd.spd_distance(batch[i], batch[j]) for i, j in zip(iu, ju)]
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_near_coincident_2x2(self):
+        # Q is 7.5e-9 from P; the root of tr^2 - 4 det returned 1.5e-8 here.
+        P = np.array([[2.0, 0.3], [0.3, 1.0]])
+        Q = P + 1e-8 * np.array([[1.0, 0.2], [0.2, -0.5]])
+        want = reference_spd_distance(P, Q)
+        assert 5e-9 < want < 1e-8
+        assert abs(spd.spd_distance(P, Q) - want) <= 1e-14
+        assert abs(spd.spd_distances_from(P, Q[np.newaxis])[0] - want) <= 1e-14
+        assert abs(spd.pairwise_spd_distances(np.array([P, Q]))[0] - want) <= 1e-14
+
+    def test_pairwise_2x2_across_slices(self, rng):
+        batch = np.array([random_spd(rng, 2) for _ in range(100)])
+        got = spd.pairwise_spd_distances(batch)
+        assert len(got) > spd.PAIR_CHUNK
+        iu, ju = np.triu_indices(len(batch), k=1)
+        want = [reference_spd_distance(batch[i], batch[j]) for i, j in zip(iu, ju)]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_scan_matches_reference(self, rng, n):
+        P = random_spd(rng, n)
+        batch = np.array([random_spd(rng, n) for _ in range(8)])
+        got = spd.spd_distances_from(P, batch)
+        scalar = [spd.spd_distance(P, q) for q in batch]
+        reference = [reference_spd_distance(P, q) for q in batch]
+        assert np.max(np.abs(got - scalar)) <= 1e-12
+        assert np.max(np.abs(got - reference)) <= 1e-12
+        pairs = spd.pairwise_spd_distances(batch)
+        iu, ju = np.triu_indices(len(batch), k=1)
+        want = [reference_spd_distance(batch[i], batch[j]) for i, j in zip(iu, ju)]
+        assert np.max(np.abs(pairs - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_scan_rejects_bad_entry(self, rng, n, k):
+        P = random_spd(rng, n)
+        batch = np.array([random_spd(rng, n) for _ in range(6)])
+        skewed = batch.copy()
+        skewed[k, 0, 1] += 1e-3
+        with pytest.raises(NotSymmetric, match=f"entry {k}"):
+            spd.spd_distances_from(P, skewed)
+        with pytest.raises(NotSymmetric, match=f"entry {k}"):
+            spd.pairwise_spd_distances(skewed)
+        indefinite = batch.copy()
+        indefinite[k] = -indefinite[k]
+        with pytest.raises(NotPositiveDefinite, match=f"entry {k}"):
+            spd.spd_distances_from(P, indefinite)
+        with pytest.raises(NotPositiveDefinite, match=f"entry {k}"):
+            spd.pairwise_spd_distances(indefinite)
 
 
 class TestGeodesic:
@@ -272,3 +339,67 @@ def test_symmetry_enforced_after_operations(rng):
         spd.spd_sqrt(P),
     ):
         assert spd.symmetry_defect(out) <= 1e-12
+
+
+def _with_entry(P, value):
+    bad = P.copy()
+    bad[0, 1] = bad[1, 0] = value
+    return bad
+
+
+# The closed forms run on the bad entries before the check that rejects
+# them, so NumPy warns about the invalid arithmetic on the way.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_kernels_raise_non_finite(self, rng, n, value):
+        P = random_spd(rng, n)
+        Q = random_spd(rng, n)
+        bad = _with_entry(Q, value)
+        batch = np.array([random_spd(rng, n) for _ in range(4)])
+        batch[2] = bad
+        calls = [
+            lambda: spd.spd_distance(P, bad),
+            lambda: spd.spd_distance(bad, P),
+            lambda: spd.spd_distances_from(P, batch),
+            lambda: spd.spd_distances_from(bad, batch[:2]),
+            lambda: spd.pairwise_spd_distances(batch),
+            lambda: spd.spd_geodesic(P, bad, 0.5),
+            lambda: spd.spd_geodesic(bad, P, 0.5),
+            lambda: spd.spd_sqrt(bad),
+            lambda: spd.require_spd(bad),
+        ]
+        for call in calls:
+            with pytest.raises(NonFinite):
+                call()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_linalg_error_escapes(self, rng, n):
+        P = random_spd(rng, n)
+        bad_inputs = [
+            _with_entry(P, np.nan),
+            _with_entry(P, np.inf),
+            np.zeros((n, n)),
+            -P,
+            np.diag([1.0] + [-1.0] * (n - 1)),
+            np.ones((n, n)),
+            P + np.triu(np.ones((n, n)), 1),
+        ]
+        calls = [
+            spd.sym_eigen, spd.require_spd, spd.spd_log, spd.spd_exp,
+            spd.spd_sqrt, spd.unit_determinant,
+            lambda X: spd.spd_distance(P, X),
+            lambda X: spd.spd_distance(X, P),
+            lambda X: spd.spd_distances_from(P, np.array([P, X])),
+            lambda X: spd.spd_distances_from(X, np.array([P])),
+            lambda X: spd.pairwise_spd_distances(np.array([P, X, P])),
+            lambda X: spd.spd_geodesic(P, X, 0.5),
+            lambda X: spd.spd_geodesic(X, P, 0.5),
+        ]
+        for X in bad_inputs:
+            for call in calls:
+                try:
+                    call(X)
+                except CocycleLabError:
+                    pass
