@@ -4,7 +4,9 @@ Two notions are implemented over an abstract space contract (distance +
 geodesic):
 
 * the Chebyshev center, the unique minimizer of the covering radius
-  r_B(v) = max_w d(v, w), found by geodesic farthest-point descent;
+  r_B(v) = max_w d(v, w), certified exactly when the midpoint of a
+  farthest pair covers the set and found by geodesic farthest-point
+  descent otherwise;
 * the iterated-midpoint center, obtained by repeatedly replacing a set
   with the midpoints of its (nearly) diametral pairs.
 
@@ -24,6 +26,7 @@ from . import spd
 from .errors import (
     EmptySet,
     NoConvergence,
+    NonFinite,
     NotIsometry,
     PreconditionViolated,
     SamplingFailure,
@@ -33,6 +36,13 @@ STALL_WINDOW = 50
 DEFAULT_TOL = 1e-9
 MAX_ITERATIONS = 10 ** 6
 COVERING_SLACK = 1e-7
+# Slack of the two-point certificate: a midpoint whose covering radius
+# exceeds d(a, b)/2 by at most CERTIFICATE_SLACK * max(d(a, b)/2, 1) is
+# accepted as the centre.  Relative for large sets; absolute for small ones,
+# because a distance rounds at ~1e-16 whatever its size: in 10 of 512 cells
+# of a 2e5-step Pos(2) reduction, cells of half-diameter 5e-5 to 9e-4 missed
+# a purely relative 1e-12 by 2e-16 to 1e-15.
+CERTIFICATE_SLACK = 1e-12
 
 
 # -- space contracts ---------------------------------------------------------
@@ -140,6 +150,8 @@ class PointSet:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.shape[0] == 0:
             raise EmptySet("point set is empty")
+        if not np.all(np.isfinite(self.points)):
+            raise NonFinite("point set has non-finite coordinates")
 
     def __len__(self):
         return self.points.shape[0]
@@ -150,10 +162,21 @@ class PointSet:
 
 @dataclass
 class CenterReport:
+    """Centre of a point set with its certified optimality gap.
+
+    ``lower_bound`` <= r* <= ``radius`` always holds, where r* is the
+    optimal covering radius.  ``support`` holds the indices of the two
+    points whose geodesic midpoint is the returned centre when the
+    two-point certificate held (one index for a singleton), and is None
+    when the centre came from the descent.
+    """
+
     center: np.ndarray
     radius: float
     iterations: int
     covering_residual: float
+    lower_bound: float
+    support: tuple | None
 
 
 def radius_at(B: PointSet, v) -> float:
@@ -161,31 +184,67 @@ def radius_at(B: PointSet, v) -> float:
     return float(np.max(B.space.distances_from(v, B.points)))
 
 
+def _pair_certificate(B: PointSet, start_index: int = 0):
+    """Farthest pair (a, b) of B by two scans, and its geodesic midpoint.
+
+    a is farthest from ``points[start_index]`` and b farthest from a.  Any
+    centre is at least d(a, b)/2 from a or from b, so r* >= d(a, b)/2; if
+    the midpoint c covers B within that radius, c is the centre and
+    d(a, b) the diameter.  Returns the distances from the start point,
+    (a, b), d(a, b)/2, c and the covering radius seen from c.
+    """
+    space = B.space
+    pts = B.points
+    dists = space.distances_from(pts[start_index], pts)
+    a = int(np.argmax(dists))
+    from_a = space.distances_from(pts[a], pts)
+    b = int(np.argmax(from_a))
+    half = 0.5 * float(from_a[b])
+    mid = space.geodesic(pts[a], pts[b], 0.5)
+    radius = float(np.max(space.distances_from(mid, pts)))
+    return dists, (a, b), half, mid, radius
+
+
+def _covers(half: float, mid_radius: float) -> bool:
+    """Whether the two-point certificate holds, up to CERTIFICATE_SLACK."""
+    return mid_radius - half <= CERTIFICATE_SLACK * max(half, 1.0)
+
+
 def chebyshev_center(B: PointSet, tol: float = DEFAULT_TOL, *,
                      max_iterations: int = MAX_ITERATIONS,
                      start_index: int = 0, stall: bool = True) -> CenterReport:
-    """Minimize the covering radius by geodesic farthest-point descent.
+    """Chebyshev centre: exact from a two-point certificate, else descent.
 
-    From v_k, step toward the farthest point of B with weight 1/(k + 2);
-    the best visited point is returned.  The search stops once the best
-    radius has improved by less than ``tol`` across a trailing window of
-    at least ``STALL_WINDOW`` steps; the window grows with the iteration
-    count (max(50, k/2)) because improvements of the harmonic schedule
-    arrive in bursts separated by gaps proportional to k, so a fixed
-    window would quit at radius error far above tol.  ``stall=False``
-    disables the window entirely and spends the full iteration budget,
-    which is what precision studies need: some burst gaps exceed any
-    fixed fraction of k.  Ties among farthest points break to the lowest
-    index, which keeps the iteration deterministic and equivariant under
-    isometries of the space.
+    a = farthest point from ``points[start_index]``, b = farthest from a,
+    c = their geodesic midpoint.  If c covers B within d(a, b)/2, up to
+    CERTIFICATE_SLACK, c is returned with ``iterations=0``: no centre
+    covers B with a smaller radius than d(a, b)/2.
+
+    Otherwise the covering radius is minimized by geodesic farthest-point
+    descent from ``points[start_index]``: from v_k, step toward the
+    farthest point of B with weight 1/(k + 2); the best visited point is
+    returned.  The search stops once the best radius has improved by less
+    than ``tol`` across a trailing window of at least ``STALL_WINDOW``
+    steps; the window grows with the iteration count (max(50, k/2))
+    because improvements of the harmonic schedule arrive in bursts
+    separated by gaps proportional to k, so a fixed window would quit at
+    radius error far above tol.  ``stall=False`` disables the window
+    entirely and spends the full iteration budget, which is what precision
+    studies need: some burst gaps exceed any fixed fraction of k.  Ties
+    among farthest points break to the lowest index, which keeps both
+    paths deterministic and equivariant under isometries of the space.
     """
     space = B.space
     pts = B.points
     if len(B) == 1:
-        return CenterReport(pts[0].copy(), 0.0, 0, 0.0)
+        return CenterReport(pts[0].copy(), 0.0, 0, 0.0, 0.0, (0,))
+
+    dists, pair, half, mid, mid_radius = _pair_certificate(B, start_index)
+    if _covers(half, mid_radius):
+        # min(): rounding can put the computed radius a few ulps below half.
+        return CenterReport(mid, mid_radius, 0, 0.0, min(half, mid_radius), pair)
 
     v = pts[start_index]
-    dists = space.distances_from(v, pts)
     far = int(np.argmax(dists))
     best_r = float(dists[far])
     best_v = v
@@ -214,6 +273,8 @@ def chebyshev_center(B: PointSet, tol: float = DEFAULT_TOL, *,
         radius=radius,
         iterations=k,
         covering_residual=radius - best_r,
+        lower_bound=half,
+        support=None,
     )
     if k >= max_iterations and report.covering_residual > 100.0 * tol:
         raise NoConvergence(
@@ -224,9 +285,17 @@ def chebyshev_center(B: PointSet, tol: float = DEFAULT_TOL, *,
 
 
 def diameter(B: PointSet) -> float:
-    """Largest pairwise distance; 0 for singletons."""
+    """Largest pairwise distance; 0 for singletons.
+
+    When the two-point certificate holds, every pair lies within
+    2 r(c), which is d(a, b) up to CERTIFICATE_SLACK, so d(a, b) is
+    returned without the O(m^2) pairwise scan.
+    """
     if len(B) < 2:
         return 0.0
+    _, _, half, _, mid_radius = _pair_certificate(B)
+    if _covers(half, mid_radius):
+        return 2.0 * half
     return float(np.max(B.space.pairwise(B.points)))
 
 

@@ -69,7 +69,6 @@ from .presets import (
     shift_single_mode,
 )
 from .reduction import (
-    oracle_section_distance,
     reduce_to_conformal,
     reduce_to_orthogonal,
     sample_fibers,
@@ -169,6 +168,9 @@ def cmd_center(args) -> dict:
         "space": ps.space.name,
         "chebyshev": {
             "radius": report.radius,
+            "lower_bound": report.lower_bound,
+            "support_size": (None if report.support is None
+                             else len(report.support)),
             "iterations": report.iterations,
             "covering_residual": report.covering_residual,
         },
@@ -434,53 +436,57 @@ def cmd_reduce(args) -> dict:
         "conformal": bool(conformal),
         "oracle": bool(args.oracle),
     }
+    oracle = cocycle.oracle_section
+    if oracle is not None and conformal:
+        phi_star = oracle
+
+        def det_one_oracle(x):
+            # The det-normalized pipeline recovers phi* / det(phi*)^{1/n}.
+            return spd.unit_determinant(phi_star(x))
+
+        oracle = det_one_oracle
+    got = None
     if args.oracle:
-        if cocycle.oracle_section is None:
+        if oracle is None:
             raise E.ConfigInvalid("preset carries no oracle section")
-        if conformal:
-            result = reduce_to_conformal(cocycle, phi=cocycle.oracle_section)
-        else:
-            result = reduce_to_orthogonal(cocycle, cocycle.oracle_section)
+        result = (reduce_to_conformal(cocycle, phi=oracle) if conformal
+                  else reduce_to_orthogonal(cocycle, oracle))
     else:
-        v0 = (cocycle.oracle_section(args.x0)
-              if cocycle.oracle_section is not None else np.eye(cocycle.dim))
-        if conformal:
-            # The det-normalized fibre lives on the det = 1 slice.
-            v0 = spd.unit_determinant(v0)
-            result = reduce_to_conformal(
-                cocycle, x0=args.x0, v0=v0, steps=args.steps,
-                cells=args.cells, center_tol=args.tol, threads=args.threads,
-            )
-        else:
-            fb = sample_fibers(cocycle, args.x0, v0, args.steps, args.cells)
-            got = section_from_centers(
-                fb, center_tol=args.tol, threads=args.threads
-            )
-            result = reduce_to_orthogonal(cocycle, got.section)
-            result.invariance_residual = got.invariance_residual
-            summary["occupancy"] = {
-                "min": fb.min_occupancy, "mean": fb.mean_occupancy,
-            }
-            summary["diameter_spread"] = fb.diameter_spread()
+        v0 = oracle(args.x0) if oracle is not None else np.eye(cocycle.dim)
+        fb = sample_fibers(cocycle, args.x0, v0, args.steps, args.cells,
+                           conformal=conformal)
+        got = section_from_centers(
+            fb, center_tol=args.tol, threads=args.threads
+        )
+        result = (reduce_to_conformal(cocycle, phi=got.section) if conformal
+                  else reduce_to_orthogonal(cocycle, got.section))
+        result.invariance_residual = got.invariance_residual
+        summary["occupancy"] = {
+            "min": fb.min_occupancy, "mean": fb.mean_occupancy,
+        }
+        summary["diameter_spread"] = fb.diameter_spread()
+        summary["center_gap_max"] = float(got.center_gaps.max())
     summary["defect"] = result.defect
     if result.invariance_residual is not None:
         summary["invariance_residual"] = result.invariance_residual
     if result.distortion_max_deviation is not None:
         summary["distortion_max_deviation"] = result.distortion_max_deviation
-    rows = []
-    for i, theta, d in result.rows():
-        row = [i, repr(theta), repr(d)]
-        if cocycle.oracle_section is not None and not args.oracle:
-            row.append(repr(spd.spd_distance(
-                result.section.values[i], cocycle.oracle_section(theta)
-            )))
-        rows.append(row)
     header = ["cell", "theta", "defect"]
-    if cocycle.oracle_section is not None and not args.oracle:
+    rows = [[i, repr(theta), repr(d)] for i, theta, d in result.rows()]
+    if oracle is not None and not args.oracle:
+        distances = [
+            spd.spd_distance(value, oracle(theta))
+            for theta, value in zip(result.section.thetas, result.section.values)
+        ]
+        summary["oracle_max_distance"] = max(distances)
         header.append("oracle_distance")
-        summary["oracle_max_distance"] = oracle_section_distance(
-            result.section, cocycle.oracle_section
-        )
+        for row, dist in zip(rows, distances):
+            row.append(repr(dist))
+    if got is not None:
+        header += ["gap", "support"]
+        for row, gap, support in zip(rows, got.center_gaps, got.center_supports):
+            row += [repr(float(gap)),
+                    "" if support is None else " ".join(map(str, support))]
     _write_csv(Path(args.out) / "reduction_cells.csv", header, rows)
     summary_timing = {"runtime_seconds": time.perf_counter() - t0}
     summary["timing"] = summary_timing

@@ -24,10 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .centers import PointSet, SPDSpace, bt_center, chebyshev_center
+from .centers import PointSet, SPDSpace, chebyshev_center, diameter
 from .circle import minimality_probe
 from .cocycles import MatrixCocycle
-from .errors import ConfigInvalid, EmptyCell, NotOrthogonal
+from .errors import (
+    ConfigInvalid,
+    EmptyCell,
+    NotOrthogonal,
+    NotUnitDeterminant,
+    SingularMatrix,
+)
 from .solvers import Section
 
 ORTHOGONALITY_SAMPLE = 64
@@ -210,10 +216,8 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
         if hi == lo:
             raise EmptyCell(f"cell {i} of {cells} received no samples")
         cell_points.append(points[order[lo:hi]])
-    diameters = np.array([
-        float(np.max(spd.pairwise_spd_distances(pts))) if len(pts) > 1 else 0.0
-        for pts in cell_points
-    ])
+    space = SPDSpace(n, conformal=conformal)
+    diameters = np.array([diameter(PointSet(space, pts)) for pts in cell_points])
     return FiberBuckets(
         cocycle=c, conformal=conformal, cells=cells, steps=steps, x0=x0,
         cell_points=cell_points, counts=counts, diameters=diameters,
@@ -222,39 +226,39 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
 
 @dataclass
 class SectionFromCenters:
+    """Per-cell centres as a section, with each centre's certificate:
+    ``center_gaps[i]`` = radius - lower bound of cell i, and
+    ``center_supports[i]`` the certifying pair (None after a descent)."""
+
     section: Section
     invariance_residual: float
     center_iterations: np.ndarray
+    center_gaps: np.ndarray
+    center_supports: list
 
 
 def section_from_centers(fb: FiberBuckets, *, center_tol: float = 1e-6,
-                         method: str = "chebyshev",
                          threads: int = 1) -> SectionFromCenters:
-    """Per-cell center of the fiber samples, as a sampled SPD section.
+    """Per-cell Chebyshev center of the fiber samples, as a sampled SPD section.
 
     The invariance residual  sup_i d(A(x_i) . phi(x_i), phi(x_i + alpha))
     (cells matched by nearest cell) quantifies how close the recovered
-    section is to being skew-invariant.  The per-cell search cost grows
-    like cell diameter / center_tol; the default hits the nearest-cell
-    bias floor long before it matters.
+    section is to being skew-invariant.  A cell whose farthest pair has a
+    covering geodesic midpoint costs three distance scans; only the other
+    cells run the descent, to ``center_tol``.
     """
     n = fb.cocycle.dim
     space = SPDSpace(n, conformal=fb.conformal)
 
     def center_of(pts):
-        ps = PointSet(space, pts)
-        if method == "bt":
-            return bt_center(ps), 0
-        rep = chebyshev_center(ps, center_tol)
-        return rep.center, rep.iterations
+        return chebyshev_center(PointSet(space, pts), center_tol)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(center_of, fb.cell_points))
+            reports = list(pool.map(center_of, fb.cell_points))
     else:
-        results = [center_of(pts) for pts in fb.cell_points]
-    values = np.array([r[0] for r in results])
-    iterations = np.array([r[1] for r in results])
+        reports = [center_of(pts) for pts in fb.cell_points]
+    values = np.array([r.center for r in reports])
     if fb.conformal:
         values = np.array([spd._renormalize_det(v) for v in values])
 
@@ -270,7 +274,9 @@ def section_from_centers(fb: FiberBuckets, *, center_tol: float = 1e-6,
     return SectionFromCenters(
         section=section,
         invariance_residual=residual,
-        center_iterations=iterations,
+        center_iterations=np.array([r.iterations for r in reports]),
+        center_gaps=np.array([r.radius - r.lower_bound for r in reports]),
+        center_supports=[r.support for r in reports],
     )
 
 
@@ -299,31 +305,35 @@ class ReductionResult:
 
 
 def _section_lookup(phi, base):
-    """(thetas, value_at_index, next_value_at_index) for a Section or oracle."""
+    """(thetas, values, next_values, next_index) for a Section or oracle.
+
+    The section at thetas[i] + alpha is next_values[next_index[i]]: the
+    value of the nearest cell for a sampled Section (next_values is then
+    values itself), the exact value for a callable oracle.
+    """
     if isinstance(phi, Section):
         thetas = phi.thetas
-        values = phi.values
         cells = len(thetas)
-
-        def here(i):
-            return values[i]
-
-        def there(i):
-            x_next = base.step(thetas[i])
-            return values[int(x_next * cells) % cells]
-
-        return thetas, here, there
+        next_index = np.array(
+            [int(base.step(x) * cells) % cells for x in thetas], dtype=int
+        )
+        return thetas, phi.values, phi.values, next_index
     # Callable oracle: exact evaluation on a default grid of cells.
     cells = 512
     thetas = (np.arange(cells) + 0.5) / cells
+    values = np.array([np.asarray(phi(x), dtype=float) for x in thetas])
+    next_values = np.array(
+        [np.asarray(phi(base.step(x)), dtype=float) for x in thetas]
+    )
+    return thetas, values, next_values, np.arange(cells)
 
-    def here(i):
-        return np.asarray(phi(thetas[i]), dtype=float)
 
-    def there(i):
-        return np.asarray(phi(base.step(thetas[i])), dtype=float)
-
-    return thetas, here, there
+def _conjugate(a, values, next_values, next_index):
+    """B = phi^{1/2} per cell and B(x + alpha)^{-1} A(x) B(x), stacked."""
+    b_values = spd.spd_sqrt_batch(values)
+    b_next = (b_values if next_values is values
+              else spd.spd_sqrt_batch(next_values))[next_index]
+    return b_values, np.linalg.inv(b_next) @ a @ b_values
 
 
 def reduce_to_orthogonal(c: MatrixCocycle, phi) -> ReductionResult:
@@ -333,22 +343,15 @@ def reduce_to_orthogonal(c: MatrixCocycle, phi) -> ReductionResult:
     cell) or a callable oracle (evaluated exactly, so a true coboundary
     reduces to rounding level).
     """
-    thetas, here, there = _section_lookup(phi, c.base)
-    m = len(thetas)
-    n = c.dim
-    b_values = np.empty((m, n, n))
-    defects = np.empty(m)
-    eye = np.eye(n)
-    for i, x in enumerate(thetas):
-        p_here = spd.require_spd(here(i))
-        b_here = spd.spd_sqrt(p_here)
-        b_next = spd.spd_sqrt(there(i))
-        a = c.generator(x)
-        a_tilde = np.linalg.inv(b_next) @ a @ b_here
-        defects[i] = np.linalg.norm(a_tilde.T @ a_tilde - eye)
-        b_values[i] = b_here
+    thetas, values, next_values, next_index = _section_lookup(phi, c.base)
+    b_values, a_tilde = _conjugate(
+        c.generators_along(thetas), values, next_values, next_index
+    )
+    eye = np.eye(c.dim)
+    defects = np.linalg.norm(a_tilde.transpose(0, 2, 1) @ a_tilde - eye,
+                             axis=(1, 2))
     section = phi if isinstance(phi, Section) else Section.from_samples(
-        thetas, np.array([here(i) for i in range(m)]), fiber="spd"
+        thetas, values, fiber="spd"
     )
     return ReductionResult(
         section=section,
@@ -362,7 +365,7 @@ def reduce_to_orthogonal(c: MatrixCocycle, phi) -> ReductionResult:
 def reduce_to_conformal(c: MatrixCocycle, *, x0: float = 0.1,
                         v0: np.ndarray | None = None,
                         steps: int = 100_000, cells: int = 256,
-                        center_tol: float = 1e-6, method: str = "chebyshev",
+                        center_tol: float = 1e-6,
                         threads: int = 1, phi=None) -> ReductionResult:
     """Full det-normalized pipeline: sample Conf(n) fibers, take centers,
     conjugate, and measure  sup ||(lambda A~)(lambda A~)^T - Id||_F  with
@@ -373,33 +376,31 @@ def reduce_to_conformal(c: MatrixCocycle, *, x0: float = 0.1,
         if v0 is None:
             v0 = np.eye(n)
         fb = sample_fibers(c, x0, v0, steps, cells, conformal=True)
-        got = section_from_centers(
-            fb, center_tol=center_tol, method=method, threads=threads
-        )
+        got = section_from_centers(fb, center_tol=center_tol, threads=threads)
         phi = got.section
         invariance = got.invariance_residual
 
-    thetas, here, there = _section_lookup(phi, c.base)
-    m = len(thetas)
-    b_values = np.empty((m, n, n))
-    defects = np.empty(m)
-    max_distortion_dev = 0.0
-    eye = np.eye(n)
-    for i, x in enumerate(thetas):
-        p_here = spd.require_unit_determinant(spd.require_spd(here(i)))
-        b_here = spd.spd_sqrt(p_here)
-        b_next = spd.spd_sqrt(there(i))
-        a = c.generator(x)
-        lam = spd.conf_normalizer(a)
-        a_tilde = lam * (np.linalg.inv(b_next) @ a @ b_here)
-        defects[i] = np.linalg.norm(a_tilde @ a_tilde.T - eye)
-        max_distortion_dev = max(
-            max_distortion_dev,
-            abs(spd.quasiconformal_distortion(a_tilde) - 1.0),
+    thetas, values, next_values, next_index = _section_lookup(phi, c.base)
+    a = c.generators_along(thetas)
+    b_values, a_tilde = _conjugate(a, values, next_values, next_index)
+    det_gap = np.abs(np.linalg.det(values) - 1.0)
+    if np.any(det_gap > spd.UNIT_DET_TOL):
+        k = int(np.argmax(det_gap))
+        raise NotUnitDeterminant(
+            f"cell {k}: |det P - 1| = {det_gap[k]:.3e} > {spd.UNIT_DET_TOL:g}"
         )
-        b_values[i] = b_here
+    det_ata = np.linalg.det(a.transpose(0, 2, 1) @ a)
+    if np.any(det_ata <= spd.SINGULAR_TOL ** 2):
+        raise SingularMatrix("det A^T A below invertibility tolerance")
+    a_tilde = det_ata[:, None, None] ** (-1.0 / (2.0 * n)) * a_tilde
+    eye = np.eye(n)
+    defects = np.linalg.norm(a_tilde @ a_tilde.transpose(0, 2, 1) - eye,
+                             axis=(1, 2))
+    # Operator-norm condition number of each A~; 1 iff A~ is conformal.
+    sq = np.linalg.eigvalsh(a_tilde.transpose(0, 2, 1) @ a_tilde)
+    distortion = np.sqrt(sq[:, -1] / sq[:, 0])
     section = phi if isinstance(phi, Section) else Section.from_samples(
-        thetas, np.array([here(i) for i in range(m)]), fiber="spd"
+        thetas, values, fiber="spd"
     )
     return ReductionResult(
         section=section,
@@ -407,7 +408,7 @@ def reduce_to_conformal(c: MatrixCocycle, *, x0: float = 0.1,
         defect=float(defects.max()),
         per_cell_defect=defects,
         conformal=True,
-        distortion_max_deviation=max_distortion_dev,
+        distortion_max_deviation=float(np.max(np.abs(distortion - 1.0))),
         invariance_residual=invariance,
     )
 

@@ -157,6 +157,39 @@ def spd_sqrt(P: np.ndarray) -> np.ndarray:
     return _spectral(eig, np.sqrt)
 
 
+def spd_sqrt_batch(batch: np.ndarray) -> np.ndarray:
+    """Symmetric positive square roots of every matrix of a (m, n, n) batch.
+
+    n = 2 is the closed form (P + sqrt(det P) I) / sqrt(tr P + 2 sqrt(det P)),
+    n >= 3 one stacked ``eigh``.  Every entry is checked as by
+    :func:`require_spd`, and an error names the entry's index.
+    """
+    batch = np.asarray(batch, dtype=float)
+    if (batch.ndim != 3 or batch.shape[1] != batch.shape[2]
+            or not MIN_DIM <= batch.shape[1] <= MAX_DIM):
+        raise DimensionMismatch(f"expected a (m, n, n) batch, got {batch.shape}")
+    batch = _require_symmetric_batch(batch)
+    if batch.shape[1] == 2:
+        a, b, c = batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1]
+        det = a * c - b * b
+        _require_positive_batch((a > 0.0) & (det > 0.0))
+        s = np.sqrt(det)
+        out = batch.copy()
+        out[:, 0, 0] += s
+        out[:, 1, 1] += s
+        return out / np.sqrt(a + c + 2.0 * s)[:, None, None]
+    values, vectors = np.linalg.eigh(batch)
+    _require_positive_batch(values[:, 0] > 0.0)
+    roots = (vectors * np.sqrt(values)[:, None, :]) @ vectors.transpose(0, 2, 1)
+    return 0.5 * (roots + roots.transpose(0, 2, 1))
+
+
+def _require_positive_batch(positive: np.ndarray):
+    if not np.all(positive):
+        k = int(np.argmin(positive))
+        raise NotPositiveDefinite(f"batch entry {k} is not positive definite")
+
+
 def spd_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """Affine-invariant distance: Frobenius norm of log(P^{-1/2} Q P^{-1/2})."""
     P = np.asarray(P, dtype=float)

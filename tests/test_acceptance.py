@@ -168,14 +168,18 @@ def test_criterion_04_orthogonal_reduction_pipeline():
     res_fine = reduce_to_orthogonal(c, got_fine.section)
 
     elapsed = time.perf_counter() - t0
+    # Every cell's centre is the certified midpoint of a farthest pair.
+    certified = sum(s is not None for s in got.center_supports)
     ok = (res.defect <= 1e-2
           and oracle_res.defect <= 1e-9
           and res_fine.defect < res.defect
+          and certified == 512
           and elapsed < 300.0)
     verdict(4, ok,
             f"defect {res.defect:.2e} <= 1e-2 at 512 cells / 2e5 steps; "
             f"oracle defect {oracle_res.defect:.1e} <= 1e-9; refinement "
-            f"{res_fine.defect:.2e} < {res.defect:.2e}; {elapsed:.0f}s < 300s")
+            f"{res_fine.defect:.2e} < {res.defect:.2e}; {certified}/512 "
+            f"centres certified; {elapsed:.0f}s < 300s")
 
 
 def test_criterion_05_conformal_reduction_pipeline():
@@ -183,18 +187,21 @@ def test_criterion_05_conformal_reduction_pipeline():
     res_so = reduce_to_conformal(so, x0=0.2, steps=8000, cells=64,
                                  center_tol=1e-5)
     c = conformal_coboundary_cocycle(s0_norm=0.7)
-    res_cb = reduce_to_conformal(
-        c, x0=0.2, v0=c.oracle_section(0.2),
-        steps=200_000, cells=512, center_tol=1e-6,
-    )
+    fb = sample_fibers(c, 0.2, c.oracle_section(0.2), 200_000, 512,
+                       conformal=True)
+    got = section_from_centers(fb, center_tol=1e-6)
+    res_cb = reduce_to_conformal(c, phi=got.section)
+    # Every cell's centre is the certified midpoint of a farthest pair.
+    certified = sum(s is not None for s in got.center_supports)
     ok = (res_so.defect <= 1e-9
           and res_so.distortion_max_deviation <= 1e-6
-          and res_cb.defect <= 1e-2)
+          and res_cb.defect <= 1e-2
+          and certified == 512)
     verdict(5, ok,
             f"scalar x orthogonal: defect {res_so.defect:.1e} <= 1e-9, "
             f"K-1 <= {res_so.distortion_max_deviation:.1e} <= 1e-6; "
             f"conformal coboundary via centers: defect "
-            f"{res_cb.defect:.2e} <= 1e-2")
+            f"{res_cb.defect:.2e} <= 1e-2, {certified}/512 centres certified")
 
 
 def test_criterion_06_twisted_fourier_solver():

@@ -20,7 +20,12 @@ from cocyclelab.centers import (
     radius_at,
     space_selftest,
 )
-from cocyclelab.errors import EmptySet, NotIsometry, PreconditionViolated
+from cocyclelab.errors import (
+    EmptySet,
+    NonFinite,
+    NotIsometry,
+    PreconditionViolated,
+)
 
 from conftest import (
     acute_scalene_triangle,
@@ -37,6 +42,29 @@ S2 = SPDSpace(2)
 
 def spd_set(rng, m, spread=0.5):
     return PointSet(S2, np.array([random_spd(rng, 2, spread) for _ in range(m)]))
+
+
+def elongated_sets(rng, dim, count):
+    """Random sets of 3 to 12 points, squeezed across the first axis for
+    every other set, so that both paths of the certificate occur."""
+    for k in range(count):
+        pts = rng.random((int(rng.integers(3, 13)), dim))
+        if k % 2:
+            pts[:, 1:] *= 0.2
+        yield pts
+
+
+def elongated_spd_sets(rng, n, count):
+    """Pos(n) counterparts: exp(t S + noise) for t along a fixed direction."""
+    direction = spd.symmetrize(rng.standard_normal((n, n)))
+    for k in range(count):
+        m = int(rng.integers(3, 13))
+        noise = 0.5 if k % 2 == 0 else 0.05
+        yield np.array([
+            spd.spd_exp(rng.random() * direction + noise * spd.symmetrize(
+                rng.standard_normal((n, n))))
+            for _ in range(m)
+        ])
 
 
 class TestSpaces:
@@ -83,6 +111,17 @@ class TestRadiusAndDiameter:
         with pytest.raises(EmptySet):
             PointSet(E2, np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, rng, value):
+        pts = rng.random((5, 2))
+        pts[3, 1] = value
+        with pytest.raises(NonFinite):
+            PointSet(E2, pts)
+        mats = np.array([random_spd(rng, 2) for _ in range(5)])
+        mats[2, 0, 1] = mats[2, 1, 0] = value
+        with pytest.raises(NonFinite):
+            PointSet(S2, mats)
+
 
 class TestChebyshevCenter:
     def test_two_points_midpoint(self, rng):
@@ -90,6 +129,8 @@ class TestChebyshevCenter:
         rep = chebyshev_center(PointSet(E2, np.array([p, q])), 1e-9)
         assert np.linalg.norm(rep.center - (p + q) / 2.0) <= 1e-12
         assert abs(rep.radius - np.linalg.norm(p - q) / 2.0) <= 1e-12
+        assert rep.support == (1, 0) and rep.iterations == 0
+        assert rep.lower_bound <= rep.radius <= rep.lower_bound * (1 + 1e-12)
 
     def test_equilateral_triangle(self):
         # Circumcenter = centroid, radius 1/sqrt(3); oracle: exact
@@ -102,6 +143,9 @@ class TestChebyshevCenter:
         assert abs(rep.radius - 1.0 / np.sqrt(3.0)) <= 1e-9
         assert abs(rep.radius - r_star) <= 2e-4
         assert np.linalg.norm(rep.center - pts.mean(axis=0)) <= 1e-9
+        # Three support points: the pair certificate fails, the bound holds.
+        assert rep.support is None
+        assert rep.lower_bound <= r_star <= rep.radius
 
     def test_spd_two_points(self):
         # Midpoint of the geodesic minimizes the max distance; oracle:
@@ -140,6 +184,9 @@ class TestChebyshevCenter:
             _, r_star = exact_min_enclosing_ball(pts)
             assert abs(rep.radius - r_star) <= 2e-4
             assert rep.radius >= r_star - 1e-12
+            # The planar set has a two-point support; the 3-D one needs four.
+            assert (rep.support is None) == (dim == 3)
+            assert rep.lower_bound <= r_star
 
     def test_uniqueness_proxy_two_starts(self, rng):
         # The minimizer is unique; runs from different initial points meet.
@@ -174,6 +221,39 @@ class TestChebyshevCenter:
             c_star, r_star = exact_min_enclosing_circle(pts)
             assert rep.radius - r_star <= 2e-4
             assert rep.radius >= r_star - 1e-12
+
+
+class TestCertificate:
+    def test_pair_support_is_exact(self, rng):
+        certified = 0
+        for dim in (2, 3):
+            for pts in elongated_sets(rng, dim, 40):
+                # The descent's tolerance bears only on uncertified sets.
+                rep = chebyshev_center(PointSet(EuclideanSpace(dim), pts), 1e-3)
+                _, r_star = exact_min_enclosing_ball(pts)
+                assert rep.lower_bound <= r_star + 1e-12
+                assert rep.radius >= r_star - 1e-12
+                if rep.support is not None:
+                    certified += 1
+                    assert len(rep.support) == 2 and rep.iterations == 0
+                    assert abs(rep.radius - r_star) <= 1e-12
+        assert 20 <= certified < 80
+
+    def test_certified_diameter_matches_brute_force(self, rng):
+        sets = [(EuclideanSpace(dim), pts)
+                for dim in (2, 3) for pts in elongated_sets(rng, dim, 20)]
+        sets += [(SPDSpace(n), pts)
+                 for n in (2, 3) for pts in elongated_spd_sets(rng, n, 20)]
+        certified = 0
+        for space, pts in sets:
+            ps = PointSet(space, pts)
+            brute = max(
+                space.distance(pts[i], pts[j])
+                for i in range(len(pts)) for j in range(i + 1, len(pts))
+            )
+            assert abs(diameter(ps) - brute) <= 1e-12
+            certified += chebyshev_center(ps, 1e-2).support is not None
+        assert 0 < certified < len(sets)
 
 
 class TestBTCenter:

@@ -61,6 +61,26 @@ class TestCenterCommand:
         code, summary, _ = run_cli(tmp_path, "center", "--input", str(path))
         assert code == 0
         assert summary["space"] == "pos:2"
+        cheb = summary["chebyshev"]
+        assert cheb["support_size"] == 2 and cheb["iterations"] == 0
+        assert abs(cheb["radius"] - cheb["lower_bound"]) <= 1e-15
+
+    def test_descent_reports_lower_bound(self, tmp_path, tetra_file):
+        code, summary, _ = run_cli(
+            tmp_path, "center", "--input", str(tetra_file)
+        )
+        assert code == 0
+        cheb = summary["chebyshev"]
+        assert cheb["support_size"] is None
+        # Unit edges: half an edge against the circumradius sqrt(6)/4.
+        assert abs(cheb["lower_bound"] - 0.5) <= 1e-12
+        assert cheb["lower_bound"] <= np.sqrt(6.0) / 4.0 <= cheb["radius"]
+
+    def test_non_finite_euclidean_point_is_numeric_error(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text('{"space": "euclidean", "points": [[0, 0], [1, NaN]]}')
+        code, _, _ = run_cli(tmp_path, "center", "--input", str(path))
+        assert code == 3
 
     def test_missing_file_is_config_error(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "center", "--input", "/nope.json")
@@ -134,7 +154,13 @@ class TestOtherCommands:
         assert code == 0
         assert summary["defect"] <= 0.1
         assert summary["occupancy"]["min"] >= 1
-        assert (out / "reduction_cells.csv").exists()
+        assert summary["center_gap_max"] <= 1e-12
+        rows = (out / "reduction_cells.csv").read_text().splitlines()
+        assert rows[0] == "cell,theta,defect,oracle_distance,gap,support"
+        assert len(rows) == 65
+        for row in rows[1:]:
+            gap, support = row.split(",")[4:]
+            assert float(gap) <= 1e-12 and len(support.split()) == 2
 
     def test_reduce_coboundary_conformal(self, tmp_path):
         code, summary, _ = run_cli(
@@ -144,6 +170,18 @@ class TestOtherCommands:
         assert code == 0
         assert summary["conformal"]
         assert np.isfinite(summary["defect"])
+        # Against phi*/det(phi*)^{1/2}: the centre error, as in the
+        # orthogonal run of this command (0.026), not the determinant
+        # offset of the raw phi* (0.405).
+        assert summary["oracle_max_distance"] <= 0.05
+
+    def test_reduce_coboundary_conformal_oracle(self, tmp_path):
+        code, summary, _ = run_cli(
+            tmp_path, "reduce", "--preset", "coboundary", "--conformal",
+            "--oracle",
+        )
+        assert code == 0
+        assert summary["defect"] <= 1e-9
 
     def test_reduce_oracle(self, tmp_path):
         code, summary, _ = run_cli(
@@ -202,6 +240,15 @@ class TestDeterminism:
             (b / "summary.json").read_bytes()
         # timings are volatile by nature and live in a separate artifact
         assert (a / "timing.json").exists()
+
+    def test_byte_identical_reduce_summaries(self, tmp_path):
+        argv = ["reduce", "--preset", "conformal-coboundary", "--cells", "32",
+                "--steps", "2000", "--tol", "1e-4"]
+        for name in ("a", "b"):
+            assert main(["--out", str(tmp_path / name)] + argv) == 0
+        summary = (tmp_path / "a" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "b" / "summary.json").read_bytes()
+        assert b"center_gap_max" in summary
 
     def test_env_seed_override(self, tmp_path):
         code, summary, _ = run_cli(

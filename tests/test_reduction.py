@@ -7,7 +7,12 @@ import pytest
 from cocyclelab import spd
 from cocyclelab.circle import ParabolicBase
 from cocyclelab.cocycles import MatrixCocycle, matrix_products
-from cocyclelab.errors import ConfigInvalid, EmptyCell, NotOrthogonal
+from cocyclelab.errors import (
+    ConfigInvalid,
+    EmptyCell,
+    NotOrthogonal,
+    NotUnitDeterminant,
+)
 from cocyclelab.presets import (
     coboundary_cocycle,
     conformal_coboundary_cocycle,
@@ -24,6 +29,7 @@ from cocyclelab.reduction import (
     sample_fibers,
     section_from_centers,
 )
+from cocyclelab.solvers import Section
 
 
 def identity_cocycle(base):
@@ -110,6 +116,15 @@ class TestSampleFibers:
         fine = sample_fibers(c, 0.2, v0, 32000, 128)
         assert fine.diameters.max() < coarse.diameters.max()
 
+    @pytest.mark.parametrize("conformal", [False, True])
+    def test_certified_diameters_match_brute_force(self, conformal):
+        c = (conformal_coboundary_cocycle() if conformal
+             else coboundary_cocycle())
+        fb = sample_fibers(c, 0.2, c.oracle_section(0.2), 6400, 64,
+                           conformal=conformal)
+        for pts, diam in zip(fb.cell_points, fb.diameters):
+            assert abs(diam - spd.pairwise_spd_distances(pts).max()) <= 1e-12
+
     def test_off_graph_diameter_near_constancy(self):
         # Fibers of an orbit closure have constant diameter; the sampled
         # per-cell spread shrinks under refinement while the level stays.
@@ -173,12 +188,64 @@ class TestSectionFromCenters:
         assert np.array_equal(a.section.values, b.section.values)
 
 
+def reference_defects(c, phi, conformal):
+    """Per-cell defects of the conjugated cocycle, one cell at a time."""
+    if isinstance(phi, Section):
+        thetas, cells = phi.thetas, len(phi.thetas)
+
+        def here(i):
+            return phi.values[i]
+
+        def there(i):
+            return phi.values[int(c.base.step(thetas[i]) * cells) % cells]
+    else:
+        thetas = (np.arange(512) + 0.5) / 512
+
+        def here(i):
+            return phi(thetas[i])
+
+        def there(i):
+            return phi(c.base.step(thetas[i]))
+    defects, distortion = [], 0.0
+    for i, x in enumerate(thetas):
+        a = c.generator(x)
+        a_tilde = np.linalg.inv(spd.spd_sqrt(there(i))) @ a @ spd.spd_sqrt(here(i))
+        if conformal:
+            a_tilde = spd.conf_normalizer(a) * a_tilde
+            defects.append(np.linalg.norm(a_tilde @ a_tilde.T - np.eye(c.dim)))
+            distortion = max(
+                distortion, abs(spd.quasiconformal_distortion(a_tilde) - 1.0))
+        else:
+            defects.append(np.linalg.norm(a_tilde.T @ a_tilde - np.eye(c.dim)))
+    return np.array(defects), distortion
+
+
+class TestBatchedConjugation:
+    @pytest.mark.parametrize("conformal", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_matches_per_cell_loop(self, conformal, sampled):
+        c = (conformal_coboundary_cocycle() if conformal
+             else coboundary_cocycle())
+        phi = c.oracle_section
+        if sampled:
+            thetas = (np.arange(96) + 0.5) / 96
+            phi = Section.from_samples(
+                thetas, np.array([c.oracle_section(x) for x in thetas]),
+                fiber="spd",
+            )
+        want, distortion = reference_defects(c, phi, conformal)
+        if conformal:
+            res = reduce_to_conformal(c, phi=phi)
+            assert abs(res.distortion_max_deviation - distortion) <= 1e-12
+        else:
+            res = reduce_to_orthogonal(c, phi)
+        assert np.max(np.abs(res.per_cell_defect - want)) <= 1e-12
+
+
 class TestReduceToOrthogonal:
     def test_identity_everything(self):
         c = identity_cocycle(golden_rotation())
         thetas = (np.arange(16) + 0.5) / 16
-        from cocyclelab.solvers import Section
-
         phi = Section.from_samples(
             thetas, np.tile(np.eye(2), (16, 1, 1)), fiber="spd"
         )
@@ -224,6 +291,11 @@ class TestReduceToConformal:
         res = reduce_to_conformal(c, phi=c.oracle_section)
         assert res.defect <= 1e-9
         assert res.distortion_max_deviation <= 1e-6
+
+    def test_off_slice_section_rejected(self):
+        c = coboundary_cocycle()
+        with pytest.raises(NotUnitDeterminant):
+            reduce_to_conformal(c, phi=c.oracle_section)
 
     def test_conformal_center_path(self):
         c = conformal_coboundary_cocycle()

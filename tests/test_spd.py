@@ -102,6 +102,30 @@ class TestExpLog:
             spd.spd_log(np.diag([1.0, -0.5]))
 
 
+class TestSqrtBatch:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_scalar_root(self, rng, n):
+        batch = np.array([random_spd(rng, n, spread=1.5) for _ in range(9)])
+        roots = spd.spd_sqrt_batch(batch)
+        for P, R in zip(batch, roots):
+            assert np.max(np.abs(R - spd.spd_sqrt(P))) <= 1e-12
+            assert spd.symmetry_defect(R) == 0.0
+            assert np.max(np.abs(R @ R - P)) <= 1e-12 * np.linalg.norm(P)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_bad_entry(self, rng, n):
+        batch = np.array([random_spd(rng, n) for _ in range(5)])
+        batch[3] = -batch[3]
+        with pytest.raises(NotPositiveDefinite, match="batch entry 3"):
+            spd.spd_sqrt_batch(batch)
+        batch[3] = -batch[3]
+        batch[3, 0, 1] += 1e-6
+        with pytest.raises(NotSymmetric, match="batch entry 3"):
+            spd.spd_sqrt_batch(batch)
+        with pytest.raises(DimensionMismatch):
+            spd.spd_sqrt_batch(batch[0])
+
+
 class TestDistance:
     def test_identity_to_diagonal(self):
         # log-eigenvalues (2, 0); Frobenius norm 2.
@@ -368,6 +392,7 @@ class TestNonFinite:
             lambda: spd.spd_geodesic(P, bad, 0.5),
             lambda: spd.spd_geodesic(bad, P, 0.5),
             lambda: spd.spd_sqrt(bad),
+            lambda: spd.spd_sqrt_batch(batch),
             lambda: spd.require_spd(bad),
         ]
         for call in calls:
@@ -394,6 +419,7 @@ class TestNonFinite:
             lambda X: spd.spd_distances_from(P, np.array([P, X])),
             lambda X: spd.spd_distances_from(X, np.array([P])),
             lambda X: spd.pairwise_spd_distances(np.array([P, X, P])),
+            lambda X: spd.spd_sqrt_batch(np.array([P, X])),
             lambda X: spd.spd_geodesic(P, X, 0.5),
             lambda X: spd.spd_geodesic(X, P, 0.5),
         ]
