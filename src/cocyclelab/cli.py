@@ -45,14 +45,12 @@ from .centers import (
     chebyshev_center,
     diameter,
 )
-from .circle import GOLDEN_MEAN, base_from_descriptor, minimality_probe, return_times
+from .circle import minimality_probe
 from .cocycles import (
     ShiftCocycle,
     boundedness_probe,
-    matrix_products,
     recurrence_isometries,
     semigroup_closure_check,
-    twisted_birkhoff,
 )
 from .presets import (
     coboundary_cocycle,
@@ -398,12 +396,10 @@ def cmd_birkhoff(args) -> dict:
         v0 = np.zeros(1)
     else:
         raise E.ConfigInvalid(f"unknown birkhoff preset {args.preset!r}")
+    # The probe starts at v0 = 0, so its norms are the twisted Birkhoff sums.
     probe = boundedness_probe(cocycle, args.x0, v0, args.steps)
     ks = np.unique(np.geomspace(1, args.steps, 64).astype(int))
-    rows = [
-        (int(k), repr(float(np.linalg.norm(twisted_birkhoff(cocycle, args.x0, int(k))))))
-        for k in ks
-    ]
+    rows = [(int(k), repr(float(probe.norms[k]))) for k in ks]
     _write_csv(Path(args.out) / "birkhoff.csv", ["k", "norm"], rows)
     return {
         "command": "birkhoff",
@@ -449,16 +445,14 @@ def cmd_reduce(args) -> dict:
     if args.oracle:
         if oracle is None:
             raise E.ConfigInvalid("preset carries no oracle section")
-        result = (reduce_to_conformal(cocycle, phi=oracle) if conformal
+        result = (reduce_to_conformal(cocycle, oracle) if conformal
                   else reduce_to_orthogonal(cocycle, oracle))
     else:
         v0 = oracle(args.x0) if oracle is not None else np.eye(cocycle.dim)
         fb = sample_fibers(cocycle, args.x0, v0, args.steps, args.cells,
                            conformal=conformal)
-        got = section_from_centers(
-            fb, center_tol=args.tol, threads=args.threads
-        )
-        result = (reduce_to_conformal(cocycle, phi=got.section) if conformal
+        got = section_from_centers(fb, center_tol=args.tol)
+        result = (reduce_to_conformal(cocycle, got.section) if conformal
                   else reduce_to_orthogonal(cocycle, got.section))
         result.invariance_residual = got.invariance_residual
         summary["occupancy"] = {
@@ -619,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.2)
     p.add_argument("--tol", type=float, default=1e-6,
                    help="per-cell center tolerance")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, choices=[1],
+                   help="accepted for compatibility; runs are single-threaded")
     p.add_argument("--oracle", action="store_true",
                    help="use the preset's exact section instead of centers")
     p.add_argument("--conformal", action="store_true")

@@ -9,9 +9,11 @@ the orbit.  The translation part of I(k, x) is the twisted Birkhoff sum
 
     S_k(rho)(x) = sum_i Psi(T^{k-1} x) ... Psi(T^{i+1} x) rho(T^i x).
 
-Matrix cocycles x -> A(x) in GL(n) iterate by plain products; shift
-cocycles carry finitely supported coordinate data over the one-sided or
-two-sided coordinate shift.
+Isometries are composed as homogeneous matrices [[Psi, rho], [0, 1]], so
+isometry cocycles and matrix cocycles x -> A(x) in GL(n) share one kernel,
+``prefix_products``: every orbit walk reads the left prefix products of
+the generators along the orbit.  Shift cocycles carry finitely supported
+coordinate data over the one-sided or two-sided coordinate shift.
 """
 
 from __future__ import annotations
@@ -21,12 +23,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import return_times
-from .errors import ConfigInvalid, NotOrthogonal, SingularMatrix, TruncationTooSmall
+from .errors import (
+    ConfigInvalid,
+    NonFinite,
+    NotOrthogonal,
+    SingularMatrix,
+    TruncationTooSmall,
+)
 from .trigpoly import TrigPoly
 
 ORTHOGONALITY_TOL = 1e-10
-REORTHONORMALIZE_EVERY = 10 ** 4
 ITERATION_CAP = 10 ** 7
+# Generators per block of the doubling scan in prefix_products.  The scan's
+# temporaries are one block of matrices, whatever the orbit length.
+SCAN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -163,80 +173,81 @@ class IsometryCocycle:
             translation_fn=table.translation_at,
         )
 
-    def linear_at(self, x: float) -> np.ndarray:
-        if self.constant_linear is not None:
-            return self.constant_linear
-        return self._linear_fn(x)
-
-    def translation_at(self, x: float) -> np.ndarray:
-        if self._translation_fn is not None:
-            return np.asarray(self._translation_fn(x), dtype=float)
-        return self._translation_batch_fn(np.array([x]))[0]
-
-    def translations_along(self, xs: np.ndarray) -> np.ndarray:
+    def generators_along(self, xs: np.ndarray) -> np.ndarray:
+        """Homogeneous generators [[Psi(x), rho(x)], [0, 1]] at the points xs."""
+        k, l = len(xs), self.dim
         if self._translation_batch_fn is not None:
-            return np.asarray(self._translation_batch_fn(xs), dtype=float)
-        return np.array([self.translation_at(x) for x in xs], dtype=float)
+            rhos = self._translation_batch_fn(xs)
+        else:
+            rhos = [self._translation_fn(x) for x in xs]
+        gens = np.zeros((k, l + 1, l + 1))
+        if self.constant_linear is not None:
+            gens[:, :l, :l] = self.constant_linear
+        else:
+            gens[:, :l, :l] = np.reshape([self._linear_fn(x) for x in xs], (k, l, l))
+        gens[:, :l, l] = np.reshape(rhos, (k, l))
+        gens[:, l, l] = 1.0
+        return gens
 
-    def generator(self, x: float) -> FiniteIsometry:
-        return FiniteIsometry(self.linear_at(x), self.translation_at(x))
 
-    def identity_linear(self) -> bool:
-        return (self.constant_linear is not None
-                and np.array_equal(self.constant_linear, np.eye(self.dim)))
+def prefix_products(gens: np.ndarray) -> np.ndarray:
+    """Left prefix products of a stack of k square matrices.
+
+    Returns M of shape (k + 1, d, d) with M[0] = I and
+    M[j] = gens[j-1] ... gens[0].  For generators taken along an orbit,
+    M[j] is the cocycle A(j, x), and M[j + i] = A(j, T^i x) M[i].  Inside
+    each block of SCAN_BLOCK generators a doubling scan (Hillis & Steele,
+    CACM 1986) forms the block's prefixes in log2(SCAN_BLOCK) stacked
+    products; the block is then carried by the last product of the block
+    before.  Raises NonFinite when a product is not finite: a non-finite
+    generator spreads to every later product, and a product overflows
+    (a partial product the scan forms on the way counts).
+    """
+    gens = np.asarray(gens, dtype=float)
+    k, d = gens.shape[0], gens.shape[-1]
+    out = np.empty((k + 1, d, d))
+    out[0] = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k, SCAN_BLOCK):
+            block = out[lo + 1:lo + 1 + SCAN_BLOCK]
+            block[:] = gens[lo:lo + SCAN_BLOCK]
+            shift = 1
+            while shift < len(block):
+                block[shift:] = block[shift:] @ block[:-shift]
+                shift *= 2
+            block[:] = block @ out[lo]
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        raise NonFinite(f"product at step {int(np.argmax(bad))} is not finite")
+    return out
 
 
-def _check_iteration_count(k: int):
+def orbit_products(c, x: float, k: int) -> np.ndarray:
+    """Prefix products A(j, x), j = 0..k, of a cocycle's generators."""
     if k > ITERATION_CAP:
         raise ConfigInvalid(f"iteration count {k} exceeds {ITERATION_CAP}")
+    return prefix_products(c.generators_along(c.base.orbit(x, k)))
 
 
 def iterate_skew(c: IsometryCocycle, x: float, v: np.ndarray, k: int):
     """k-th image of (x, v) under the skew action; returns (T^k x, I(k,x) v)."""
-    _check_iteration_count(k)
-    v = np.asarray(v, dtype=float).copy()
-    if k == 0:
-        return x, v
-    xs = c.base.orbit(x, k)
-    rhos = c.translations_along(xs)
-    if c.identity_linear():
-        return c.base.step_n(x, k), v + rhos.sum(axis=0)
-    if c.constant_linear is not None:
-        psi = c.constant_linear
-        for j in range(k):
-            v = psi @ v + rhos[j]
-    else:
-        for j in range(k):
-            v = c.linear_at(xs[j]) @ v + rhos[j]
+    last = orbit_products(c, x, k)[-1]
+    l = c.dim
+    v = last[:l, :l] @ np.asarray(v, dtype=float) + last[:l, l]
     return c.base.step_n(x, k), v
 
 
 def twisted_birkhoff(c: IsometryCocycle, x: float, k: int) -> np.ndarray:
-    """Twisted Birkhoff sum: the translation part of I(k, x), in one pass."""
-    _check_iteration_count(k)
-    return iterate_skew(c, x, np.zeros(c.dim), k)[1]
+    """Twisted Birkhoff sum: the translation part of I(k, x)."""
+    return orbit_products(c, x, k)[-1, :c.dim, c.dim].copy()
 
 
-def compose_along_orbit(c: IsometryCocycle, x: float, k: int,
-                        *, reorthonormalize_every: int = REORTHONORMALIZE_EVERY
-                        ) -> FiniteIsometry:
-    """Full isometry I(k, x), with periodic re-orthonormalization of the
-    accumulated linear part to control drift along long products."""
-    _check_iteration_count(k)
-    lin = np.eye(c.dim)
-    tr = np.zeros(c.dim)
-    if k == 0:
-        return FiniteIsometry(lin, tr)
-    xs = c.base.orbit(x, k)
-    rhos = c.translations_along(xs)
-    for j in range(k):
-        psi = c.linear_at(xs[j])
-        lin = psi @ lin
-        tr = psi @ tr + rhos[j]
-        if (j + 1) % reorthonormalize_every == 0:
-            lin = gram_schmidt(lin)
-    lin = gram_schmidt(lin)
-    return FiniteIsometry(lin, tr)
+def compose_along_orbit(c: IsometryCocycle, x: float, k: int) -> FiniteIsometry:
+    """Full isometry I(k, x), the last prefix product; its linear part is
+    re-orthonormalized once against rounding drift."""
+    last = orbit_products(c, x, k)[-1]
+    l = c.dim
+    return FiniteIsometry(gram_schmidt(last[:l, :l]), last[:l, l].copy())
 
 
 @dataclass
@@ -244,6 +255,7 @@ class ProbeReport:
     sup_norm: float
     argmax_k: int
     growth_slope: float
+    norms: np.ndarray  # ||I(k, x0) v0|| for k = 0..n
 
 
 def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
@@ -253,28 +265,18 @@ def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
     The slope is a least-squares fit of the running maximum against log k
     — a growth diagnostic only, not a boundedness verdict.
     """
-    _check_iteration_count(n)
-    v0 = np.asarray(v0, dtype=float)
-    xs = c.base.orbit(x0, n)
-    rhos = c.translations_along(xs)
-    norms = np.empty(n + 1)
-    norms[0] = np.linalg.norm(v0)
-    if c.identity_linear():
-        traj = v0[np.newaxis, :] + np.cumsum(rhos, axis=0)
-        norms[1:] = np.sqrt(np.sum(traj * traj, axis=1))
-    else:
-        v = v0.copy()
-        constant = c.constant_linear
-        for j in range(n):
-            psi = constant if constant is not None else c.linear_at(xs[j])
-            v = psi @ v + rhos[j]
-            norms[j + 1] = np.linalg.norm(v)
+    prods = orbit_products(c, x0, n)
+    l = c.dim
+    traj = prods[:, :l, :l] @ np.asarray(v0, dtype=float) + prods[:, :l, l]
+    del prods
+    norms = np.linalg.norm(traj, axis=1)
     running = np.maximum.accumulate(norms)
     ks = np.arange(1, n + 1)
     slope = float(np.polyfit(np.log(ks), running[1:], 1)[0])
     argmax = int(np.argmax(norms))
     return ProbeReport(
-        sup_norm=float(norms[argmax]), argmax_k=argmax, growth_slope=slope
+        sup_norm=float(norms[argmax]), argmax_k=argmax, growth_slope=slope,
+        norms=norms,
     )
 
 
@@ -290,22 +292,13 @@ def recurrence_isometries(c: IsometryCocycle, x: float, delta: float,
     ks = return_times(c.base, x, delta, n)
     if len(ks) == 0:
         return []
-    k_max = int(ks[-1])
-    wanted = set(int(k) for k in ks)
-    out = []
-    lin = np.eye(c.dim)
-    tr = np.zeros(c.dim)
-    xs = c.base.orbit(x, k_max)
-    rhos = c.translations_along(xs)
-    for j in range(k_max):
-        psi = c.linear_at(xs[j])
-        lin = psi @ lin
-        tr = psi @ tr + rhos[j]
-        if (j + 1) % REORTHONORMALIZE_EVERY == 0:
-            lin = gram_schmidt(lin)
-        if (j + 1) in wanted:
-            out.append((j + 1, FiniteIsometry(gram_schmidt(lin), tr.copy())))
-    return out
+    prods = orbit_products(c, x, int(ks[-1]))
+    l = c.dim
+    return [
+        (int(k), FiniteIsometry(gram_schmidt(prods[k, :l, :l]),
+                                prods[k, :l, l].copy()))
+        for k in ks
+    ]
 
 
 @dataclass
@@ -373,19 +366,11 @@ class MatrixCocycle:
 
     def generators_along(self, xs: np.ndarray) -> np.ndarray:
         if self._generator_batch is not None:
-            return np.asarray(self._generator_batch(xs), dtype=float)
-        return np.array([self.generator(x) for x in xs], dtype=float)
-
-
-def _opnorms_2x2(m00, m01, m10, m11):
-    e = m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11
-    det = m00 * m11 - m01 * m10
-    disc = max(e * e - 4.0 * det * det, 0.0) ** 0.5
-    smax = ((e + disc) / 2.0) ** 0.5
-    if smax == 0.0:
-        raise SingularMatrix("zero matrix in product")
-    smin = abs(det) / smax
-    return smax, smin
+            gens = self._generator_batch(xs)
+        else:
+            gens = [self.generator(x) for x in xs]
+        return np.reshape(np.asarray(gens, dtype=float),
+                          (len(xs), self.dim, self.dim))
 
 
 @dataclass
@@ -397,49 +382,25 @@ class MatrixProductReport:
 
 
 def matrix_products(c: MatrixCocycle, x: float, k: int) -> MatrixProductReport:
-    """Left product A(T^{k-1} x) ... A(x) with running norm extrema.
+    """Left product A(T^{k-1} x) ... A(x), with the maxima of the norm, the
+    inverse norm and the condition number over the products of steps
+    1..k (of the identity alone when k = 0), from one stacked SVD.
 
     Products are left raw (no re-orthogonalization): drift and
     conditioning of the raw products are themselves diagnostics.
     """
-    _check_iteration_count(k)
-    n = c.dim
-    if k == 0:
-        return MatrixProductReport(np.eye(n), 1.0, 1.0, 1.0)
-    xs = c.base.orbit(x, k)
-    gens = c.generators_along(xs)
-    max_norm = 0.0
-    max_inv = 0.0
-    max_cond = 1.0
-    if n == 2:
-        p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
-        for j in range(k):
-            a = gens[j]
-            a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-            p00, p01, p10, p11 = (
-                a00 * p00 + a01 * p10,
-                a00 * p01 + a01 * p11,
-                a10 * p00 + a11 * p10,
-                a10 * p01 + a11 * p11,
-            )
-            smax, smin = _opnorms_2x2(p00, p01, p10, p11)
-            if smin <= 0.0:
-                raise SingularMatrix(f"product singular at step {j + 1}")
-            max_norm = max(max_norm, smax)
-            max_inv = max(max_inv, 1.0 / smin)
-            max_cond = max(max_cond, smax / smin)
-        product = np.array([[p00, p01], [p10, p11]])
-    else:
-        product = np.eye(n)
-        for j in range(k):
-            product = gens[j] @ product
-            sv = np.linalg.svd(product, compute_uv=False)
-            if sv[-1] <= 0.0:
-                raise SingularMatrix(f"product singular at step {j + 1}")
-            max_norm = max(max_norm, float(sv[0]))
-            max_inv = max(max_inv, float(1.0 / sv[-1]))
-            max_cond = max(max_cond, float(sv[0] / sv[-1]))
-    return MatrixProductReport(product, max_norm, max_inv, max_cond)
+    prods = orbit_products(c, x, k)
+    sv = np.linalg.svd(prods[1:] if k else prods, compute_uv=False)
+    smax, smin = sv[:, 0], sv[:, -1]
+    singular = smin <= 0.0
+    if singular.any():
+        raise SingularMatrix(
+            f"product singular at step {int(np.argmax(singular)) + 1}"
+        )
+    return MatrixProductReport(
+        prods[-1].copy(), float(smax.max()), float((1.0 / smin).max()),
+        float((smax / smin).max()),
+    )
 
 
 # -- shift cocycles ----------------------------------------------------------
@@ -491,9 +452,8 @@ def shift_twisted_sum(c: ShiftCocycle, y: float, n: int):
     lo = -c.support_level if c.bilateral else 0
     hi = c.support_level + max(n, 1)
     coords = np.zeros(hi - lo, dtype=complex)
-    points = [c.base.step_n(y, n - r - 1) for r in range(n)]
-    for r in range(n):
-        z = points[r]
-        for j, poly in c.rho_coords.items():
-            coords[j + r - lo] += poly(z)
+    # Term r is evaluated at T^{n-r-1} y: the orbit of y, reversed.
+    points = c.base.orbit(y, n)[::-1]
+    for j, poly in c.rho_coords.items():
+        coords[j - lo:j - lo + n] += poly(points)
     return lo, coords

@@ -18,7 +18,6 @@ phi*(x) = B(x) B(x)^T is attached for oracle comparisons.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,12 @@ import numpy as np
 from . import spd
 from .centers import PointSet, SPDSpace, chebyshev_center, diameter
 from .circle import minimality_probe
-from .cocycles import MatrixCocycle
+from .cocycles import MatrixCocycle, prefix_products
 from .errors import (
     ConfigInvalid,
     EmptyCell,
     NotOrthogonal,
+    NotPositiveDefinite,
     NotUnitDeterminant,
     SingularMatrix,
 )
@@ -132,34 +132,17 @@ class FiberBuckets:
         return float(self.diameters.max() - self.diameters.min())
 
 
-def _congruence_orbit_2x2(gens: np.ndarray, p0: np.ndarray,
-                          renormalize_det: bool) -> np.ndarray:
-    steps = gens.shape[0]
-    out = np.empty((steps, 3))
-    p00, p01, p11 = float(p0[0, 0]), float(p0[0, 1]), float(p0[1, 1])
-    a_ = gens[:, 0, 0]
-    b_ = gens[:, 0, 1]
-    c_ = gens[:, 1, 0]
-    d_ = gens[:, 1, 1]
-    for k in range(steps):
-        out[k, 0] = p00
-        out[k, 1] = p01
-        out[k, 2] = p11
-        a, b, c, d = a_[k], b_[k], c_[k], d_[k]
-        t00 = a * p00 + b * p01
-        t01 = a * p01 + b * p11
-        t10 = c * p00 + d * p01
-        t11 = c * p01 + d * p11
-        p00 = t00 * a + t01 * b
-        p01 = t00 * c + t01 * d
-        p11 = t10 * c + t11 * d
-        if renormalize_det:
-            det = p00 * p11 - p01 * p01
-            scale = det ** -0.5
-            p00 *= scale
-            p01 *= scale
-            p11 *= scale
-    return out
+def _unit_det_generators(gens: np.ndarray) -> np.ndarray:
+    """Each generator scaled to |det A| = 1; the normalized congruence
+    action of the conformal pipeline ignores the scale."""
+    dets = np.abs(np.linalg.det(gens))
+    singular = dets <= spd.SINGULAR_TOL
+    if singular.any():
+        k = int(np.argmax(singular))
+        raise SingularMatrix(
+            f"generator {k}: |det A| = {dets[k]:.3e} <= {spd.SINGULAR_TOL:g}"
+        )
+    return gens / (dets ** (1.0 / gens.shape[-1]))[:, None, None]
 
 
 def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
@@ -185,24 +168,27 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
             "minimal at this resolution"
         )
     xs = c.base.orbit(x0, steps)
-    gens = c.generators_along(xs)
     n = c.dim
-    if n == 2:
-        flat = _congruence_orbit_2x2(gens, v0, conformal)
-        points = np.empty((steps, 2, 2))
-        points[:, 0, 0] = flat[:, 0]
-        points[:, 0, 1] = flat[:, 1]
-        points[:, 1, 0] = flat[:, 1]
-        points[:, 1, 1] = flat[:, 2]
-    else:
-        points = np.empty((steps, n, n))
-        p = v0.copy()
-        for k in range(steps):
-            points[k] = p
-            a = gens[k]
-            p = spd.symmetrize(a @ p @ a.T)
-            if conformal:
-                p = spd._renormalize_det(p)
+    # P_k = A(k, x0) v0 A(k, x0)^T = W_k W_k^T with W_k = A(k, x0) chol(v0),
+    # for k < steps: the generator at the last sample is never applied.
+    gens = c.generators_along(xs[:-1])
+    if conformal:
+        gens = _unit_det_generators(gens)
+    w = prefix_products(gens)
+    del gens
+    w = w @ np.linalg.cholesky(v0)
+    points = w @ w.transpose(0, 2, 1)
+    del w
+    points += points.transpose(0, 2, 1)
+    points *= 0.5
+    if conformal:
+        dets = np.linalg.det(points)
+        if np.any(dets <= 0.0):
+            k = int(np.argmax(dets <= 0.0))
+            raise NotPositiveDefinite(
+                f"fibre point {k}: determinant {dets[k]:.3e} <= 0"
+            )
+        points /= (dets ** (1.0 / n))[:, None, None]
 
     idx = np.minimum((xs * cells).astype(int), cells - 1)
     order = np.argsort(idx, kind="stable")
@@ -237,8 +223,8 @@ class SectionFromCenters:
     center_supports: list
 
 
-def section_from_centers(fb: FiberBuckets, *, center_tol: float = 1e-6,
-                         threads: int = 1) -> SectionFromCenters:
+def section_from_centers(fb: FiberBuckets, *,
+                         center_tol: float = 1e-6) -> SectionFromCenters:
     """Per-cell Chebyshev center of the fiber samples, as a sampled SPD section.
 
     The invariance residual  sup_i d(A(x_i) . phi(x_i), phi(x_i + alpha))
@@ -250,14 +236,8 @@ def section_from_centers(fb: FiberBuckets, *, center_tol: float = 1e-6,
     n = fb.cocycle.dim
     space = SPDSpace(n, conformal=fb.conformal)
 
-    def center_of(pts):
-        return chebyshev_center(PointSet(space, pts), center_tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(center_of, fb.cell_points))
-    else:
-        reports = [center_of(pts) for pts in fb.cell_points]
+    reports = [chebyshev_center(PointSet(space, pts), center_tol)
+               for pts in fb.cell_points]
     values = np.array([r.center for r in reports])
     if fb.conformal:
         values = np.array([spd._renormalize_det(v) for v in values])
@@ -362,24 +342,15 @@ def reduce_to_orthogonal(c: MatrixCocycle, phi) -> ReductionResult:
     )
 
 
-def reduce_to_conformal(c: MatrixCocycle, *, x0: float = 0.1,
-                        v0: np.ndarray | None = None,
-                        steps: int = 100_000, cells: int = 256,
-                        center_tol: float = 1e-6,
-                        threads: int = 1, phi=None) -> ReductionResult:
-    """Full det-normalized pipeline: sample Conf(n) fibers, take centers,
-    conjugate, and measure  sup ||(lambda A~)(lambda A~)^T - Id||_F  with
-    lambda(x) the determinant normalizer of A(x)."""
-    n = c.dim
-    invariance = None
-    if phi is None:
-        if v0 is None:
-            v0 = np.eye(n)
-        fb = sample_fibers(c, x0, v0, steps, cells, conformal=True)
-        got = section_from_centers(fb, center_tol=center_tol, threads=threads)
-        phi = got.section
-        invariance = got.invariance_residual
+def reduce_to_conformal(c: MatrixCocycle, phi) -> ReductionResult:
+    """Conjugate by B = phi^{1/2} and measure
+    sup ||(lambda A~)(lambda A~)^T - Id||_F  with lambda(x) the determinant
+    normalizer of A(x).
 
+    ``phi`` is a det-1 section, sampled or a callable oracle, as for
+    :func:`reduce_to_orthogonal`.
+    """
+    n = c.dim
     thetas, values, next_values, next_index = _section_lookup(phi, c.base)
     a = c.generators_along(thetas)
     b_values, a_tilde = _conjugate(a, values, next_values, next_index)
@@ -409,7 +380,6 @@ def reduce_to_conformal(c: MatrixCocycle, *, x0: float = 0.1,
         per_cell_defect=defects,
         conformal=True,
         distortion_max_deviation=float(np.max(np.abs(distortion - 1.0))),
-        invariance_residual=invariance,
     )
 
 

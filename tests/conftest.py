@@ -140,3 +140,34 @@ def exact_min_enclosing_ball(pts):
             if r < best_r and np.linalg.norm(pts - c, axis=1).max() <= r + 1e-12:
                 best_c, best_r = c, r
     return best_c, best_r
+
+
+# -- sequential references for the orbit kernels ------------------------------
+
+def sequential_prefix_products(gens):
+    """M[0] = I and M[j] = gens[j-1] @ M[j-1]: one left product per step."""
+    out = [np.eye(gens.shape[-1])]
+    for g in gens:
+        out.append(g @ out[-1])
+    return np.array(out)
+
+
+def sequential_congruence_orbit(gens, p0, conformal):
+    """P_0 = p0 and P_{k+1} = A_k P_k A_k^T, symmetrized, and rescaled to
+    det 1 when ``conformal``: the points P_0 .. P_k."""
+    out = [p0]
+    for a in gens:
+        p = a @ out[-1] @ a.T
+        p = (p + p.T) / 2.0
+        if conformal:
+            p = p / np.linalg.det(p) ** (1.0 / len(p))
+        out.append(p)
+    return np.array(out)
+
+
+def sequential_skew_orbit(linears, translations, v0):
+    """v_0 = v0 and v_{j+1} = linears[j] @ v_j + translations[j]."""
+    out = [np.asarray(v0, dtype=float)]
+    for psi, rho in zip(linears, translations):
+        out.append(psi @ out[-1] + rho)
+    return np.array(out)

@@ -184,13 +184,15 @@ def test_criterion_04_orthogonal_reduction_pipeline():
 
 def test_criterion_05_conformal_reduction_pipeline():
     so = scalar_orthogonal_cocycle()
-    res_so = reduce_to_conformal(so, x0=0.2, steps=8000, cells=64,
-                                 center_tol=1e-5)
+    fb_so = sample_fibers(so, 0.2, np.eye(2), 8000, 64, conformal=True)
+    res_so = reduce_to_conformal(
+        so, section_from_centers(fb_so, center_tol=1e-5).section
+    )
     c = conformal_coboundary_cocycle(s0_norm=0.7)
     fb = sample_fibers(c, 0.2, c.oracle_section(0.2), 200_000, 512,
                        conformal=True)
     got = section_from_centers(fb, center_tol=1e-6)
-    res_cb = reduce_to_conformal(c, phi=got.section)
+    res_cb = reduce_to_conformal(c, got.section)
     # Every cell's centre is the certified midpoint of a farthest pair.
     certified = sum(s is not None for s in got.center_supports)
     ok = (res_so.defect <= 1e-9

@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 
 from cocyclelab.cli import main
+from cocyclelab.cocycles import twisted_birkhoff
+from cocyclelab.presets import (
+    coboundary_isometry_cocycle,
+    golden_rotation,
+    jump_cascade,
+    rotation_translation_cocycle,
+)
+from cocyclelab.trigpoly import TrigPoly
 
 
 def run_cli(tmp_path, *args, env_seed=None):
@@ -145,6 +153,31 @@ class TestOtherCommands:
         assert code == 0
         assert summary["sup_norm"] <= 2.0 + 1e-9
         assert (out / "birkhoff.csv").exists()
+
+    @pytest.mark.parametrize(
+        "preset", ["rotation-translation", "coboundary", "counterexample"]
+    )
+    def test_birkhoff_csv_is_twisted_birkhoff(self, tmp_path, preset):
+        code, _, out = run_cli(
+            tmp_path, "birkhoff", "--preset", preset, "--steps", "5000",
+        )
+        assert code == 0
+        # The cocycle cmd_birkhoff builds from its defaults and --seed 7.
+        base = golden_rotation()
+        if preset == "rotation-translation":
+            c = rotation_translation_cocycle(base, 0.7, TrigPoly.single_mode(1))
+        elif preset == "coboundary":
+            c = coboundary_isometry_cocycle(
+                base, 0.7, TrigPoly.random(4, np.random.default_rng(7))
+            )
+        else:
+            c = jump_cascade().cocycle
+        rows = (out / "birkhoff.csv").read_text().splitlines()
+        assert rows[0] == "k,norm" and len(rows) > 40
+        for row in rows[1:]:
+            k, norm = row.split(",")
+            want = np.linalg.norm(twisted_birkhoff(c, 0.3, int(k)))
+            assert abs(float(norm) - want) <= 1e-15 * max(want, 1.0)
 
     def test_reduce_small(self, tmp_path):
         code, summary, out = run_cli(

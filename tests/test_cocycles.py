@@ -5,6 +5,7 @@ import pytest
 
 from cocyclelab.circle import GOLDEN_MEAN, RotationBase
 from cocyclelab.cocycles import (
+    SCAN_BLOCK,
     FiniteIsometry,
     GridIsometryTable,
     IsometryCocycle,
@@ -14,12 +15,18 @@ from cocyclelab.cocycles import (
     compose_along_orbit,
     iterate_skew,
     matrix_products,
+    prefix_products,
     recurrence_isometries,
     semigroup_closure_check,
     shift_twisted_sum,
     twisted_birkhoff,
 )
-from cocyclelab.errors import ConfigInvalid, NotOrthogonal, TruncationTooSmall
+from cocyclelab.errors import (
+    ConfigInvalid,
+    NonFinite,
+    NotOrthogonal,
+    TruncationTooSmall,
+)
 from cocyclelab.presets import (
     coboundary_isometry_cocycle,
     golden_rotation,
@@ -30,6 +37,8 @@ from cocyclelab.presets import (
 )
 from cocyclelab.trigpoly import TrigPoly
 
+from conftest import sequential_prefix_products, sequential_skew_orbit
+
 
 def constant_cocycle(base, dim, translation):
     vec = np.asarray(translation, dtype=float)
@@ -38,6 +47,101 @@ def constant_cocycle(base, dim, translation):
         constant_linear=np.eye(dim),
         translation_batch_fn=lambda xs: np.tile(vec, (len(xs), 1)),
     )
+
+
+def scan_generators(rng, k, kind):
+    """k random generators: scaled orthogonal d x d for kind "2" or "3",
+    homogeneous [[Q, t], [0, 1]] with Q in O(2) for "affine3"."""
+    d = 2 if kind == "affine3" else int(kind)
+    q, _ = np.linalg.qr(rng.standard_normal((k, d, d)))
+    if kind != "affine3":
+        return q * np.exp(0.05 * rng.standard_normal((k, 1, 1)))
+    gens = np.zeros((k, 3, 3))
+    gens[:, :2, :2] = q
+    gens[:, :2, 2] = rng.standard_normal((k, 2))
+    gens[:, 2, 2] = 1.0
+    return gens
+
+
+class TestPrefixProducts:
+    @pytest.mark.parametrize("kind", ["2", "3", "affine3"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, SCAN_BLOCK - 1, SCAN_BLOCK,
+                                   SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 3])
+    def test_matches_sequential_loop(self, rng, kind, k):
+        gens = scan_generators(rng, k, kind)
+        got = prefix_products(gens)
+        want = sequential_prefix_products(gens)
+        assert got.shape == want.shape == (k + 1,) + gens.shape[1:]
+        assert np.array_equal(got[0], np.eye(gens.shape[-1]))
+        err = np.abs(got - want).max(axis=(1, 2))
+        scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1.0)
+        assert np.all(err <= 1e-12 * scale)
+
+    def test_non_finite_generator_rejected(self):
+        def generator(x):
+            return np.full((2, 2), np.nan) if x > 0.5 else np.eye(2)
+
+        c = MatrixCocycle(golden_rotation(), 2, generator)
+        with pytest.raises(NonFinite):
+            matrix_products(c, 0.1, 100)
+
+    def test_overflowing_products_rejected(self):
+        c = MatrixCocycle(golden_rotation(), 2, lambda x: 1e10 * np.eye(2))
+        with pytest.raises(NonFinite):
+            matrix_products(c, 0.1, 100)
+
+    def test_empty_orbit_generators(self):
+        c = MatrixCocycle(golden_rotation(), 3, lambda x: np.eye(3))
+        assert c.generators_along(np.array([])).shape == (0, 3, 3)
+        rep = matrix_products(c, 0.1, 0)
+        assert np.array_equal(rep.product, np.eye(3))
+
+
+def skew_parts(kind, rng):
+    """A cocycle with a constant, identity or table linear part, and its
+    generator parts Psi(x), rho(x) evaluated point by point."""
+    base = golden_rotation()
+    if kind == "table":
+        grid = np.arange(128) / 128
+        table = GridIsometryTable(
+            np.array([rotation_matrix(2 * np.pi * x) for x in grid]),
+            np.column_stack([np.cos(2 * np.pi * grid), np.sin(4 * np.pi * grid)]),
+            lipschitz_bound=20.0,
+        )
+        return (IsometryCocycle.from_table(base, table), table.linear_at,
+                table.translation_at)
+    poly = TrigPoly.random(3, rng)
+
+    def rho(x):
+        z = poly(x)
+        return np.array([z.real, z.imag])
+
+    psi = rotation_matrix(0.9) if kind == "constant" else np.eye(2)
+    c = IsometryCocycle(
+        base, 2, constant_linear=psi,
+        translation_batch_fn=lambda xs: np.array([rho(x) for x in xs]),
+    )
+    return c, (lambda x: psi), rho
+
+
+class TestAgainstSequentialLoop:
+    @pytest.mark.parametrize("kind", ["constant", "identity", "table"])
+    def test_iterate_skew_and_probe(self, rng, kind):
+        c, psi, rho = skew_parts(kind, rng)
+        x0, v0, n = 0.2, np.array([0.3, -0.7]), 2 * SCAN_BLOCK + 5
+        xs = c.base.orbit(x0, n)
+        want = sequential_skew_orbit([psi(x) for x in xs],
+                                     [rho(x) for x in xs], v0)
+        tol = 1e-12 * max(1.0, np.abs(want).max())
+        for k in (0, 1, SCAN_BLOCK, n):
+            x_k, v_k = iterate_skew(c, x0, v0, k)
+            assert x_k == c.base.step_n(x0, k)
+            assert np.abs(v_k - want[k]).max() <= tol
+        probe = boundedness_probe(c, x0, v0, n)
+        norms = np.linalg.norm(want, axis=1)
+        assert probe.norms.shape == (n + 1,)
+        assert np.abs(probe.norms - norms).max() <= tol
+        assert probe.argmax_k == int(np.argmax(norms))
 
 
 class TestFiniteIsometry:

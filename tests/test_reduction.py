@@ -11,7 +11,9 @@ from cocyclelab.errors import (
     ConfigInvalid,
     EmptyCell,
     NotOrthogonal,
+    NotPositiveDefinite,
     NotUnitDeterminant,
+    SingularMatrix,
 )
 from cocyclelab.presets import (
     coboundary_cocycle,
@@ -30,6 +32,8 @@ from cocyclelab.reduction import (
     section_from_centers,
 )
 from cocyclelab.solvers import Section
+
+from conftest import sequential_congruence_orbit
 
 
 def identity_cocycle(base):
@@ -87,7 +91,67 @@ class TestConstructCoboundary:
             assert np.max(np.abs(a - c.generator(x))) <= 1e-12
 
 
+S0_3X3 = np.array([[0.5, 0.2, -0.1], [0.2, -0.3, 0.25], [-0.1, 0.25, 0.1]])
+
+
+def coboundary_3x3(scalar_gen=None):
+    """B(x) = exp(sin(2 pi x) S0), Q(x) the rotation by 2 pi x about e_3."""
+    def q_gen(x):
+        c, s = np.cos(2 * np.pi * x), np.sin(2 * np.pi * x)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    return construct_coboundary(
+        lambda x: spd.spd_exp(np.sin(2 * np.pi * x) * S0_3X3), q_gen,
+        golden_rotation(), dim=3, scalar_gen=scalar_gen,
+    )
+
+
+def constant_cocycle(a):
+    return MatrixCocycle(golden_rotation(), len(a), lambda x: a)
+
+
 class TestSampleFibers:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("conformal", [False, True])
+    def test_points_match_sequential_congruence(self, n, conformal):
+        if n == 2:
+            c = (conformal_coboundary_cocycle() if conformal
+                 else coboundary_cocycle())
+        else:
+            c = coboundary_3x3(
+                (lambda x: np.exp(0.3 * np.cos(2 * np.pi * np.asarray(x))))
+                if conformal else None
+            )
+        x0, steps, cells = 0.2, 1600, 16
+        v0 = c.oracle_section(x0)
+        if conformal:
+            v0 = spd.unit_determinant(v0)
+        fb = sample_fibers(c, x0, v0, steps, cells, conformal=conformal)
+        xs = c.base.orbit(x0, steps)
+        want = sequential_congruence_orbit(
+            c.generators_along(xs[:-1]), v0, conformal
+        )
+        cell = np.minimum((xs * cells).astype(int), cells - 1)
+        want = want[np.argsort(cell, kind="stable")]
+        got = np.concatenate(fb.cell_points)
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=(1, 2)))
+        if conformal:
+            # Renormalized once: no determinant drift along the orbit.
+            assert np.abs(np.linalg.det(got) - 1.0).max() <= 5e-15
+
+    def test_singular_conformal_generator_rejected(self):
+        c = constant_cocycle(np.diag([1.0, 1e-13]))
+        with pytest.raises(SingularMatrix):
+            sample_fibers(c, 0.2, np.eye(2), 3200, 64, conformal=True)
+
+    def test_degenerate_fibre_point_rejected(self):
+        # A shear of det 1 whose first image M M^T = [[1 + t^2, t], [t, 1]]
+        # loses its determinant to rounding at t = 1e9.
+        c = constant_cocycle(np.array([[1.0, 1e9], [0.0, 1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            sample_fibers(c, 0.2, np.eye(2), 3200, 64, conformal=True)
+
     def test_identity_cocycle_degenerate_fibers(self, rng):
         base = golden_rotation()
         c = identity_cocycle(base)
@@ -179,14 +243,6 @@ class TestSectionFromCenters:
             want = spd.gl_action(g, got.section.values[i])
             assert spd.spd_distance(mapped_center, want) <= 1e-6
 
-    def test_threads_give_identical_results(self):
-        c = coboundary_cocycle()
-        v0 = c.oracle_section(0.2)
-        fb = sample_fibers(c, 0.2, v0, 4000, 16)
-        a = section_from_centers(fb, center_tol=1e-4, threads=1)
-        b = section_from_centers(fb, center_tol=1e-4, threads=4)
-        assert np.array_equal(a.section.values, b.section.values)
-
 
 def reference_defects(c, phi, conformal):
     """Per-cell defects of the conjugated cocycle, one cell at a time."""
@@ -235,7 +291,7 @@ class TestBatchedConjugation:
             )
         want, distortion = reference_defects(c, phi, conformal)
         if conformal:
-            res = reduce_to_conformal(c, phi=phi)
+            res = reduce_to_conformal(c, phi)
             assert abs(res.distortion_max_deviation - distortion) <= 1e-12
         else:
             res = reduce_to_orthogonal(c, phi)
@@ -281,27 +337,30 @@ class TestReduceToOrthogonal:
 class TestReduceToConformal:
     def test_scalar_orthogonal_is_exactly_conformal(self):
         c = scalar_orthogonal_cocycle()
-        res = reduce_to_conformal(c, x0=0.2, steps=8000, cells=64,
-                                  center_tol=1e-5)
+        fb = sample_fibers(c, 0.2, np.eye(2), 8000, 64, conformal=True)
+        res = reduce_to_conformal(
+            c, section_from_centers(fb, center_tol=1e-5).section
+        )
         assert res.defect <= 1e-9
         assert res.distortion_max_deviation <= 1e-6
 
     def test_conformal_oracle_reduces_exactly(self):
         c = conformal_coboundary_cocycle()
-        res = reduce_to_conformal(c, phi=c.oracle_section)
+        res = reduce_to_conformal(c, c.oracle_section)
         assert res.defect <= 1e-9
         assert res.distortion_max_deviation <= 1e-6
 
     def test_off_slice_section_rejected(self):
         c = coboundary_cocycle()
         with pytest.raises(NotUnitDeterminant):
-            reduce_to_conformal(c, phi=c.oracle_section)
+            reduce_to_conformal(c, c.oracle_section)
 
     def test_conformal_center_path(self):
         c = conformal_coboundary_cocycle()
+        fb = sample_fibers(c, 0.2, c.oracle_section(0.2), 25_600, 128,
+                           conformal=True)
         res = reduce_to_conformal(
-            c, x0=0.2, v0=c.oracle_section(0.2),
-            steps=25_600, cells=128, center_tol=1e-5,
+            c, section_from_centers(fb, center_tol=1e-5).section
         )
         assert res.defect <= 5e-2
         # Where the defect is tiny the reduced distortion is 1.
