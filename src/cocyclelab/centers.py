@@ -1,12 +1,11 @@
 """Centers of bounded point sets in a CAT(0) space.
 
-Two notions are implemented over an abstract space contract (distance +
-geodesic):
+Two notions are implemented over an abstract space contract (distance,
+geodesic, and log/exp at a point in isometric tangent coordinates):
 
 * the Chebyshev center, the unique minimizer of the covering radius
-  r_B(v) = max_w d(v, w), certified exactly when the midpoint of a
-  farthest pair covers the set and found by geodesic farthest-point
-  descent otherwise;
+  r_B(v) = max_w d(v, w), returned with a lower bound on the optimal
+  radius within CERTIFICATE_SLACK of its own;
 * the iterated-midpoint center, obtained by repeatedly replacing a set
   with the midpoints of its (nearly) diametral pairs.
 
@@ -17,13 +16,15 @@ drop of intersecting balls — live here as report-producing operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import spd
 from .errors import (
+    ConfigInvalid,
     EmptySet,
     NoConvergence,
     NonFinite,
@@ -32,17 +33,18 @@ from .errors import (
     SamplingFailure,
 )
 
-STALL_WINDOW = 50
-DEFAULT_TOL = 1e-9
-MAX_ITERATIONS = 10 ** 6
 COVERING_SLACK = 1e-7
-# Slack of the two-point certificate: a midpoint whose covering radius
-# exceeds d(a, b)/2 by at most CERTIFICATE_SLACK * max(d(a, b)/2, 1) is
-# accepted as the centre.  Relative for large sets; absolute for small ones,
+# Slack of every certificate: a centre whose covering radius exceeds the
+# lower bound on the optimum by at most CERTIFICATE_SLACK * max(bound, 1)
+# is accepted.  Relative for large sets; absolute for small ones,
 # because a distance rounds at ~1e-16 whatever its size: in 10 of 512 cells
 # of a 2e5-step Pos(2) reduction, cells of half-diameter 5e-5 to 9e-4 missed
 # a purely relative 1e-12 by 2e-16 to 1e-15.
 CERTIFICATE_SLACK = 1e-12
+# Slack of the tangent ball's covering and weight tests, far below the above.
+SUPPORT_TOL = 1e-14
+# Moves of the centre after which chebyshev_center raises NoConvergence.
+OUTER_STEP_CAP = 100
 
 
 # -- space contracts ---------------------------------------------------------
@@ -53,6 +55,7 @@ class EuclideanSpace:
     def __init__(self, dim: int):
         self.dim = int(dim)
         self.name = f"euclidean:{self.dim}"
+        self.curvature_bound = 0.0
 
     def distance(self, p, q) -> float:
         return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
@@ -72,6 +75,12 @@ class EuclideanSpace:
         diff = batch[iu] - batch[ju]
         return np.sqrt(np.sum(diff * diff, axis=1))
 
+    def log(self, z, batch: np.ndarray) -> np.ndarray:
+        return np.asarray(batch, float) - np.asarray(z, float)
+
+    def exp(self, z, v: np.ndarray):
+        return np.asarray(z, float) + v
+
 
 class SPDSpace:
     """Pos(n) (or its det-1 slice) with the affine-invariant metric."""
@@ -80,6 +89,11 @@ class SPDSpace:
         self.n = int(n)
         self.conformal = bool(conformal)
         self.name = f"{'conf' if conformal else 'pos'}:{self.n}"
+        self.curvature_bound = 0.5  # sectional curvatures lie in [-1/2, 0]
+        # Tangent coordinates: the upper triangle, off-diagonal entries
+        # scaled by sqrt 2, so that Euclidean norms are Frobenius norms.
+        self._rows, self._cols = np.triu_indices(self.n)
+        self._scale = np.where(self._rows == self._cols, 1.0, np.sqrt(2.0))
 
     @property
     def dim(self) -> int:
@@ -100,6 +114,16 @@ class SPDSpace:
 
     def pairwise(self, batch: np.ndarray) -> np.ndarray:
         return spd.pairwise_spd_distances(batch)
+
+    def log(self, z, batch: np.ndarray) -> np.ndarray:
+        return spd.whitened_logs(z, batch)[:, self._rows, self._cols] * self._scale
+
+    def exp(self, z, v: np.ndarray):
+        S = np.empty((self.n, self.n))
+        S[self._cols, self._rows] = S[self._rows, self._cols] = v / self._scale
+        out = spd.whitened_exp(z, S)
+        # The slice is totally geodesic; renormalize drift.
+        return spd._renormalize_det(out) if self.conformal else out
 
 
 def space_selftest(space, sample_points: np.ndarray, rng: np.random.Generator,
@@ -156,27 +180,22 @@ class PointSet:
     def __len__(self):
         return self.points.shape[0]
 
-    def subset(self, idx) -> "PointSet":
-        return PointSet(self.space, self.points[idx])
-
 
 @dataclass
 class CenterReport:
-    """Centre of a point set with its certified optimality gap.
+    """Centre of a point set with its certificate.
 
-    ``lower_bound`` <= r* <= ``radius`` always holds, where r* is the
-    optimal covering radius.  ``support`` holds the indices of the two
-    points whose geodesic midpoint is the returned centre when the
-    two-point certificate held (one index for a singleton), and is None
-    when the centre came from the descent.
+    ``lower_bound`` <= r* <= ``radius`` for the optimal radius r*, and
+    radius - lower_bound <= CERTIFICATE_SLACK * max(radius, 1).  ``support``:
+    the points with positive weight in the certificate, as the farthest pair
+    (a, b), (0,) for a singleton, or sorted.  ``iterations``: moves made.
     """
 
     center: np.ndarray
     radius: float
     iterations: int
-    covering_residual: float
     lower_bound: float
-    support: tuple | None
+    support: tuple
 
 
 def radius_at(B: PointSet, v) -> float:
@@ -184,25 +203,24 @@ def radius_at(B: PointSet, v) -> float:
     return float(np.max(B.space.distances_from(v, B.points)))
 
 
-def _pair_certificate(B: PointSet, start_index: int = 0):
+def _pair_certificate(B: PointSet):
     """Farthest pair (a, b) of B by two scans, and its geodesic midpoint.
 
-    a is farthest from ``points[start_index]`` and b farthest from a.  Any
-    centre is at least d(a, b)/2 from a or from b, so r* >= d(a, b)/2; if
-    the midpoint c covers B within that radius, c is the centre and
-    d(a, b) the diameter.  Returns the distances from the start point,
-    (a, b), d(a, b)/2, c and the covering radius seen from c.
+    a is farthest from ``points[0]`` and b farthest from a.  Any centre is
+    at least d(a, b)/2 from a or from b, so r* >= d(a, b)/2; if the
+    midpoint c covers B within that radius, c is the centre and d(a, b)
+    the diameter.  Returns (a, b), d(a, b)/2, c and the covering radius
+    seen from c.
     """
     space = B.space
     pts = B.points
-    dists = space.distances_from(pts[start_index], pts)
-    a = int(np.argmax(dists))
+    a = int(np.argmax(space.distances_from(pts[0], pts)))
     from_a = space.distances_from(pts[a], pts)
     b = int(np.argmax(from_a))
     half = 0.5 * float(from_a[b])
     mid = space.geodesic(pts[a], pts[b], 0.5)
     radius = float(np.max(space.distances_from(mid, pts)))
-    return dists, (a, b), half, mid, radius
+    return (a, b), half, mid, radius
 
 
 def _covers(half: float, mid_radius: float) -> bool:
@@ -210,78 +228,90 @@ def _covers(half: float, mid_radius: float) -> bool:
     return mid_radius - half <= CERTIFICATE_SLACK * max(half, 1.0)
 
 
-def chebyshev_center(B: PointSet, tol: float = DEFAULT_TOL, *,
-                     max_iterations: int = MAX_ITERATIONS,
-                     start_index: int = 0, stall: bool = True) -> CenterReport:
-    """Chebyshev centre: exact from a two-point certificate, else descent.
+def chebyshev_center(B: PointSet) -> CenterReport:
+    """Chebyshev centre, returned only with a certificate of optimality.
 
-    a = farthest point from ``points[start_index]``, b = farthest from a,
-    c = their geodesic midpoint.  If c covers B within d(a, b)/2, up to
-    CERTIFICATE_SLACK, c is returned with ``iterations=0``: no centre
-    covers B with a smaller radius than d(a, b)/2.
-
-    Otherwise the covering radius is minimized by geodesic farthest-point
-    descent from ``points[start_index]``: from v_k, step toward the
-    farthest point of B with weight 1/(k + 2); the best visited point is
-    returned.  The search stops once the best radius has improved by less
-    than ``tol`` across a trailing window of at least ``STALL_WINDOW``
-    steps; the window grows with the iteration count (max(50, k/2))
-    because improvements of the harmonic schedule arrive in bursts
-    separated by gaps proportional to k, so a fixed window would quit at
-    radius error far above tol.  ``stall=False`` disables the window
-    entirely and spends the full iteration budget, which is what precision
-    studies need: some burst gaps exceed any fixed fraction of k.  Ties
-    among farthest points break to the lowest index, which keeps both
-    paths deterministic and equivariant under isometries of the space.
+    First the two-point certificate: a = farthest point from ``points[0]``,
+    b = farthest from a; their midpoint c is the centre if it covers B within
+    d(a, b)/2.  Otherwise, from z = c, tangent-space re-linearisation
+    (Arnaudon & Nielsen, CGTA 2013): solve the minimum enclosing ball of
+    y_i = log_z(p_i) exactly and move z <- exp_z(its centre).  Its weights w
+    bound the optimum: F_w(x) = sum w_i d(x, p_i)^2 is 2-strongly geodesically
+    convex on a CAT(0) space (Sturm 2003), so r*^2 >= F_w(z) - |sum w_i y_i|^2.
+    Full steps, exact in R^d, until one fails to halve the one before; then
+    damped steps.  After OUTER_STEP_CAP moves without a certificate,
+    NoConvergence is raised: no centre is returned uncertified.
     """
     space = B.space
     pts = B.points
     if len(B) == 1:
-        return CenterReport(pts[0].copy(), 0.0, 0, 0.0, 0.0, (0,))
+        return CenterReport(pts[0].copy(), 0.0, 0, 0.0, (0,))
 
-    dists, pair, half, mid, mid_radius = _pair_certificate(B, start_index)
+    pair, half, z, mid_radius = _pair_certificate(B)
     if _covers(half, mid_radius):
         # min(): rounding can put the computed radius a few ulps below half.
-        return CenterReport(mid, mid_radius, 0, 0.0, min(half, mid_radius), pair)
+        return CenterReport(z, mid_radius, 0, min(half, mid_radius), pair)
 
-    v = pts[start_index]
-    far = int(np.argmax(dists))
-    best_r = float(dists[far])
-    best_v = v
-    k = 0
-    history = [best_r]
-    while k < max_iterations:
-        if best_r <= tol:
-            break
-        v = space.geodesic(v, pts[far], 1.0 / (k + 2.0))
-        dists = space.distances_from(v, pts)
-        far = int(np.argmax(dists))
-        r = float(dists[far])
-        if r < best_r:
-            best_r = r
-            best_v = v
-        history.append(best_r)
-        k += 1
-        if stall:
-            window = max(STALL_WINDOW, k // 2)
-            if k >= STALL_WINDOW and history[k - window] - best_r < tol:
+    damped, last = False, np.inf
+    for step in itertools.count():
+        y = space.log(z, pts)
+        support, w = _tangent_ball(y)
+        g = w @ y[support]
+        dist2 = np.einsum("ij,ij->i", y, y)
+        radius = float(np.sqrt(dist2.max()))
+        bound = float(np.sqrt(max(w @ dist2[support] - g @ g, 0.0)))
+        if radius - bound <= CERTIFICATE_SLACK * max(radius, 1.0):
+            return CenterReport(z, radius, step, min(bound, radius),
+                                tuple(sorted(support)))
+        if step == OUTER_STEP_CAP:
+            raise NoConvergence(f"gap {radius - bound:.3e} after {step} moves")
+        size = float(np.linalg.norm(g))
+        damped |= size > 0.5 * last
+        last = size
+        x = radius * np.sqrt(space.curvature_bound)
+        if damped and x > 0.0:
+            # 2 / (1 + zeta), zeta = x coth x: with curvatures in [-kappa, 0]
+            # the Hessian of d(., p)^2 / 2 at distance r has eigenvalues in
+            # [1, zeta], so every error shrinks by (zeta - 1) / (zeta + 1).
+            g = g * (2.0 * np.tanh(x) / (np.tanh(x) + x))
+        z = space.exp(z, g)
+
+
+def _tangent_ball(y: np.ndarray):
+    """Support rows and weights of the minimum enclosing ball of y's rows.
+
+    Active set: add the farthest row j the ball leaves uncovered.  j lies on
+    the new ball (Welzl 1991), which is the first circumball of j and a subset
+    of the support, largest first, with weights >= 0 that covers the support
+    (KKT).  Stops when y is covered or, by rounding on a cospherical set, the
+    radius stops increasing."""
+    support, w = [int(np.argmax(np.einsum("ij,ij->i", y, y)))], np.ones(1)
+    c, r = y[support[0]], 0.0
+    while True:
+        far = np.linalg.norm(y - c, axis=1)
+        j = int(np.argmax(far))
+        if far[j] <= r + SUPPORT_TOL * max(r, 1.0):
+            return support, w
+        for rest in (s for k in range(len(support), 0, -1)
+                     for s in itertools.combinations(support, k)):
+            a = y[list(rest)] - y[j]
+            gram = a @ a.T
+            try:
+                lam = np.linalg.solve(gram, 0.5 * np.diagonal(gram))
+            except np.linalg.LinAlgError:  # affinely dependent rows
+                continue
+            weights = np.concatenate([[1.0 - lam.sum()], lam])
+            centre = y[j] + lam @ a
+            radius = float(np.linalg.norm(y[j] - centre))
+            if (radius > r and weights.min() >= -SUPPORT_TOL
+                    and np.linalg.norm(y[support] - centre, axis=1).max()
+                    <= radius + SUPPORT_TOL * max(radius, 1.0)):
                 break
-
-    radius = float(np.max(space.distances_from(best_v, pts)))
-    report = CenterReport(
-        center=best_v,
-        radius=radius,
-        iterations=k,
-        covering_residual=radius - best_r,
-        lower_bound=half,
-        support=None,
-    )
-    if k >= max_iterations and report.covering_residual > 100.0 * tol:
-        raise NoConvergence(
-            f"covering residual {report.covering_residual:.3e} above "
-            f"100 x tol after {max_iterations} steps"
-        )
-    return report
+        else:
+            return support, w
+        keep = weights > SUPPORT_TOL
+        support = [i for i, kept in zip([j, *rest], keep) if kept]
+        w, c, r = weights[keep] / weights[keep].sum(), centre, radius
 
 
 def diameter(B: PointSet) -> float:
@@ -293,7 +323,7 @@ def diameter(B: PointSet) -> float:
     """
     if len(B) < 2:
         return 0.0
-    _, _, half, _, mid_radius = _pair_certificate(B)
+    _, half, _, mid_radius = _pair_certificate(B)
     if _covers(half, mid_radius):
         return 2.0 * half
     return float(np.max(B.space.pairwise(B.points)))
@@ -333,7 +363,7 @@ def bt_center(B: PointSet, rounds: int = 60):
     of a scalene triangle.
     """
     if rounds < 1:
-        raise EmptySet("rounds must be >= 1")
+        raise ConfigInvalid(f"rounds = {rounds} must be >= 1")
     current = B
     for _ in range(rounds):
         if diameter(current) < 1e-10:
@@ -388,16 +418,15 @@ class ContinuityReport:
     radius_gap_ok: bool
 
 
-def check_center_continuity(B: PointSet, B_eps: PointSet,
-                            center_tol: float = DEFAULT_TOL) -> ContinuityReport:
+def check_center_continuity(B: PointSet, B_eps: PointSet) -> ContinuityReport:
     """Center displacement against the 8*eps*r_B continuity bound.
 
     eps is the Hausdorff distance between the sets.  Also verifies the
     elementary radius estimate |r_B - r_{B_eps}| <= eps.
     """
     eps = hausdorff_distance(B, B_eps)
-    rep = chebyshev_center(B, center_tol)
-    rep_eps = chebyshev_center(B_eps, center_tol)
+    rep = chebyshev_center(B)
+    rep_eps = chebyshev_center(B_eps)
     lhs = B.space.distance(rep.center, rep_eps.center) ** 2
     rhs = 8.0 * eps * rep.radius
     gap = abs(rep.radius - rep_eps.radius)
@@ -459,31 +488,18 @@ def check_ball_intersection_radius(space, v0, v0p, r0: float, eps: float,
 
 
 def _sample_in_ball(space, center, radius: float, rng: np.random.Generator):
-    """Uniform-ish point of the geodesic ball: random direction, radius
-    biased by u^(1/dim)."""
-    if isinstance(space, EuclideanSpace):
-        u = rng.standard_normal(space.dim)
-        u /= np.linalg.norm(u)
-        r = radius * rng.random() ** (1.0 / space.dim)
-        return np.asarray(center, float) + r * u
-    # SPD: shoot the exponential map at `center` along a random symmetric
-    # direction; the affine-invariant norm of the step is the distance.
-    n = center.shape[0]
-    g = rng.standard_normal((n, n))
-    g = spd.symmetrize(g)
+    """Uniform-ish point of the geodesic ball, through ``space.exp``."""
+    u = rng.standard_normal(space.dim)
     if getattr(space, "conformal", False):
-        g = g - np.trace(g) / n * np.eye(n)
-    g /= np.sqrt(np.sum(g * g))
+        # Traceless, so that the vector is tangent to the det-1 slice.
+        diag = space._rows == space._cols
+        u[diag] -= u[diag].mean()
+    u /= np.linalg.norm(u)
     r = radius * rng.random() ** (1.0 / space.dim)
-    root = spd.spd_sqrt(center)
-    out = spd.symmetrize(root @ spd.spd_exp(r * g) @ root)
-    if getattr(space, "conformal", False):
-        out = spd._renormalize_det(out)
-    return out
+    return space.exp(center, r * u)
 
 
-def center_equivariance_check(B: PointSet, iso: Callable, tol: float = 1e-6,
-                              center_tol: float = DEFAULT_TOL) -> bool:
+def center_equivariance_check(B: PointSet, iso: Callable, tol: float = 1e-6) -> bool:
     """True iff mapping the center agrees with the center of the mapped set.
 
     ``iso`` must preserve the pairwise distances of B within 1e-9 (checked;
@@ -494,6 +510,6 @@ def center_equivariance_check(B: PointSet, iso: Callable, tol: float = 1e-6,
     d_after = B.space.pairwise(mapped.points)
     if d_before.size and float(np.max(np.abs(d_before - d_after))) > 1e-9:
         raise NotIsometry("map distorts pairwise distances beyond 1e-9")
-    c = chebyshev_center(B, center_tol).center
-    c_mapped = chebyshev_center(mapped, center_tol).center
+    c = chebyshev_center(B).center
+    c_mapped = chebyshev_center(mapped).center
     return B.space.distance(iso(c), c_mapped) <= tol

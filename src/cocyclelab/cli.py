@@ -156,7 +156,7 @@ def _load_point_set(path: str) -> PointSet:
 
 def cmd_center(args) -> dict:
     ps = _load_point_set(args.input)
-    report = chebyshev_center(ps, args.tol)
+    report = chebyshev_center(ps)
     star = bt_center(ps, rounds=args.rounds)
     shrink = check_diameter_shrink(ps) if len(ps) >= 2 else None
     out = Path(args.out)
@@ -167,10 +167,8 @@ def cmd_center(args) -> dict:
         "chebyshev": {
             "radius": report.radius,
             "lower_bound": report.lower_bound,
-            "support_size": (None if report.support is None
-                             else len(report.support)),
+            "support_size": len(report.support),
             "iterations": report.iterations,
-            "covering_residual": report.covering_residual,
         },
         "bt_center_distance_to_chebyshev": float(
             ps.space.distance(report.center, star)
@@ -190,6 +188,8 @@ def cmd_center(args) -> dict:
 
 
 def cmd_lemmas(args) -> dict:
+    if min(args.sets, args.spd_sets) < 0 or args.sets + args.spd_sets < 1:
+        raise E.ConfigInvalid("--sets and --spd-sets must be >= 0, not both 0")
     rng = np.random.default_rng(_seed_from(args))
     eps_cycle = [1e-3, 1e-2, 1e-1]
     e2 = EuclideanSpace(2)
@@ -205,9 +205,7 @@ def cmd_lemmas(args) -> dict:
         ang = rng.random(m) * 2 * np.pi
         rad = eps * np.sqrt(rng.random(m))
         pts_e = pts + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        rep = check_center_continuity(
-            PointSet(e2, pts), PointSet(e2, pts_e), center_tol=args.tol
-        )
+        rep = check_center_continuity(PointSet(e2, pts), PointSet(e2, pts_e))
         all_pass &= rep.passed
         worst_margin = min(worst_margin, rep.rhs + 1e-7 - rep.lhs)
         continuity_rows.append(
@@ -222,9 +220,7 @@ def cmd_lemmas(args) -> dict:
         pts_e = np.array([
             _spd_jitter(rng, p, eps * rng.random()) for p in pts
         ])
-        rep = check_center_continuity(
-            PointSet(s2, pts), PointSet(s2, pts_e), center_tol=args.tol
-        )
+        rep = check_center_continuity(PointSet(s2, pts), PointSet(s2, pts_e))
         all_pass &= rep.passed
         worst_margin = min(worst_margin, rep.rhs + 1e-7 - rep.lhs)
         continuity_rows.append(
@@ -243,16 +239,10 @@ def cmd_lemmas(args) -> dict:
     tetra_ratio = check_diameter_shrink(tetra).ratio
 
     balls = []
-    for space, r0, eps0, eps in (
-        (e2, 1.0, 0.4, 0.01),
-        (s2, 1.0, 0.5, 0.015),
+    for space, v0, v0p, r0, eps in (
+        (e2, np.zeros(2), np.array([0.4, 0.0]), 1.0, 0.01),
+        (s2, np.eye(2), spd.spd_exp(0.5 * np.eye(2) / np.sqrt(2.0)), 1.0, 0.015),
     ):
-        if isinstance(space, EuclideanSpace):
-            v0 = np.zeros(2)
-            v0p = np.array([eps0, 0.0])
-        else:
-            v0 = np.eye(2)
-            v0p = spd.spd_exp(eps0 * np.eye(2) / np.sqrt(2.0))
         rep = check_ball_intersection_radius(
             space, v0, v0p, r0, eps, args.samples, rng
         )
@@ -451,7 +441,7 @@ def cmd_reduce(args) -> dict:
         v0 = oracle(args.x0) if oracle is not None else np.eye(cocycle.dim)
         fb = sample_fibers(cocycle, args.x0, v0, args.steps, args.cells,
                            conformal=conformal)
-        got = section_from_centers(fb, center_tol=args.tol)
+        got = section_from_centers(fb)
         result = (reduce_to_conformal(cocycle, got.section) if conformal
                   else reduce_to_orthogonal(cocycle, got.section))
         result.invariance_residual = got.invariance_residual
@@ -479,8 +469,7 @@ def cmd_reduce(args) -> dict:
     if got is not None:
         header += ["gap", "support"]
         for row, gap, support in zip(rows, got.center_gaps, got.center_supports):
-            row += [repr(float(gap)),
-                    "" if support is None else " ".join(map(str, support))]
+            row += [repr(float(gap)), " ".join(map(str, support))]
     _write_csv(Path(args.out) / "reduction_cells.csv", header, rows)
     summary_timing = {"runtime_seconds": time.perf_counter() - t0}
     summary["timing"] = summary_timing
@@ -565,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("center", help="centers of a point-set file")
     p.add_argument("--input", required=True,
                    help='JSON {"space": "euclidean"|"spd", "points": [...]}')
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--rounds", type=int, default=60)
     p.set_defaults(func=cmd_center)
 
@@ -573,8 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", type=int, default=500)
     p.add_argument("--spd-sets", type=int, default=100)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="center tolerance for the batteries")
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("solve", help="twisted-equation solvers")
@@ -612,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200000)
     p.add_argument("--x0", type=float, default=0.2)
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="per-cell center tolerance")
+                   help="accepted for compatibility and ignored: every "
+                        "centre is exact and certified")
     p.add_argument("--threads", type=int, default=1, choices=[1],
                    help="accepted for compatibility; runs are single-threaded")
     p.add_argument("--oracle", action="store_true",

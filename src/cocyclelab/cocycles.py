@@ -94,18 +94,13 @@ def gram_schmidt(M: np.ndarray) -> np.ndarray:
     return Q
 
 
-def polar_orthogonal(M: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor M (M^T M)^{-1/2}."""
-    u, _, vt = np.linalg.svd(np.asarray(M, dtype=float))
-    return u @ vt
-
-
 class GridIsometryTable:
     """Generator table on a uniform grid of the circle.
 
-    The linear part uses the nearest sample re-projected onto the
-    orthogonal group; the translation part interpolates linearly between
-    neighbours.  Adjacent samples must differ by at most
+    The linear part uses the nearest sample, re-projected onto the
+    orthogonal group once at load; the translation part interpolates
+    linearly between neighbours.  Both take a point or an array of points.
+    Adjacent samples must differ by at most
     ``lipschitz_bound * spacing`` (checked at load), which is the
     continuity contract of the generator.
     """
@@ -127,15 +122,18 @@ class GridIsometryTable:
                     f"table jump {max(dl, dt):.3e} between cells {i},{j} "
                     f"exceeds Lipschitz bound x spacing"
                 )
+        # Orthogonal polar factors M (M^T M)^{-1/2} of the samples.
+        svds = map(np.linalg.svd, self.linears)
+        self.orthogonals = np.array([u @ vt for u, _, vt in svds])
 
-    def linear_at(self, x: float) -> np.ndarray:
-        i = int(np.floor((x % 1.0) * self.size + 0.5)) % self.size
-        return polar_orthogonal(self.linears[i])
+    def linear_at(self, x) -> np.ndarray:
+        pos = (np.asarray(x, dtype=float) % 1.0) * self.size
+        return self.orthogonals[np.floor(pos + 0.5).astype(int) % self.size]
 
-    def translation_at(self, x: float) -> np.ndarray:
-        pos = (x % 1.0) * self.size
-        i = int(np.floor(pos)) % self.size
-        frac = pos - np.floor(pos)
+    def translation_at(self, x) -> np.ndarray:
+        pos = (np.asarray(x, dtype=float) % 1.0) * self.size
+        i = np.floor(pos).astype(int) % self.size
+        frac = (pos - np.floor(pos))[..., None]
         j = (i + 1) % self.size
         return (1.0 - frac) * self.translations[i] + frac * self.translations[j]
 
@@ -143,7 +141,7 @@ class GridIsometryTable:
 class IsometryCocycle:
     """Skew action data: a base map plus a generator x -> FiniteIsometry."""
 
-    def __init__(self, base, dim: int, *, linear_fn=None, translation_fn=None,
+    def __init__(self, base, dim: int, *, linear_batch_fn=None,
                  constant_linear: np.ndarray | None = None,
                  translation_batch_fn=None):
         self.base = base
@@ -156,12 +154,11 @@ class IsometryCocycle:
             if defect > ORTHOGONALITY_TOL:
                 raise NotOrthogonal("constant linear part is not orthogonal")
         self.constant_linear = constant_linear
-        self._linear_fn = linear_fn
-        self._translation_fn = translation_fn
+        self._linear_batch_fn = linear_batch_fn
         self._translation_batch_fn = translation_batch_fn
-        if constant_linear is None and linear_fn is None:
+        if constant_linear is None and linear_batch_fn is None:
             raise ConfigInvalid("need a linear part (constant or function)")
-        if translation_fn is None and translation_batch_fn is None:
+        if translation_batch_fn is None:
             raise ConfigInvalid("need a translation part")
 
     @classmethod
@@ -169,23 +166,19 @@ class IsometryCocycle:
         return cls(
             base,
             table.translations.shape[1],
-            linear_fn=table.linear_at,
-            translation_fn=table.translation_at,
+            linear_batch_fn=table.linear_at,
+            translation_batch_fn=table.translation_at,
         )
 
     def generators_along(self, xs: np.ndarray) -> np.ndarray:
         """Homogeneous generators [[Psi(x), rho(x)], [0, 1]] at the points xs."""
         k, l = len(xs), self.dim
-        if self._translation_batch_fn is not None:
-            rhos = self._translation_batch_fn(xs)
-        else:
-            rhos = [self._translation_fn(x) for x in xs]
         gens = np.zeros((k, l + 1, l + 1))
         if self.constant_linear is not None:
             gens[:, :l, :l] = self.constant_linear
         else:
-            gens[:, :l, :l] = np.reshape([self._linear_fn(x) for x in xs], (k, l, l))
-        gens[:, :l, l] = np.reshape(rhos, (k, l))
+            gens[:, :l, :l] = self._linear_batch_fn(xs)
+        gens[:, :l, l] = np.reshape(self._translation_batch_fn(xs), (k, l))
         gens[:, l, l] = 1.0
         return gens
 

@@ -154,6 +154,8 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
     x_k.  Raises EmptyCell when some cell stays empty, which is also the
     honest failure mode for non-minimal bases.
     """
+    if cells < 1:
+        raise ConfigInvalid(f"cells = {cells} must be >= 1")
     if steps < OCCUPANCY_FACTOR * cells:
         raise ConfigInvalid(
             f"steps = {steps} below the occupancy heuristic "
@@ -214,11 +216,10 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
 class SectionFromCenters:
     """Per-cell centres as a section, with each centre's certificate:
     ``center_gaps[i]`` = radius - lower bound of cell i, and
-    ``center_supports[i]`` the certifying pair (None after a descent)."""
+    ``center_supports[i]`` the support of its certificate."""
 
     section: Section
     invariance_residual: float
-    center_iterations: np.ndarray
     center_gaps: np.ndarray
     center_supports: list
 
@@ -230,17 +231,16 @@ def section_from_centers(fb: FiberBuckets, *,
     The invariance residual  sup_i d(A(x_i) . phi(x_i), phi(x_i + alpha))
     (cells matched by nearest cell) quantifies how close the recovered
     section is to being skew-invariant.  A cell whose farthest pair has a
-    covering geodesic midpoint costs three distance scans; only the other
-    cells run the descent, to ``center_tol``.
+    covering geodesic midpoint costs three distance scans.  Every centre
+    is certified exact, so ``center_tol`` is accepted for compatibility
+    and ignored.
     """
     n = fb.cocycle.dim
     space = SPDSpace(n, conformal=fb.conformal)
 
-    reports = [chebyshev_center(PointSet(space, pts), center_tol)
-               for pts in fb.cell_points]
+    reports = [chebyshev_center(PointSet(space, pts)) for pts in fb.cell_points]
+    # SPDSpace(conformal=True) keeps every centre on the det-1 slice.
     values = np.array([r.center for r in reports])
-    if fb.conformal:
-        values = np.array([spd._renormalize_det(v) for v in values])
 
     thetas = fb.cell_centers()
     residual = 0.0
@@ -254,7 +254,6 @@ def section_from_centers(fb: FiberBuckets, *,
     return SectionFromCenters(
         section=section,
         invariance_residual=residual,
-        center_iterations=np.array([r.iterations for r in reports]),
         center_gaps=np.array([r.radius - r.lower_bound for r in reports]),
         center_supports=[r.support for r in reports],
     )

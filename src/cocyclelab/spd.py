@@ -264,16 +264,7 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
         raise DimensionMismatch(f"shapes {P.shape} and {Q.shape} differ")
     if P.shape[0] == 2:
         return _geodesic_2x2(P, Q, t)
-    eigp = sym_eigen(P)
-    if eigp.values[-1] <= 0.0:
-        raise NotPositiveDefinite("geodesic endpoint is not positive definite")
-    sp = _spectral(eigp, np.sqrt)
-    rp = _spectral(eigp, lambda v: 1.0 / np.sqrt(v))
-    inner = sym_eigen(symmetrize(rp @ Q @ rp))
-    if inner.values[-1] <= 0.0:
-        raise NotPositiveDefinite("geodesic endpoint is not positive definite")
-    mid = _spectral(inner, lambda v: np.power(v, t))
-    return symmetrize(sp @ mid @ sp)
+    return whitened_exp(P, t * whitened_logs(P, Q[np.newaxis])[0])
 
 
 def gl_action(g: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -424,6 +415,20 @@ def _distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
         return _distance_2x2(a, b, c, batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1])
     L = _cholesky(require_symmetric(P), "reference point")
     return _whitened_distances(L, _require_symmetric_batch(batch))
+
+
+def whitened_logs(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Tangent vectors log(L^{-1} Q L^{-T}) at P = L L^T, of norm d(P, Q)."""
+    w = np.linalg.inv(_cholesky(require_symmetric(P), "reference point"))
+    lam, vecs = np.linalg.eigh(w @ _require_symmetric_batch(batch) @ w.T)
+    _require_positive_batch(lam[:, 0] > 0.0)
+    return (vecs * np.log(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)
+
+
+def whitened_exp(P: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """L exp(S) L^T with L = chol(P); the inverse of :func:`whitened_logs`."""
+    L = _cholesky(require_symmetric(P), "reference point")
+    return symmetrize(L @ spd_exp(S) @ L.T)
 
 
 def spd_distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:

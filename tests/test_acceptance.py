@@ -60,8 +60,6 @@ E2 = EuclideanSpace(2)
 E3 = EuclideanSpace(3)
 S2 = SPDSpace(2)
 
-BATTERY_CENTER_TOL = 1e-4  # center search resolution for the batteries
-
 
 def verdict(number, ok, detail):
     line = f"ACCEPTANCE {number:2d} {'PASS' if ok else 'FAIL'}: {detail}"
@@ -83,10 +81,7 @@ def test_criterion_01_center_continuity():
         ang = rng.random(m) * 2.0 * np.pi
         rad = eps * np.sqrt(rng.random(m))
         pts_e = pts + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        rep = check_center_continuity(
-            PointSet(E2, pts), PointSet(E2, pts_e),
-            center_tol=BATTERY_CENTER_TOL,
-        )
+        rep = check_center_continuity(PointSet(E2, pts), PointSet(E2, pts_e))
         ok &= rep.lhs <= 8.0 * rep.eps * rep.radius + 1e-7
         worst_margin = min(worst_margin, rep.rhs + 1e-7 - rep.lhs)
         cases += 1
@@ -102,8 +97,7 @@ def test_criterion_01_center_continuity():
             root = spd.spd_sqrt(p)
             pts_e.append(spd.symmetrize(root @ spd.spd_exp(s) @ root))
         rep = check_center_continuity(
-            PointSet(S2, pts), PointSet(S2, np.array(pts_e)),
-            center_tol=BATTERY_CENTER_TOL,
+            PointSet(S2, pts), PointSet(S2, np.array(pts_e))
         )
         ok &= rep.lhs <= 8.0 * rep.eps * rep.radius + 1e-7
         worst_margin = min(worst_margin, rep.rhs + 1e-7 - rep.lhs)
@@ -143,7 +137,7 @@ def test_criterion_03_ctr_vs_ctr_star():
     ps = PointSet(E2, pts)
     star = bt_center(ps)
     mid_err = np.linalg.norm(star - (pts[i] + pts[j]) / 2.0)
-    cheb = chebyshev_center(ps, 1e-9).center
+    cheb = chebyshev_center(ps).center
     gap = np.linalg.norm(star - cheb)
     ok = mid_err <= 1e-6 and gap > 1e-3
     verdict(3, ok,
@@ -160,16 +154,16 @@ def test_criterion_04_orthogonal_reduction_pipeline():
     oracle_res = reduce_to_orthogonal(c, c.oracle_section)
 
     fb = sample_fibers(c, x0, v0, 200_000, 512)
-    got = section_from_centers(fb, center_tol=1e-6)
+    got = section_from_centers(fb)
     res = reduce_to_orthogonal(c, got.section)
 
     fb_fine = sample_fibers(c, x0, v0, 800_000, 1024)
-    got_fine = section_from_centers(fb_fine, center_tol=1e-6)
+    got_fine = section_from_centers(fb_fine)
     res_fine = reduce_to_orthogonal(c, got_fine.section)
 
     elapsed = time.perf_counter() - t0
     # Every cell's centre is the certified midpoint of a farthest pair.
-    certified = sum(s is not None for s in got.center_supports)
+    certified = sum(len(s) == 2 for s in got.center_supports)
     ok = (res.defect <= 1e-2
           and oracle_res.defect <= 1e-9
           and res_fine.defect < res.defect
@@ -186,15 +180,15 @@ def test_criterion_05_conformal_reduction_pipeline():
     so = scalar_orthogonal_cocycle()
     fb_so = sample_fibers(so, 0.2, np.eye(2), 8000, 64, conformal=True)
     res_so = reduce_to_conformal(
-        so, section_from_centers(fb_so, center_tol=1e-5).section
+        so, section_from_centers(fb_so).section
     )
     c = conformal_coboundary_cocycle(s0_norm=0.7)
     fb = sample_fibers(c, 0.2, c.oracle_section(0.2), 200_000, 512,
                        conformal=True)
-    got = section_from_centers(fb, center_tol=1e-6)
+    got = section_from_centers(fb)
     res_cb = reduce_to_conformal(c, got.section)
     # Every cell's centre is the certified midpoint of a farthest pair.
-    certified = sum(s is not None for s in got.center_supports)
+    certified = sum(len(s) == 2 for s in got.center_supports)
     ok = (res_so.defect <= 1e-9
           and res_so.distortion_max_deviation <= 1e-6
           and res_cb.defect <= 1e-2
@@ -310,6 +304,7 @@ def test_criterion_10_cocycle_algebra_and_equivariance():
     split_ok = worst <= 1e-10
 
     worst_eq = 0.0
+    worst_gap = 0.0
     for _ in range(5):
         pts = np.array([random_spd(rng, 2, 0.5) for _ in range(6)])
         ps = PointSet(S2, pts)
@@ -317,12 +312,18 @@ def test_criterion_10_cocycle_algebra_and_equivariance():
         mapped = PointSet(
             S2, np.array([spd.gl_action(g, p) for p in pts])
         )
-        a = chebyshev_center(ps, 1e-6).center
-        b = chebyshev_center(mapped, 1e-6).center
-        worst_eq = max(worst_eq, spd.spd_distance(spd.gl_action(g, a), b))
+        a = chebyshev_center(ps)
+        b = chebyshev_center(mapped)
+        worst_eq = max(worst_eq, spd.spd_distance(spd.gl_action(g, a.center),
+                                                  b.center))
+        for rep in (a, b):
+            worst_gap = max(worst_gap, (rep.radius - rep.lower_bound)
+                            / max(rep.radius, 1.0))
     eq_ok = worst_eq <= 1e-6
-    ok = split_ok and eq_ok
+    gap_ok = worst_gap <= 1e-12
+    ok = split_ok and eq_ok and gap_ok
     verdict(10, ok,
             f"splitting identity on 1e3 random (j, k, x): worst "
             f"{worst:.1e} <= 1e-10; GL(2) center equivariance on Pos(2): "
-            f"worst {worst_eq:.1e} <= 1e-6")
+            f"worst {worst_eq:.1e} <= 1e-6; certified gap {worst_gap:.1e} "
+            f"<= 1e-12")

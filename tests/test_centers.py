@@ -1,10 +1,14 @@
 """Centers and the quantitative lemma checks on Euclidean and Pos(2) data."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cocyclelab
 from cocyclelab import spd
 from cocyclelab.centers import (
+    OUTER_STEP_CAP,
     EuclideanSpace,
     PointSet,
     SPDSpace,
@@ -21,6 +25,7 @@ from cocyclelab.centers import (
     space_selftest,
 )
 from cocyclelab.errors import (
+    ConfigInvalid,
     EmptySet,
     NonFinite,
     NotIsometry,
@@ -76,6 +81,30 @@ class TestSpaces:
         rep = space_selftest(S2, pts, rng, triples=120)
         assert rep["pass"], rep
 
+    @pytest.mark.parametrize("space", [
+        E2, E3, S2, SPDSpace(3), SPDSpace(2, conformal=True),
+    ], ids=lambda s: s.name)
+    def test_log_exp_isometric_and_inverse(self, rng, space):
+        if isinstance(space, EuclideanSpace):
+            z, pts = rng.random(space.dim), rng.random((6, space.dim))
+        else:
+            z, *pts = [random_spd(rng, space.n, 0.8) for _ in range(7)]
+            if space.conformal:
+                z, *pts = [spd.unit_determinant(p) for p in [z, *pts]]
+            pts = np.array(pts)
+        y = space.log(z, pts)
+        assert y.shape == (6, space.dim)
+        # Row norms are distances from z, and exp_z inverts log_z.
+        dists = space.distances_from(z, pts)
+        assert np.max(np.abs(np.linalg.norm(y, axis=1) - dists)) <= 1e-12
+        for p, v in zip(pts, y):
+            assert space.distance(space.exp(z, v), p) <= 1e-12
+        # exp_z(t log_z p) runs along the geodesic from z to p.
+        mid = space.exp(z, 0.5 * y[0])
+        assert space.distance(mid, space.geodesic(z, pts[0], 0.5)) <= 1e-12
+        if getattr(space, "conformal", False):
+            assert abs(np.linalg.det(mid) - 1.0) <= 1e-12
+
 
 class TestRadiusAndDiameter:
     def test_singleton(self):
@@ -126,7 +155,7 @@ class TestRadiusAndDiameter:
 class TestChebyshevCenter:
     def test_two_points_midpoint(self, rng):
         p, q = rng.random(2), rng.random(2) + 2.0
-        rep = chebyshev_center(PointSet(E2, np.array([p, q])), 1e-9)
+        rep = chebyshev_center(PointSet(E2, np.array([p, q])))
         assert np.linalg.norm(rep.center - (p + q) / 2.0) <= 1e-12
         assert abs(rep.radius - np.linalg.norm(p - q) / 2.0) <= 1e-12
         assert rep.support == (1, 0) and rep.iterations == 0
@@ -138,13 +167,14 @@ class TestChebyshevCenter:
         pts = np.array([
             [0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]
         ])
-        rep = chebyshev_center(PointSet(E2, pts), 1e-9)
+        rep = chebyshev_center(PointSet(E2, pts))
         _, r_star = exact_min_enclosing_ball(pts)
         assert abs(rep.radius - 1.0 / np.sqrt(3.0)) <= 1e-9
-        assert abs(rep.radius - r_star) <= 2e-4
+        assert abs(rep.radius - r_star) <= 1e-12
         assert np.linalg.norm(rep.center - pts.mean(axis=0)) <= 1e-9
-        # Three support points: the pair certificate fails, the bound holds.
-        assert rep.support is None
+        # Three support points: the pair certificate fails, the tangent
+        # ball certifies in one move.
+        assert rep.support == (0, 1, 2) and rep.iterations == 1
         assert rep.lower_bound <= r_star <= rep.radius
 
     def test_spd_two_points(self):
@@ -152,7 +182,7 @@ class TestChebyshevCenter:
         # 1-d grid search along the geodesic.
         P, Q = np.eye(2), np.diag([np.e ** 2, 1.0])
         ps = PointSet(S2, np.array([P, Q]))
-        rep = chebyshev_center(ps, 1e-9)
+        rep = chebyshev_center(ps)
         mid = spd.spd_geodesic(P, Q, 0.5)
         assert spd.spd_distance(rep.center, mid) <= 1e-9
         assert abs(rep.radius - 1.0) <= 1e-9
@@ -167,59 +197,59 @@ class TestChebyshevCenter:
         for _ in range(10):
             pts = rng.random((int(rng.integers(2, 20)), 2))
             ps = PointSet(E2, pts)
-            rep = chebyshev_center(ps, 1e-6)
+            rep = chebyshev_center(ps)
             dists = np.linalg.norm(pts - rep.center, axis=1)
             assert dists.max() <= rep.radius + 1e-6
-            assert rep.covering_residual <= 1e-7
 
     def test_optimality_against_lattice(self, rng):
         # Euclidean d <= 3: radius vs the exact minimum enclosing ball,
         # found by enumerating every support set of 2 to d + 1 points.
         for dim, space in ((2, E2), (3, E3)):
             pts = rng.random((7, dim))
-            rep = chebyshev_center(
-                PointSet(space, pts), 1e-9,
-                max_iterations=150_000, stall=False,
-            )
+            rep = chebyshev_center(PointSet(space, pts))
             _, r_star = exact_min_enclosing_ball(pts)
-            assert abs(rep.radius - r_star) <= 2e-4
+            assert abs(rep.radius - r_star) <= 1e-12
             assert rep.radius >= r_star - 1e-12
             # The planar set has a two-point support; the 3-D one needs four.
-            assert (rep.support is None) == (dim == 3)
+            want = {2: 2, 3: 4}[dim]
+            assert len(rep.support) == want
+            if dim == 3:
+                assert set(rep.support) == {0, 3, 5, 6}
             assert rep.lower_bound <= r_star
 
     def test_uniqueness_proxy_two_starts(self, rng):
-        # The minimizer is unique; runs from different initial points meet.
-        pts = rng.random((8, 2))
-        ps = PointSet(E2, pts)
-        a = chebyshev_center(ps, 1e-9, max_iterations=200_000, stall=False)
-        b = chebyshev_center(
-            ps, 1e-9, max_iterations=200_000, stall=False, start_index=4
-        )
-        assert np.linalg.norm(a.center - b.center) <= 1e-5
+        # The minimizer is unique: a permuted set, whose first point (the
+        # start of the farthest-pair scan) differs, has the same centre.
+        for dim, space in ((2, E2), (3, E3)):
+            pts = rng.random((8, dim))
+            a = chebyshev_center(PointSet(space, pts))
+            for _ in range(3):
+                perm = rng.permutation(len(pts))
+                b = chebyshev_center(PointSet(space, pts[perm]))
+                assert np.linalg.norm(a.center - b.center) <= 1e-12
+                assert set(perm[list(b.support)]) == set(a.support)
+        ps = spd_set(rng, 7)
+        a = chebyshev_center(ps)
+        b = chebyshev_center(PointSet(S2, ps.points[::-1]))
+        assert spd.spd_distance(a.center, b.center) <= 1e-12
 
     def test_uniqueness_proxy_structured(self, rng):
-        square = PointSet(E2, np.array(
-            [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-        ))
-        reps = [
-            chebyshev_center(square, 1e-9, start_index=i) for i in range(4)
-        ]
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        reps = [chebyshev_center(PointSet(E2, np.roll(square, i, axis=0)))
+                for i in range(4)]
         for rep in reps[1:]:
-            assert np.linalg.norm(rep.center - reps[0].center) <= 1e-9
-        spd_pair = PointSet(S2, np.array([np.eye(2), np.diag([4.0, 0.5])]))
-        a = chebyshev_center(spd_pair, 1e-9)
-        b = chebyshev_center(spd_pair, 1e-9, start_index=1)
-        assert spd.spd_distance(a.center, b.center) <= 1e-9
+            assert np.linalg.norm(rep.center - reps[0].center) <= 1e-12
+        spd_pair = np.array([np.eye(2), np.diag([4.0, 0.5])])
+        a = chebyshev_center(PointSet(S2, spd_pair))
+        b = chebyshev_center(PointSet(S2, spd_pair[::-1]))
+        assert spd.spd_distance(a.center, b.center) <= 1e-12
 
     def test_matches_exact_circle(self, rng):
         for _ in range(3):
             pts = rng.random((9, 2))
-            rep = chebyshev_center(
-                PointSet(E2, pts), 1e-9, max_iterations=120_000, stall=False
-            )
+            rep = chebyshev_center(PointSet(E2, pts))
             c_star, r_star = exact_min_enclosing_circle(pts)
-            assert rep.radius - r_star <= 2e-4
+            assert rep.radius - r_star <= 1e-12
             assert rep.radius >= r_star - 1e-12
 
 
@@ -228,15 +258,17 @@ class TestCertificate:
         certified = 0
         for dim in (2, 3):
             for pts in elongated_sets(rng, dim, 40):
-                # The descent's tolerance bears only on uncertified sets.
-                rep = chebyshev_center(PointSet(EuclideanSpace(dim), pts), 1e-3)
-                _, r_star = exact_min_enclosing_ball(pts)
+                rep = chebyshev_center(PointSet(EuclideanSpace(dim), pts))
+                c_star, r_star = exact_min_enclosing_ball(pts)
                 assert rep.lower_bound <= r_star + 1e-12
                 assert rep.radius >= r_star - 1e-12
-                if rep.support is not None:
+                assert abs(rep.radius - r_star) <= 1e-12
+                # The oracle's support: the points on its sphere.
+                far = np.linalg.norm(pts - c_star, axis=1)
+                assert set(rep.support) == set(np.flatnonzero(far >= r_star - 1e-9))
+                if rep.iterations == 0:
                     certified += 1
-                    assert len(rep.support) == 2 and rep.iterations == 0
-                    assert abs(rep.radius - r_star) <= 1e-12
+                    assert len(rep.support) == 2
         assert 20 <= certified < 80
 
     def test_certified_diameter_matches_brute_force(self, rng):
@@ -252,8 +284,124 @@ class TestCertificate:
                 for i in range(len(pts)) for j in range(i + 1, len(pts))
             )
             assert abs(diameter(ps) - brute) <= 1e-12
-            certified += chebyshev_center(ps, 1e-2).support is not None
+            certified += len(chebyshev_center(ps).support) == 2
         assert 0 < certified < len(sets)
+
+
+def _regular_polygon(m):
+    angles = 2.0 * np.pi * np.arange(m) / m
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def battery_sets(rng):
+    """Euclidean sets of 2 to 12 points in R^2 and R^3: random at two
+    scales, with repeated points, collinear, regular polygons (also in a
+    plane of R^3) and regular tetrahedra."""
+    for dim in (2, 3):
+        for m in range(2, 13):
+            yield rng.random((m, dim))
+            yield 3.0 * rng.standard_normal((m, dim))
+            line = np.outer(rng.random(m), rng.standard_normal(dim))
+            yield line + rng.random(dim)
+            if m >= 3:
+                pts = rng.random((m, dim))
+                pts[m // 2:] = pts[:m - m // 2]
+                yield pts
+    for m in range(3, 13):
+        yield _regular_polygon(m)
+        yield np.column_stack([_regular_polygon(m), np.zeros(m)]) + 0.25
+    yield tetrahedron()
+    yield tetrahedron(2.5) - 1.0
+
+
+def criterion_01_spd_sets(count):
+    """The first ``count`` Pos(2) sets of acceptance criterion 01, drawn by
+    replaying its generator: every point lies at distance 0.35 from I."""
+    rng = np.random.default_rng(1)
+    for _ in range(500):
+        m = int(rng.integers(4, 16))
+        rng.random((m, 2))
+        rng.uniform(0.5, 2.0)
+        rng.random(m)
+        rng.random(m)
+    for _ in range(count):
+        m = int(rng.integers(4, 9))
+        pts = np.array([random_spd(rng, 2, 0.35) for _ in range(m)])
+        yield pts
+        for _ in pts:
+            rng.standard_normal((2, 2))
+            rng.random()
+
+
+def assert_certified(rep):
+    assert rep.lower_bound <= rep.radius
+    assert rep.radius - rep.lower_bound <= 1e-12 * max(rep.radius, 1.0)
+
+
+class TestCertifiedBattery:
+    def test_euclidean_against_exact_ball(self, rng):
+        count = 0
+        for pts in battery_sets(rng):
+            rep = chebyshev_center(PointSet(EuclideanSpace(pts.shape[1]), pts))
+            _, r_star = exact_min_enclosing_ball(pts)
+            assert_certified(rep)
+            # lower_bound <= r* <= radius, up to the oracle's own rounding
+            # (it puts the unit hexagon's radius at 1 - 6e-16).
+            ulps = 1e-14 * max(r_star, 1.0)
+            assert rep.lower_bound <= r_star + ulps
+            assert r_star <= rep.radius + ulps
+            dists = np.linalg.norm(pts - rep.center, axis=1)
+            assert dists.max() <= rep.radius + ulps
+            assert rep.iterations <= 1
+            count += 1
+        assert count > 100
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gl_equivariance(self, rng, n):
+        space = SPDSpace(n)
+        for m in range(3, 10):
+            pts = np.array([random_spd(rng, n, 0.6) for _ in range(m)])
+            g = rng.standard_normal((n, n)) + 1.5 * np.eye(n)
+            mapped = np.array([spd.gl_action(g, p) for p in pts])
+            a = chebyshev_center(PointSet(space, pts))
+            b = chebyshev_center(PointSet(space, mapped))
+            assert_certified(a)
+            assert_certified(b)
+            assert spd.spd_distance(spd.gl_action(g, a.center), b.center) <= 1e-9
+            assert abs(a.radius - b.radius) <= 1e-9
+
+    def test_conformal_sets_stay_on_slice(self, rng):
+        space = SPDSpace(2, conformal=True)
+        for m in range(3, 9):
+            pts = np.array([spd.unit_determinant(random_spd(rng, 2, 0.7))
+                            for _ in range(m)])
+            rep = chebyshev_center(PointSet(space, pts))
+            assert_certified(rep)
+            assert abs(np.linalg.det(rep.center) - 1.0) <= 1e-12
+
+    def test_cospherical_criterion_01_sets_terminate(self):
+        # Set 7 made an active set without the radius guard cycle forever.
+        for i, pts in enumerate(criterion_01_spd_sets(12)):
+            d = spd.spd_distances_from(np.eye(2), pts)
+            assert np.max(np.abs(d - 0.35)) <= 1e-12
+            assert_certified(chebyshev_center(PointSet(S2, pts)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wide_spd_sets_certify(self, rng, n):
+        # Radii up to ~3: full steps overshoot here and need the damping.
+        for spread in (2.0, 3.0, 4.0):
+            for _ in range(6):
+                m = int(rng.integers(3, 9))
+                pts = np.array([random_spd(rng, n, spread) for _ in range(m)])
+                rep = chebyshev_center(PointSet(SPDSpace(n), pts))
+                assert_certified(rep)
+                assert rep.iterations < OUTER_STEP_CAP
+
+    def test_library_does_not_import_the_oracle(self):
+        src = Path(cocyclelab.__file__).parent
+        for path in src.glob("*.py"):
+            text = path.read_text()
+            assert "conftest" not in text and "exact_min_enclosing" not in text
 
 
 class TestBTCenter:
@@ -276,15 +424,19 @@ class TestBTCenter:
         pts = acute_scalene_triangle()
         ps = PointSet(E2, pts)
         star = bt_center(ps)
-        cheb = chebyshev_center(ps, 1e-9).center
+        cheb = chebyshev_center(ps).center
         assert np.linalg.norm(star - cheb) > 1e-3
 
     def test_coincide_on_two_point_sets(self, rng):
         p, q = rng.random(2), rng.random(2) + 1.0
         ps = PointSet(E2, np.array([p, q]))
         star = bt_center(ps)
-        cheb = chebyshev_center(ps, 1e-9).center
+        cheb = chebyshev_center(ps).center
         assert np.linalg.norm(star - cheb) <= 1e-9
+
+    def test_rounds_below_one_rejected(self, rng):
+        with pytest.raises(ConfigInvalid):
+            bt_center(PointSet(E2, rng.random((3, 2))), rounds=0)
 
     def test_tetrahedron_collapses_to_centroid(self):
         # Hand iteration: edge midpoints form an octahedron, whose
@@ -360,7 +512,7 @@ class TestCenterContinuity:
                     [rad * np.cos(ang), rad * np.sin(ang)]
                 )
                 rep = check_center_continuity(
-                    PointSet(E2, pts), PointSet(E2, pts_e), center_tol=1e-5
+                    PointSet(E2, pts), PointSet(E2, pts_e)
                 )
                 assert rep.passed
                 assert rep.radius_gap_ok
@@ -409,7 +561,7 @@ class TestBallIntersection:
 class TestEquivariance:
     def test_identity_map(self, rng):
         ps = PointSet(E2, rng.random((7, 2)))
-        assert center_equivariance_check(ps, lambda p: p, center_tol=1e-6)
+        assert center_equivariance_check(ps, lambda p: p)
 
     def test_planar_rotation(self, rng):
         theta = 0.83
@@ -417,16 +569,12 @@ class TestEquivariance:
                         [np.sin(theta), np.cos(theta)]])
         shift = np.array([0.3, -1.2])
         ps = PointSet(E2, rng.random((9, 2)))
-        assert center_equivariance_check(
-            ps, lambda p: rot @ p + shift, center_tol=1e-6
-        )
+        assert center_equivariance_check(ps, lambda p: rot @ p + shift)
 
     def test_gl2_action_on_spd_sets(self, rng):
         ps = spd_set(rng, 6)
         g = rng.standard_normal((2, 2)) + 1.5 * np.eye(2)
-        assert center_equivariance_check(
-            ps, lambda p: spd.gl_action(g, p), center_tol=1e-6
-        )
+        assert center_equivariance_check(ps, lambda p: spd.gl_action(g, p))
 
     def test_non_isometry_rejected(self, rng):
         ps = PointSet(E2, rng.random((5, 2)))
@@ -461,5 +609,5 @@ class TestEquivariance:
             axis=1,
         )
         assert match.max() <= 1e-9  # iso(B) is B, pointwise
-        rep = chebyshev_center(ps, 1e-9)
+        rep = chebyshev_center(ps)
         assert np.linalg.norm(iso(rep.center) - rep.center) <= 1e-6

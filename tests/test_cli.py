@@ -79,10 +79,11 @@ class TestCenterCommand:
         )
         assert code == 0
         cheb = summary["chebyshev"]
-        assert cheb["support_size"] is None
-        # Unit edges: half an edge against the circumradius sqrt(6)/4.
-        assert abs(cheb["lower_bound"] - 0.5) <= 1e-12
+        # Unit edges: all four vertices support the circumradius sqrt(6)/4.
+        assert cheb["support_size"] == 4
+        assert abs(cheb["lower_bound"] - np.sqrt(6.0) / 4.0) <= 1e-12
         assert cheb["lower_bound"] <= np.sqrt(6.0) / 4.0 <= cheb["radius"]
+        assert cheb["radius"] - cheb["lower_bound"] <= 1e-12
 
     def test_non_finite_euclidean_point_is_numeric_error(self, tmp_path):
         path = tmp_path / "pts.json"
@@ -93,6 +94,12 @@ class TestCenterCommand:
     def test_missing_file_is_config_error(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "center", "--input", "/nope.json")
         assert code == 2
+
+    def test_rounds_below_one_is_config_error(self, tmp_path, tetra_file):
+        code, summary, _ = run_cli(
+            tmp_path, "center", "--input", str(tetra_file), "--rounds", "0"
+        )
+        assert code == 2 and summary is None
 
     def test_non_finite_spd_point_is_numeric_error(self, tmp_path):
         pts = [np.eye(3).tolist(), [[1.0, float("nan"), 0.0],
@@ -248,6 +255,21 @@ class TestOtherCommands:
         assert summary["returns"] > 0
         assert summary["all_ok"]
         assert (out / "recurrence.csv").exists()
+
+    @pytest.mark.parametrize("cells", ["0", "-4"])
+    def test_reduce_cells_below_one_is_config_error(self, tmp_path, cells):
+        code, summary, _ = run_cli(
+            tmp_path, "reduce", "--preset", "coboundary", "--cells", cells,
+            "--steps", "4000",
+        )
+        assert code == 2 and summary is None
+
+    def test_lemmas_without_sets_is_config_error(self, tmp_path):
+        code, summary, _ = run_cli(
+            tmp_path, "lemmas", "--sets", "0", "--spd-sets", "0",
+            "--samples", "100",
+        )
+        assert code == 2 and summary is None
 
     def test_lemmas_small(self, tmp_path):
         code, summary, out = run_cli(

@@ -348,6 +348,31 @@ class TestGridTable:
         want = (translations[3] + translations[4]) / 2.0
         assert np.max(np.abs(mid - want)) <= 1e-12
 
+    def test_generators_match_per_point_projection(self, rng):
+        # The table is projected once at load; the generators must equal,
+        # bit for bit, an SVD projection of the nearest sample at every
+        # point and the per-point interpolation of the translations.
+        size = 256
+        grid = np.arange(size) / size
+        linears = np.array([rotation_matrix(2 * np.pi * x) for x in grid])
+        linears += 0.01 * rng.standard_normal(linears.shape)
+        translations = np.column_stack([np.cos(2 * np.pi * grid),
+                                        np.sin(4 * np.pi * grid)])
+        table = GridIsometryTable(linears, translations, lipschitz_bound=20.0)
+        xs = golden_rotation().orbit(0.137, 3000)
+        want = np.zeros((len(xs), 3, 3))
+        for k, x in enumerate(xs):
+            u, _, vt = np.linalg.svd(linears[int(np.floor((x % 1.0) * size + 0.5)) % size])
+            pos = (x % 1.0) * size
+            i = int(np.floor(pos)) % size
+            frac = pos - np.floor(pos)
+            want[k, :2, :2] = u @ vt
+            want[k, :2, 2] = ((1.0 - frac) * translations[i]
+                              + frac * translations[(i + 1) % size])
+            want[k, 2, 2] = 1.0
+        got = IsometryCocycle.from_table(golden_rotation(), table).generators_along(xs)
+        assert np.array_equal(got, want)
+
     def test_lipschitz_validation(self):
         size = 16
         linears = np.array([np.eye(2)] * size)

@@ -167,6 +167,12 @@ class TestSampleFibers:
         with pytest.raises(ConfigInvalid):
             sample_fibers(c, 0.2, np.eye(2), 100, 32)
 
+    @pytest.mark.parametrize("cells", [0, -4])
+    def test_cells_below_one_rejected(self, cells):
+        c = identity_cocycle(golden_rotation())
+        with pytest.raises(ConfigInvalid):
+            sample_fibers(c, 0.2, np.eye(2), 1000, cells)
+
     def test_parabolic_base_fails_density(self):
         base = ParabolicBase()
         c = identity_cocycle(base)
@@ -205,18 +211,27 @@ class TestSectionFromCenters:
         c = identity_cocycle(golden_rotation())
         v0 = spd.spd_exp(0.4 * np.eye(2))
         fb = sample_fibers(c, 0.2, v0, 3000, 32)
-        got = section_from_centers(fb, center_tol=1e-8)
+        got = section_from_centers(fb)
         assert np.max(np.abs(got.section.values - v0)) <= 1e-12
         assert got.invariance_residual <= 1e-12
+
+    def test_center_tol_is_accepted_and_ignored(self):
+        # Kept for callers that still pass it; every centre is certified.
+        c = coboundary_cocycle()
+        fb = sample_fibers(c, 0.2, c.oracle_section(0.2), 4000, 16)
+        a = section_from_centers(fb)
+        b = section_from_centers(fb, center_tol=1e-2)
+        assert np.array_equal(a.section.values, b.section.values)
+        assert np.max(a.center_gaps) <= 1e-12
 
     def test_oracle_distance_decreases_under_refinement(self):
         c = coboundary_cocycle()
         v0 = c.oracle_section(0.2)
         coarse = section_from_centers(
-            sample_fibers(c, 0.2, v0, 8000, 32), center_tol=3e-5
+            sample_fibers(c, 0.2, v0, 8000, 32)
         )
         fine = section_from_centers(
-            sample_fibers(c, 0.2, v0, 48000, 128), center_tol=3e-5
+            sample_fibers(c, 0.2, v0, 48000, 128)
         )
         d_coarse = oracle_section_distance(coarse.section, c.oracle_section)
         d_fine = oracle_section_distance(fine.section, c.oracle_section)
@@ -227,7 +242,7 @@ class TestSectionFromCenters:
         c = coboundary_cocycle()
         v0 = c.oracle_section(0.2)
         fb = sample_fibers(c, 0.2, v0, 4000, 16)
-        got = section_from_centers(fb, center_tol=1e-4)
+        got = section_from_centers(fb)
         g = rng.standard_normal((2, 2)) + 1.5 * np.eye(2)
         mapped_cells = [
             np.array([spd.gl_action(g, p) for p in pts])
@@ -238,7 +253,7 @@ class TestSectionFromCenters:
         space = SPDSpace(2)
         for i in (0, 7, 15):
             mapped_center = chebyshev_center(
-                PointSet(space, mapped_cells[i]), 1e-4
+                PointSet(space, mapped_cells[i])
             ).center
             want = spd.gl_action(g, got.section.values[i])
             assert spd.spd_distance(mapped_center, want) <= 1e-6
@@ -317,7 +332,7 @@ class TestReduceToOrthogonal:
         c = coboundary_cocycle()
         v0 = c.oracle_section(0.2)
         fb = sample_fibers(c, 0.2, v0, 25_600, 128)
-        got = section_from_centers(fb, center_tol=1e-5)
+        got = section_from_centers(fb)
         res = reduce_to_orthogonal(c, got.section)
         assert res.defect <= 5e-2  # O(1/cells) lookup bias at 128 cells
         # Defect is controlled by the invariance residual (empirical 5x).
@@ -339,7 +354,7 @@ class TestReduceToConformal:
         c = scalar_orthogonal_cocycle()
         fb = sample_fibers(c, 0.2, np.eye(2), 8000, 64, conformal=True)
         res = reduce_to_conformal(
-            c, section_from_centers(fb, center_tol=1e-5).section
+            c, section_from_centers(fb).section
         )
         assert res.defect <= 1e-9
         assert res.distortion_max_deviation <= 1e-6
@@ -360,7 +375,7 @@ class TestReduceToConformal:
         fb = sample_fibers(c, 0.2, c.oracle_section(0.2), 25_600, 128,
                            conformal=True)
         res = reduce_to_conformal(
-            c, section_from_centers(fb, center_tol=1e-5).section
+            c, section_from_centers(fb).section
         )
         assert res.defect <= 5e-2
         # Where the defect is tiny the reduced distortion is 1.
