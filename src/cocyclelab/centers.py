@@ -119,8 +119,13 @@ class SPDSpace:
         return spd.whitened_logs(z, batch)[:, self._rows, self._cols] * self._scale
 
     def exp(self, z, v: np.ndarray):
-        S = np.empty((self.n, self.n))
-        S[self._cols, self._rows] = S[self._rows, self._cols] = v / self._scale
+        """exp_z of one tangent vector (dim,) or of a (m, dim) stack of
+        them, through one :func:`spd.whitened_exp` call: (n, n) or
+        (m, n, n)."""
+        v = np.asarray(v, dtype=float)
+        S = np.empty(v.shape[:-1] + (self.n, self.n))
+        S[..., self._cols, self._rows] = S[..., self._rows, self._cols] = (
+            v / self._scale)
         out = spd.whitened_exp(z, S)
         # The slice is totally geodesic; renormalize drift.
         return spd._renormalize_det(out) if self.conformal else out
@@ -254,12 +259,7 @@ def chebyshev_center(B: PointSet) -> CenterReport:
 
     damped, last = False, np.inf
     for step in itertools.count():
-        y = space.log(z, pts)
-        support, w = _tangent_ball(y)
-        g = w @ y[support]
-        dist2 = np.einsum("ij,ij->i", y, y)
-        radius = float(np.sqrt(dist2.max()))
-        bound = float(np.sqrt(max(w @ dist2[support] - g @ g, 0.0)))
+        support, g, radius, bound = _tangent_certificate(space, pts, z)
         if radius - bound <= CERTIFICATE_SLACK * max(radius, 1.0):
             return CenterReport(z, radius, step, min(bound, radius),
                                 tuple(sorted(support)))
@@ -275,6 +275,19 @@ def chebyshev_center(B: PointSet) -> CenterReport:
             # [1, zeta], so every error shrinks by (zeta - 1) / (zeta + 1).
             g = g * (2.0 * np.tanh(x) / (np.tanh(x) + x))
         z = space.exp(z, g)
+
+
+def _tangent_certificate(space, pts: np.ndarray, z):
+    """One re-linearisation at z: the support and the step g = sum w_i y_i
+    of the enclosing ball of y_i = log_z(p_i), the covering radius from z,
+    and the lower bound sqrt(F_w(z) - |g|^2) <= r*."""
+    y = space.log(z, pts)
+    support, w = _tangent_ball(y)
+    g = w @ y[support]
+    dist2 = np.einsum("ij,ij->i", y, y)
+    radius = float(np.sqrt(dist2.max()))
+    bound = float(np.sqrt(max(w @ dist2[support] - g @ g, 0.0)))
+    return support, g, radius, bound
 
 
 def _tangent_ball(y: np.ndarray):
@@ -397,14 +410,9 @@ def check_diameter_shrink(B: PointSet) -> ShrinkReport:
 
 
 def hausdorff_distance(A: PointSet, B: PointSet) -> float:
-    """max-min scan between two finite sets of one space."""
-    d_ab = max(
-        float(np.min(A.space.distances_from(p, B.points))) for p in A.points
-    )
-    d_ba = max(
-        float(np.min(A.space.distances_from(q, A.points))) for q in B.points
-    )
-    return max(d_ab, d_ba)
+    """max-min over the |A| x |B| distances, from one scan per point of A."""
+    cross = np.array([A.space.distances_from(p, B.points) for p in A.points])
+    return float(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
 
 
 @dataclass
@@ -458,8 +466,11 @@ def check_ball_intersection_radius(space, v0, v0p, r0: float, eps: float,
 
     Valid whenever eps <= d(v0, v0')^2 / (16 r0); candidates are drawn in a
     geodesic ball around the midpoint large enough to cover the whole
-    intersection, then rejected against both balls.
+    intersection, then rejected against both balls.  All ``samples``
+    candidates are drawn as one stack and tested by three distance scans.
     """
+    if samples < 1:
+        raise ConfigInvalid(f"samples = {samples} must be >= 1")
     eps0 = space.distance(v0, v0p)
     if eps0 == 0.0:
         return BallIntersectionReport(0, 0.0, r0 - eps, True, degenerate=True)
@@ -469,34 +480,41 @@ def check_ball_intersection_radius(space, v0, v0p, r0: float, eps: float,
             f"{eps0 * eps0 / (16.0 * r0):g}"
         )
     mid = space.geodesic(v0, v0p, 0.5)
-    cover = r0 + eps + 0.5 * eps0
-    accepted = 0
-    worst = 0.0
-    for _ in range(samples):
-        y = _sample_in_ball(space, mid, cover, rng)
-        if space.distance(y, v0) <= r0 + eps and space.distance(y, v0p) <= r0 + eps:
-            accepted += 1
-            worst = max(worst, space.distance(y, mid))
-    if accepted == 0:
+    ys = _sample_in_ball(space, mid, r0 + eps + 0.5 * eps0, samples, rng)
+    inside = ((space.distances_from(v0, ys) <= r0 + eps)
+              & (space.distances_from(v0p, ys) <= r0 + eps))
+    if not np.any(inside):
         raise SamplingFailure("no sample landed in the ball intersection")
+    worst = float(np.max(space.distances_from(mid, ys[inside])))
     return BallIntersectionReport(
-        samples_accepted=accepted,
+        samples_accepted=int(np.count_nonzero(inside)),
         max_distance_to_midpoint=worst,
         bound=r0 - eps,
         passed=worst <= r0 - eps,
     )
 
 
-def _sample_in_ball(space, center, radius: float, rng: np.random.Generator):
-    """Uniform-ish point of the geodesic ball, through ``space.exp``."""
-    u = rng.standard_normal(space.dim)
+def _sample_in_ball(space, center, radius: float, samples: int,
+                    rng: np.random.Generator):
+    """A (samples, ...) stack of uniform-ish points of the geodesic ball,
+    mapped by one ``space.exp`` call.
+
+    Each sample draws one ``standard_normal(dim)`` direction and then one
+    ``random()`` for its radius, in that order, so the stream does not
+    depend on how the stack is evaluated.
+    """
+    u = np.empty((samples, space.dim))
+    t = np.empty(samples)
+    for k in range(samples):
+        u[k] = rng.standard_normal(space.dim)
+        t[k] = rng.random()
     if getattr(space, "conformal", False):
-        # Traceless, so that the vector is tangent to the det-1 slice.
+        # Traceless, so that the vectors are tangent to the det-1 slice.
         diag = space._rows == space._cols
-        u[diag] -= u[diag].mean()
-    u /= np.linalg.norm(u)
-    r = radius * rng.random() ** (1.0 / space.dim)
-    return space.exp(center, r * u)
+        u[:, diag] -= u[:, diag].mean(axis=1, keepdims=True)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = radius * t ** (1.0 / space.dim)
+    return space.exp(center, r[:, None] * u)
 
 
 def center_equivariance_check(B: PointSet, iso: Callable, tol: float = 1e-6) -> bool:

@@ -85,13 +85,12 @@ class FiniteIsometry:
 
 
 def gram_schmidt(M: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of a near-orthogonal matrix."""
-    Q = np.array(M, dtype=float)
-    for j in range(Q.shape[1]):
-        for i in range(j):
-            Q[:, j] -= (Q[:, i] @ Q[:, j]) * Q[:, i]
-        Q[:, j] /= np.linalg.norm(Q[:, j])
-    return Q
+    """Orthonormalize the columns of a near-orthogonal matrix, or of each
+    matrix of a (..., l, l) stack: the Q of M = QR, signed so that R has a
+    positive diagonal, which is what Gram-Schmidt on the columns yields."""
+    Q, R = np.linalg.qr(np.asarray(M, dtype=float))
+    signs = np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return Q * signs[..., None, :]
 
 
 class GridIsometryTable:
@@ -285,12 +284,11 @@ def recurrence_isometries(c: IsometryCocycle, x: float, delta: float,
     ks = return_times(c.base, x, delta, n)
     if len(ks) == 0:
         return []
-    prods = orbit_products(c, x, int(ks[-1]))
+    prods = orbit_products(c, x, int(ks[-1]))[ks]
     l = c.dim
     return [
-        (int(k), FiniteIsometry(gram_schmidt(prods[k, :l, :l]),
-                                prods[k, :l, l].copy()))
-        for k in ks
+        (int(k), FiniteIsometry(q, p[:l, l].copy()))
+        for k, q, p in zip(ks, gram_schmidt(prods[:, :l, :l]), prods)
     ]
 
 

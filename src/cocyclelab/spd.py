@@ -16,7 +16,9 @@ factor L of the reference point and takes the eigenvalues of every
 L^{-1} Q L^{-T} in one stacked ``eigvalsh``.  For n = 2 closed forms are
 faster than a LAPACK call: one exact Jacobi rotation diagonalizes, and the
 distance scans take the eigenvalues of the whitened 2x2 matrix directly.
-Supported dimensions are 2 <= n <= 8.  Non-finite input raises
+The exponential map :func:`whitened_exp` takes a whole stack of tangent
+matrices through one stacked ``eigh`` at every n.  Supported dimensions
+are 2 <= n <= 8.  Non-finite input raises
 :class:`~cocyclelab.errors.NonFinite`.
 """
 
@@ -308,11 +310,13 @@ def require_unit_determinant(P: np.ndarray, tol: float = UNIT_DET_TOL) -> np.nda
 
 
 def _renormalize_det(P: np.ndarray) -> np.ndarray:
-    n = P.shape[0]
+    """P / det(P)^{1/n} for one matrix or each of a (..., n, n) stack."""
     det = np.linalg.det(P)
-    if det <= 0.0:
+    if (det <= 0.0).any():
         raise NotPositiveDefinite("determinant lost positivity")
-    return P / det ** (1.0 / n)
+    scale = det ** (1.0 / P.shape[-1])
+    # Indexing a NumPy scalar costs more than the division it feeds.
+    return P / (scale if P.ndim == 2 else scale[..., None, None])
 
 
 def unit_determinant(P: np.ndarray) -> np.ndarray:
@@ -426,9 +430,22 @@ def whitened_logs(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
 
 
 def whitened_exp(P: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """L exp(S) L^T with L = chol(P); the inverse of :func:`whitened_logs`."""
+    """L exp(S) L^T with L = chol(P); the inverse of :func:`whitened_logs`.
+
+    ``S`` is one symmetric (n, n) matrix or a (..., n, n) stack of them,
+    and the result has its shape.  The whole stack takes one Cholesky
+    factorization of P, one symmetry and finiteness check and one stacked
+    ``eigh``; an error names the entry's index in the flattened stack.
+    """
     L = _cholesky(require_symmetric(P), "reference point")
-    return symmetrize(L @ spd_exp(S) @ L.T)
+    S = np.asarray(S, dtype=float)
+    if S.ndim < 2 or S.shape[-2:] != L.shape:
+        raise DimensionMismatch(
+            f"tangent shape {S.shape} incompatible with point {L.shape}"
+        )
+    lam, vecs = np.linalg.eigh(_require_symmetric_batch(S.reshape(-1, *L.shape)))
+    out = L @ ((vecs * np.exp(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)) @ L.T
+    return (0.5 * (out + out.transpose(0, 2, 1))).reshape(S.shape)
 
 
 def spd_distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:

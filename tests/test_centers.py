@@ -9,6 +9,7 @@ import cocyclelab
 from cocyclelab import spd
 from cocyclelab.centers import (
     OUTER_STEP_CAP,
+    _tangent_certificate,
     EuclideanSpace,
     PointSet,
     SPDSpace,
@@ -30,6 +31,7 @@ from cocyclelab.errors import (
     NonFinite,
     NotIsometry,
     PreconditionViolated,
+    SamplingFailure,
 )
 
 from conftest import (
@@ -288,6 +290,23 @@ class TestCertificate:
         assert 0 < certified < len(sets)
 
 
+    def test_lower_bound_is_exact_off_centre(self, rng):
+        # In R^d, z + sum w_i y_i is the centre and F_w(z) - |sum w_i y_i|^2
+        # the weighted variance of the support about it, r*^2, from any z.
+        # Outside the set's bounding box |sum w_i y_i| >= 0.5, so the bound
+        # is wrong there without that term.
+        for dim in (2, 3):
+            space = EuclideanSpace(dim)
+            for pts in elongated_sets(rng, dim, 20):
+                c_star, r_star = exact_min_enclosing_ball(pts)
+                for z in (pts[0], pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5):
+                    _, g, radius, bound = _tangent_certificate(space, pts, z)
+                    assert np.linalg.norm(z + g - c_star) <= 1e-12
+                    assert abs(bound - r_star) <= 1e-12 * max(r_star, 1.0)
+                    far = np.linalg.norm(pts - z, axis=1).max()
+                    assert abs(radius - far) <= 1e-12 * max(far, 1.0)
+
+
 def _regular_polygon(m):
     angles = 2.0 * np.pi * np.arange(m) / m
     return np.column_stack([np.cos(angles), np.sin(angles)])
@@ -525,6 +544,50 @@ class TestCenterContinuity:
         want = max(d.min(axis=1).max(), d.min(axis=0).max())
         assert abs(got - want) <= 1e-12
 
+    def test_hausdorff_spd_against_pairwise_distances(self, rng):
+        a = np.array([random_spd(rng, 2, 0.8) for _ in range(7)])
+        b = np.array([random_spd(rng, 2, 0.8) for _ in range(4)])
+        got = hausdorff_distance(PointSet(S2, a), PointSet(S2, b))
+        d = np.array([[spd.spd_distance(p, q) for q in b] for p in a])
+        want = max(d.min(axis=1).max(), d.min(axis=0).max())
+        assert abs(got - want) <= 1e-12
+        assert got == hausdorff_distance(PointSet(S2, b), PointSet(S2, a))
+
+
+def scalar_ball_battery(space, v0, v0p, r0, eps, samples, rng):
+    """Reference for check_ball_intersection_radius: one sample at a time,
+    through scalar exp and distance, with its own traceless projection on
+    the det-1 slice.  Returns (accepted, max distance to the midpoint)."""
+    eps0 = space.distance(v0, v0p)
+    mid = space.geodesic(v0, v0p, 0.5)
+    cover = r0 + eps + 0.5 * eps0
+    accepted, worst = 0, 0.0
+    for _ in range(samples):
+        u = rng.standard_normal(space.dim)
+        if getattr(space, "conformal", False):
+            # Tangent coordinates list the upper triangle row by row.
+            rows, cols = np.triu_indices(space.n)
+            u[rows == cols] -= np.mean(u[rows == cols])
+        u = u / np.linalg.norm(u)
+        y = space.exp(mid, cover * rng.random() ** (1.0 / space.dim) * u)
+        if space.distance(y, v0) <= r0 + eps and space.distance(y, v0p) <= r0 + eps:
+            accepted += 1
+            worst = max(worst, space.distance(y, mid))
+    return accepted, worst
+
+
+def ball_cases():
+    """(space, v0, v0', r0, eps) at d(v0, v0') = 0.4 or 0.5, r0 = 1 and
+    eps just under d^2 / 16."""
+    half = np.diag([0.5, -0.5]) / np.sqrt(2.0)
+    return [
+        (E2, np.zeros(2), np.array([0.4, 0.0]), 1.0, 0.01),
+        (S2, np.eye(2), spd.spd_exp(0.5 * np.eye(2) / np.sqrt(2.0)), 1.0, 0.015),
+        (SPDSpace(3), np.eye(3), spd.spd_exp(0.5 * np.eye(3) / np.sqrt(3.0)),
+         1.0, 0.015),
+        (SPDSpace(2, conformal=True), np.eye(2), spd.spd_exp(half), 1.0, 0.015),
+    ]
+
 
 class TestBallIntersection:
     def test_degenerate_centers(self, rng):
@@ -556,6 +619,44 @@ class TestBallIntersection:
         )
         assert rep.samples_accepted > 50
         assert rep.passed
+
+    @pytest.mark.parametrize("case", ball_cases(), ids=lambda c: c[0].name)
+    def test_batch_matches_scalar_reference(self, case):
+        space, v0, v0p, r0, eps = case
+        rep = check_ball_intersection_radius(
+            space, v0, v0p, r0, eps, 1500, np.random.default_rng(11)
+        )
+        accepted, worst = scalar_ball_battery(
+            space, v0, v0p, r0, eps, 1500, np.random.default_rng(11)
+        )
+        assert rep.samples_accepted == accepted > 50
+        assert abs(rep.max_distance_to_midpoint - worst) <= 1e-12
+        assert rep.passed
+
+    @pytest.mark.parametrize("case", ball_cases(), ids=lambda c: c[0].name)
+    def test_stacked_exp_matches_rows(self, rng, case):
+        space, z = case[0], case[2]
+        V = 0.7 * rng.standard_normal((6, space.dim))
+        out = space.exp(z, V)
+        assert out.shape == (6,) + np.shape(z)
+        for v, y in zip(V, out):
+            assert np.max(np.abs(space.exp(z, v) - y)) <= 1e-12
+        if getattr(space, "conformal", False):
+            assert np.max(np.abs(np.linalg.det(out) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_rejected(self, rng, samples):
+        with pytest.raises(ConfigInvalid):
+            check_ball_intersection_radius(
+                E2, np.zeros(2), np.array([0.4, 0.0]), 1.0, 0.01, samples, rng
+            )
+
+    def test_no_sample_accepted(self):
+        case = ball_cases()[0]
+        seed = next(s for s in range(100) if scalar_ball_battery(
+            *case, 1, np.random.default_rng(s))[0] == 0)
+        with pytest.raises(SamplingFailure):
+            check_ball_intersection_radius(*case, 1, np.random.default_rng(seed))
 
 
 class TestEquivariance:

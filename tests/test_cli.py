@@ -271,6 +271,14 @@ class TestOtherCommands:
         )
         assert code == 2 and summary is None
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_lemmas_samples_below_one_is_config_error(self, tmp_path, samples):
+        code, summary, _ = run_cli(
+            tmp_path, "lemmas", "--sets", "2", "--spd-sets", "0",
+            "--samples", samples,
+        )
+        assert code == 2 and summary is None
+
     def test_lemmas_small(self, tmp_path):
         code, summary, out = run_cli(
             tmp_path, "lemmas", "--sets", "12", "--spd-sets", "4",

@@ -13,8 +13,10 @@ from cocyclelab.cocycles import (
     ShiftCocycle,
     boundedness_probe,
     compose_along_orbit,
+    gram_schmidt,
     iterate_skew,
     matrix_products,
+    orbit_products,
     prefix_products,
     recurrence_isometries,
     semigroup_closure_check,
@@ -47,6 +49,16 @@ def constant_cocycle(base, dim, translation):
         constant_linear=np.eye(dim),
         translation_batch_fn=lambda xs: np.tile(vec, (len(xs), 1)),
     )
+
+
+def loop_gram_schmidt(M):
+    """Modified Gram-Schmidt on the columns, one column at a time."""
+    Q = np.array(M, dtype=float)
+    for j in range(Q.shape[1]):
+        for i in range(j):
+            Q[:, j] -= (Q[:, i] @ Q[:, j]) * Q[:, i]
+        Q[:, j] /= np.linalg.norm(Q[:, j])
+    return Q
 
 
 def scan_generators(rng, k, kind):
@@ -164,6 +176,20 @@ class TestFiniteIsometry:
         d0 = i1.distance_to(i2)
         d1 = g.compose(i1).distance_to(g.compose(i2))
         assert abs(d0 - d1) <= 1e-12
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_matches_column_loop(self, rng, d):
+        # Near-orthogonal matrices of both determinant signs, columns of
+        # either orientation: R's diagonal signs matter.
+        q, _ = np.linalg.qr(rng.standard_normal((12, d, d)))
+        M = q + 1e-8 * rng.standard_normal((12, d, d))
+        out = gram_schmidt(M)
+        assert out.shape == M.shape
+        for m, got in zip(M, out):
+            assert np.max(np.abs(got - loop_gram_schmidt(m))) <= 1e-12
+            assert np.max(np.abs(gram_schmidt(m) - got)) <= 1e-14
 
 
 class TestIterateSkew:
@@ -287,6 +313,19 @@ class TestRecurrence:
         assert len(checks) >= 3
         for ch in checks:
             assert ch.ok, (ch.k1, ch.k2, ch.deviation, ch.bound)
+
+    def test_linear_parts_match_column_loop(self, rng):
+        c = rotation_translation_cocycle(
+            golden_rotation(), 0.9, TrigPoly.random(2, rng, 0.3)
+        )
+        sample = recurrence_isometries(c, 0.1, 0.02, 30_000)
+        prods = orbit_products(c, 0.1, sample[-1][0])
+        for k, iso in sample:
+            want = loop_gram_schmidt(prods[k, :2, :2])
+            assert np.max(np.abs(iso.linear - want)) <= 1e-12
+            assert np.array_equal(iso.translation, prods[k, :2, 2])
+        last = compose_along_orbit(c, 0.1, sample[-1][0])
+        assert np.max(np.abs(last.linear - sample[-1][1].linear)) <= 1e-14
 
     def test_rotation_valued_sample_is_one_parameter(self, rng):
         # Linear parts of sampled returns are rotations: their logs are

@@ -102,6 +102,38 @@ class TestExpLog:
             spd.spd_log(np.diag([1.0, -0.5]))
 
 
+class TestWhitenedExp:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stack_matches_per_matrix_reference(self, rng, n):
+        P = random_spd(rng, n, spread=1.0)
+        L = np.linalg.cholesky(P)
+        g = rng.standard_normal((2, 3, n, n))
+        S = 0.5 * (g + g.swapaxes(-1, -2))
+        out = spd.whitened_exp(P, S)
+        assert out.shape == S.shape
+        for k in np.ndindex(2, 3):
+            want = L @ spd.spd_exp(S[k]) @ L.T
+            assert np.max(np.abs(out[k] - want)) <= 1e-12 * np.linalg.norm(want)
+            assert spd.symmetry_defect(out[k]) == 0.0
+            single = spd.whitened_exp(P, S[k])
+            assert np.max(np.abs(single - out[k])) <= 1e-14 * np.linalg.norm(want)
+
+    def test_rejects_bad_stack(self, rng):
+        P = random_spd(rng, 3)
+        S = np.array([spd.symmetrize(rng.standard_normal((3, 3)))
+                      for _ in range(4)])
+        S[2, 0, 1] += 1e-6
+        with pytest.raises(NotSymmetric, match="batch entry 2"):
+            spd.whitened_exp(P, S)
+        S[2, 0, 1] = np.nan
+        with pytest.raises(NonFinite, match="batch entry 2"):
+            spd.whitened_exp(P, S)
+        with pytest.raises(DimensionMismatch):
+            spd.whitened_exp(P, S[:, :2, :2])
+        with pytest.raises(DimensionMismatch):
+            spd.whitened_exp(P, np.zeros(3))
+
+
 class TestSqrtBatch:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_scalar_root(self, rng, n):
