@@ -67,6 +67,7 @@ from .presets import (
     shift_single_mode,
 )
 from .reduction import (
+    oracle_distances,
     reduce_to_conformal,
     reduce_to_orthogonal,
     sample_fibers,
@@ -422,15 +423,11 @@ def cmd_reduce(args) -> dict:
         "conformal": bool(conformal),
         "oracle": bool(args.oracle),
     }
-    oracle = cocycle.oracle_section
-    if oracle is not None and conformal:
-        phi_star = oracle
-
-        def det_one_oracle(x):
-            # The det-normalized pipeline recovers phi* / det(phi*)^{1/n}.
-            return spd.unit_determinant(phi_star(x))
-
-        oracle = det_one_oracle
+    phi_star = oracle = cocycle.oracle_section
+    if phi_star is not None and conformal:
+        # The det-normalized pipeline recovers phi* / det(phi*)^{1/n}.
+        def oracle(xs):
+            return spd.unit_determinant(phi_star(xs))
     got = None
     if args.oracle:
         if oracle is None:
@@ -455,22 +452,20 @@ def cmd_reduce(args) -> dict:
         summary["invariance_residual"] = result.invariance_residual
     if result.distortion_max_deviation is not None:
         summary["distortion_max_deviation"] = result.distortion_max_deviation
-    header = ["cell", "theta", "defect"]
-    rows = [[i, repr(theta), repr(d)] for i, theta, d in result.rows()]
+    # One column per field; csv writes each float with str(), its repr.
+    columns = {
+        "cell": range(len(result.per_cell_defect)),
+        "theta": result.section.thetas.tolist(),
+        "defect": result.per_cell_defect.tolist(),
+    }
     if oracle is not None and not args.oracle:
-        distances = [
-            spd.spd_distance(value, oracle(theta))
-            for theta, value in zip(result.section.thetas, result.section.values)
-        ]
-        summary["oracle_max_distance"] = max(distances)
-        header.append("oracle_distance")
-        for row, dist in zip(rows, distances):
-            row.append(repr(dist))
+        columns["oracle_distance"] = oracle_distances(result.section, oracle).tolist()
+        summary["oracle_max_distance"] = max(columns["oracle_distance"])
     if got is not None:
-        header += ["gap", "support"]
-        for row, gap, support in zip(rows, got.center_gaps, got.center_supports):
-            row += [repr(float(gap)), " ".join(map(str, support))]
-    _write_csv(Path(args.out) / "reduction_cells.csv", header, rows)
+        columns["gap"] = got.center_gaps.tolist()
+        columns["support"] = [" ".join(map(str, s)) for s in got.center_supports]
+    _write_csv(Path(args.out) / "reduction_cells.csv", list(columns),
+               zip(*columns.values()))
     summary_timing = {"runtime_seconds": time.perf_counter() - t0}
     summary["timing"] = summary_timing
     if result.defect > args.defect_bound:

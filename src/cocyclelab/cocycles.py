@@ -349,7 +349,8 @@ class MatrixCocycle:
         self._generator_batch = generator_batch
         self.bound = bound
         # Known invariant section, attached by coboundary constructions
-        # for oracle comparisons.
+        # for oracle comparisons.  It is array-valued: an array of k points
+        # gives a (k, n, n) stack, one point one (n, n) matrix.
         self.oracle_section = oracle_section
 
     def generator(self, x: float) -> np.ndarray:

@@ -118,7 +118,7 @@ def scalar_orthogonal_cocycle(base=None, *, amplitude: float = 0.4,
 
     return MatrixCocycle(
         base, 2, generator, generator_batch=generator_batch,
-        oracle_section=lambda x: np.eye(2),
+        oracle_section=lambda x: np.tile(np.eye(2), np.shape(x) + (1, 1)),
     )
 
 

@@ -14,6 +14,14 @@ and reports the defect of lambda(x) A~(x) instead.
 Coboundary constructions A(x) = B(T x) Q(x) B(x)^{-1} provide ground
 truth: their products are uniformly bounded and the exact section
 phi*(x) = B(x) B(x)^T is attached for oracle comparisons.
+
+Callable sections are array-valued: ``MatrixCocycle.oracle_section`` and
+every callable that ``reduce_to_*`` accepts map an array of k base points
+to a (k, n, n) stack of matrices, and one point to one (n, n) matrix; any
+other shape raises DimensionMismatch.  The reduction, the invariance
+residual and the oracle distances evaluate their callables once per stack
+of cells and run on stacks alone, with one code path for sampled and
+callable sections.
 """
 
 from __future__ import annotations
@@ -28,10 +36,9 @@ from .circle import minimality_probe
 from .cocycles import MatrixCocycle, prefix_products
 from .errors import (
     ConfigInvalid,
+    DimensionMismatch,
     EmptyCell,
     NotOrthogonal,
-    NotPositiveDefinite,
-    NotUnitDeterminant,
     SingularMatrix,
 )
 from .solvers import Section
@@ -46,62 +53,57 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
     """Cocycle A(x) = B(T x) Q(x) B(x)^{-1} with known invariant section.
 
     ``b_gen`` maps x to an invertible matrix, ``q_gen`` to an orthogonal
-    one (checked on a sample grid).  The returned cocycle carries
-    ``oracle_section``  phi*(x) = B(x) B(x)^T; its products telescope,
-    hence stay bounded by sup||B|| * sup||B^{-1}||.
-    An optional positive ``scalar_gen`` multiplies A by c(x), which the
+    one (checked on a sample grid).  ``b_batch`` and ``q_batch``, when
+    given, map an array of k points to the (k, n, n) stack of the same
+    matrices; without them the scalar maps are stacked point by point.
+    The generators, the orthogonality check, the sup-norm bound and the
+    oracle are all built from these stacks.  The returned cocycle carries
+    ``oracle_section``  phi*(x) = B(x) B(x)^T, array-valued like every
+    callable section; its products telescope, hence stay bounded by
+    sup||B|| * sup||B^{-1}||.  An optional positive ``scalar_gen`` maps
+    an array of points to the factors c(x) that multiply A, which the
     det-normalized (conformal) pipeline must absorb.
     """
-    for x in np.arange(ORTHOGONALITY_SAMPLE) / ORTHOGONALITY_SAMPLE:
-        q = np.asarray(q_gen(x), dtype=float)
-        defect = np.linalg.norm(q.T @ q - np.eye(dim))
-        if defect > 1e-10:
-            raise NotOrthogonal(
-                f"q_gen({x}) orthogonality defect {defect:.3e} > 1e-10"
-            )
+    def stack(batch, single, xs):
+        if batch is not None:
+            return np.asarray(batch(xs), dtype=float)
+        return np.array([single(x) for x in xs], dtype=float)
 
-    def generator(x):
-        a = b_gen(base.step(x)) @ q_gen(x) @ np.linalg.inv(b_gen(x))
-        if scalar_gen is not None:
-            a = scalar_gen(x) * a
-        return a
+    sample = np.arange(ORTHOGONALITY_SAMPLE) / ORTHOGONALITY_SAMPLE
+    qs = stack(q_batch, q_gen, sample)
+    defects = np.linalg.norm(qs.transpose(0, 2, 1) @ qs - np.eye(dim),
+                             axis=(1, 2))
+    if np.any(defects > 1e-10):
+        k = int(np.argmax(defects > 1e-10))
+        raise NotOrthogonal(
+            f"q_gen({sample[k]}) orthogonality defect {defects[k]:.3e} > 1e-10"
+        )
 
     def generator_batch(xs):
         xs = np.asarray(xs, dtype=float)
-        b_next = (b_batch((xs + _alpha_of(base)) % 1.0) if b_batch is not None
-                  else np.array([b_gen(base.step(x)) for x in xs]))
-        b_here = (b_batch(xs) if b_batch is not None
-                  else np.array([b_gen(x) for x in xs]))
-        qs = (q_batch(xs) if q_batch is not None
-              else np.array([q_gen(x) for x in xs]))
-        out = np.einsum("kij,kjl,klm->kim", b_next, qs,
-                        np.linalg.inv(b_here))
+        b_next = stack(b_batch, b_gen, base.step_many(xs))
+        out = (b_next @ stack(q_batch, q_gen, xs)
+               @ np.linalg.inv(stack(b_batch, b_gen, xs)))
         if scalar_gen is not None:
             out = out * np.asarray(scalar_gen(xs), dtype=float)[:, None, None]
         return out
 
     # Telescoping bound from a sample of the conjugacy loop.
-    grid = np.arange(1024) / 1024.0
-    sup_b = max(float(np.linalg.norm(b_gen(x), 2)) for x in grid[::16])
-    sup_b_inv = max(
-        float(np.linalg.norm(np.linalg.inv(b_gen(x)), 2)) for x in grid[::16]
-    )
+    bs = stack(b_batch, b_gen, np.arange(64) / 64.0)
+    bound = (np.linalg.norm(bs, 2, axis=(1, 2)).max()
+             * np.linalg.norm(np.linalg.inv(bs), 2, axis=(1, 2)).max())
 
     def oracle_section(x):
-        b = np.asarray(b_gen(x), dtype=float)
-        return spd.symmetrize(b @ b.T)
+        xs = np.asarray(x, dtype=float)
+        b = stack(b_batch, b_gen, xs.reshape(-1))
+        return spd.symmetrize(b @ b.transpose(0, 2, 1)).reshape(
+            xs.shape + (dim, dim))
 
     return MatrixCocycle(
-        base, dim, generator, generator_batch=generator_batch,
-        bound=sup_b * sup_b_inv, oracle_section=oracle_section,
+        base, dim, lambda x: generator_batch(np.array([x]))[0],
+        generator_batch=generator_batch, bound=float(bound),
+        oracle_section=oracle_section,
     )
-
-
-def _alpha_of(base) -> float:
-    alpha = getattr(base, "alpha", None)
-    if alpha is None:
-        raise ConfigInvalid("batch coboundary generators need a rotation base")
-    return alpha
 
 
 @dataclass
@@ -184,13 +186,7 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
     points += points.transpose(0, 2, 1)
     points *= 0.5
     if conformal:
-        dets = np.linalg.det(points)
-        if np.any(dets <= 0.0):
-            k = int(np.argmax(dets <= 0.0))
-            raise NotPositiveDefinite(
-                f"fibre point {k}: determinant {dets[k]:.3e} <= 0"
-            )
-        points /= (dets ** (1.0 / n))[:, None, None]
+        points = spd._renormalize_det(points)
 
     idx = np.minimum((xs * cells).astype(int), cells - 1)
     order = np.argsort(idx, kind="stable")
@@ -230,30 +226,26 @@ def section_from_centers(fb: FiberBuckets, *,
 
     The invariance residual  sup_i d(A(x_i) . phi(x_i), phi(x_i + alpha))
     (cells matched by nearest cell) quantifies how close the recovered
-    section is to being skew-invariant.  A cell whose farthest pair has a
-    covering geodesic midpoint costs three distance scans.  Every centre
-    is certified exact, so ``center_tol`` is accepted for compatibility
-    and ignored.
+    section is to being skew-invariant; it acts on and measures all cells
+    as one stack.  A cell whose farthest pair has a covering geodesic
+    midpoint costs three distance scans.  Every centre is certified
+    exact, so ``center_tol`` is accepted for compatibility and ignored.
     """
-    n = fb.cocycle.dim
-    space = SPDSpace(n, conformal=fb.conformal)
+    c = fb.cocycle
+    space = SPDSpace(c.dim, conformal=fb.conformal)
 
     reports = [chebyshev_center(PointSet(space, pts)) for pts in fb.cell_points]
     # SPDSpace(conformal=True) keeps every centre on the det-1 slice.
     values = np.array([r.center for r in reports])
 
     thetas = fb.cell_centers()
-    residual = 0.0
-    for i, x in enumerate(thetas):
-        a = fb.cocycle.generator(x)
-        image = (spd.conf_action(a, values[i]) if fb.conformal
-                 else spd.gl_action(a, values[i]))
-        j = int(fb.cocycle.base.step(x) * fb.cells) % fb.cells
-        residual = max(residual, spd.spd_distance(image, values[j]))
+    act = spd.conf_action if fb.conformal else spd.gl_action
+    images = act(c.generators_along(thetas), values)
+    nearest = values[_next_cell(c.base, thetas, fb.cells)]
     section = Section.from_samples(thetas, values, fiber="spd")
     return SectionFromCenters(
         section=section,
-        invariance_residual=residual,
+        invariance_residual=float(spd.spd_distances_from(images, nearest).max()),
         center_gaps=np.array([r.radius - r.lower_bound for r in reports]),
         center_supports=[r.support for r in reports],
     )
@@ -278,67 +270,77 @@ class ReductionResult:
     oracle_max_distance: float | None = None
     invariance_residual: float | None = None
 
-    def rows(self):
-        for i, theta in enumerate(self.section.thetas):
-            yield i, float(theta), float(self.per_cell_defect[i])
+
+def _next_cell(base, thetas: np.ndarray, cells: int) -> np.ndarray:
+    """Index of the uniform cell that holds T x for every cell centre x."""
+    return (base.step_many(thetas) * cells).astype(int) % cells
 
 
-def _section_lookup(phi, base):
-    """(thetas, values, next_values, next_index) for a Section or oracle.
+def _evaluate(phi, xs: np.ndarray, n: int) -> np.ndarray:
+    """A callable section at the points ``xs``: one (k, n, n) stack."""
+    values = np.asarray(phi(xs), dtype=float)
+    if values.shape != (len(xs), n, n):
+        raise DimensionMismatch(
+            f"section at {len(xs)} points gave shape {values.shape}, "
+            f"expected {(len(xs), n, n)}"
+        )
+    return values
 
-    The section at thetas[i] + alpha is next_values[next_index[i]]: the
-    value of the nearest cell for a sampled Section (next_values is then
-    values itself), the exact value for a callable oracle.
+
+def _section_lookup(phi, c: MatrixCocycle):
+    """(section, next_values) for a Section or oracle.
+
+    next_values[i] is the section at thetas[i] + alpha: the value of the
+    nearest cell for a sampled Section, the exact value for a callable
+    oracle, which is evaluated at all 512 cell centres in one call and at
+    their images in one more.
     """
     if isinstance(phi, Section):
-        thetas = phi.thetas
-        cells = len(thetas)
-        next_index = np.array(
-            [int(base.step(x) * cells) % cells for x in thetas], dtype=int
-        )
-        return thetas, phi.values, phi.values, next_index
-    # Callable oracle: exact evaluation on a default grid of cells.
-    cells = 512
-    thetas = (np.arange(cells) + 0.5) / cells
-    values = np.array([np.asarray(phi(x), dtype=float) for x in thetas])
-    next_values = np.array(
-        [np.asarray(phi(base.step(x)), dtype=float) for x in thetas]
-    )
-    return thetas, values, next_values, np.arange(cells)
+        return phi, phi.values[_next_cell(c.base, phi.thetas, len(phi.thetas))]
+    thetas = (np.arange(512) + 0.5) / 512
+    section = Section.from_samples(thetas, _evaluate(phi, thetas, c.dim),
+                                   fiber="spd")
+    return section, _evaluate(phi, c.base.step_many(thetas), c.dim)
 
 
-def _conjugate(a, values, next_values, next_index):
-    """B = phi^{1/2} per cell and B(x + alpha)^{-1} A(x) B(x), stacked."""
+def _reduce(c: MatrixCocycle, phi, conformal: bool) -> ReductionResult:
+    """Both reductions: conjugate by B = phi^{1/2} at every cell,
+    A~ = B(x + alpha)^{-1} A(x) B(x), and measure the defect of A~ (of
+    lambda A~ in the conformal case), all cells as one stack."""
+    section, next_values = _section_lookup(phi, c)
+    values = section.values
+    a = c.generators_along(section.thetas)
     b_values = spd.spd_sqrt_batch(values)
-    b_next = (b_values if next_values is values
-              else spd.spd_sqrt_batch(next_values))[next_index]
-    return b_values, np.linalg.inv(b_next) @ a @ b_values
+    a_tilde = np.linalg.inv(spd.spd_sqrt_batch(next_values)) @ a @ b_values
+    distortion = None
+    if conformal:
+        spd.require_unit_determinant(values)
+        a_tilde = spd.conf_normalizer(a)[:, None, None] * a_tilde
+        # Operator-norm condition number of each A~; 1 iff A~ is conformal.
+        sq = np.linalg.eigvalsh(a_tilde.transpose(0, 2, 1) @ a_tilde)
+        distortion = float(np.max(np.abs(np.sqrt(sq[:, -1] / sq[:, 0]) - 1.0)))
+    gram = (a_tilde @ a_tilde.transpose(0, 2, 1) if conformal
+            else a_tilde.transpose(0, 2, 1) @ a_tilde)
+    defects = np.linalg.norm(gram - np.eye(c.dim), axis=(1, 2))
+    return ReductionResult(
+        section=section,
+        b_values=b_values,
+        defect=float(defects.max()),
+        per_cell_defect=defects,
+        conformal=conformal,
+        distortion_max_deviation=distortion,
+    )
 
 
 def reduce_to_orthogonal(c: MatrixCocycle, phi) -> ReductionResult:
     """Conjugate by B = phi^{1/2} and measure  sup ||A~^T A~ - Id||_F.
 
     ``phi`` is a sampled SPD section (x + alpha looked up in the nearest
-    cell) or a callable oracle (evaluated exactly, so a true coboundary
-    reduces to rounding level).
+    cell) or a callable oracle, array-valued as described in the module
+    docstring (evaluated exactly, so a true coboundary reduces to
+    rounding level).
     """
-    thetas, values, next_values, next_index = _section_lookup(phi, c.base)
-    b_values, a_tilde = _conjugate(
-        c.generators_along(thetas), values, next_values, next_index
-    )
-    eye = np.eye(c.dim)
-    defects = np.linalg.norm(a_tilde.transpose(0, 2, 1) @ a_tilde - eye,
-                             axis=(1, 2))
-    section = phi if isinstance(phi, Section) else Section.from_samples(
-        thetas, values, fiber="spd"
-    )
-    return ReductionResult(
-        section=section,
-        b_values=b_values,
-        defect=float(defects.max()),
-        per_cell_defect=defects,
-        conformal=False,
-    )
+    return _reduce(c, phi, conformal=False)
 
 
 def reduce_to_conformal(c: MatrixCocycle, phi) -> ReductionResult:
@@ -346,45 +348,19 @@ def reduce_to_conformal(c: MatrixCocycle, phi) -> ReductionResult:
     sup ||(lambda A~)(lambda A~)^T - Id||_F  with lambda(x) the determinant
     normalizer of A(x).
 
-    ``phi`` is a det-1 section, sampled or a callable oracle, as for
-    :func:`reduce_to_orthogonal`.
+    ``phi`` is a det-1 section, sampled or an array-valued callable
+    oracle, as for :func:`reduce_to_orthogonal`.
     """
-    n = c.dim
-    thetas, values, next_values, next_index = _section_lookup(phi, c.base)
-    a = c.generators_along(thetas)
-    b_values, a_tilde = _conjugate(a, values, next_values, next_index)
-    det_gap = np.abs(np.linalg.det(values) - 1.0)
-    if np.any(det_gap > spd.UNIT_DET_TOL):
-        k = int(np.argmax(det_gap))
-        raise NotUnitDeterminant(
-            f"cell {k}: |det P - 1| = {det_gap[k]:.3e} > {spd.UNIT_DET_TOL:g}"
-        )
-    det_ata = np.linalg.det(a.transpose(0, 2, 1) @ a)
-    if np.any(det_ata <= spd.SINGULAR_TOL ** 2):
-        raise SingularMatrix("det A^T A below invertibility tolerance")
-    a_tilde = det_ata[:, None, None] ** (-1.0 / (2.0 * n)) * a_tilde
-    eye = np.eye(n)
-    defects = np.linalg.norm(a_tilde @ a_tilde.transpose(0, 2, 1) - eye,
-                             axis=(1, 2))
-    # Operator-norm condition number of each A~; 1 iff A~ is conformal.
-    sq = np.linalg.eigvalsh(a_tilde.transpose(0, 2, 1) @ a_tilde)
-    distortion = np.sqrt(sq[:, -1] / sq[:, 0])
-    section = phi if isinstance(phi, Section) else Section.from_samples(
-        thetas, values, fiber="spd"
-    )
-    return ReductionResult(
-        section=section,
-        b_values=b_values,
-        defect=float(defects.max()),
-        per_cell_defect=defects,
-        conformal=True,
-        distortion_max_deviation=float(np.max(np.abs(distortion - 1.0))),
-    )
+    return _reduce(c, phi, conformal=True)
+
+
+def oracle_distances(section: Section, oracle) -> np.ndarray:
+    """d(phi(x_i), phi*(x_i)) at every cell against a callable oracle,
+    which is evaluated at all cells in one call."""
+    exact = _evaluate(oracle, section.thetas, section.values.shape[-1])
+    return spd.spd_distances_from(section.values, exact)
 
 
 def oracle_section_distance(section: Section, oracle) -> float:
     """sup over cells of d(phi(x_i), phi*(x_i)) against a callable oracle."""
-    worst = 0.0
-    for theta, value in zip(section.thetas, section.values):
-        worst = max(worst, spd.spd_distance(value, np.asarray(oracle(theta))))
-    return worst
+    return float(oracle_distances(section, oracle).max())

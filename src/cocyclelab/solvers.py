@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import circle_distance
-from .cocycles import ShiftCocycle
+from .cocycles import ShiftCocycle, shift_twisted_sum
 from .errors import (
     ConfigInvalid,
     MeanObstruction,
@@ -286,7 +286,8 @@ def shift_solve_unilateral(c: ShiftCocycle, x: float) -> ShiftSolution:
 
         coordinate j = sum_{r=0}^{j} rho_{j-r}(T^{-(r+1)} x),
 
-    the unique formal solution.  The skew-invariance recurrence
+    the unique formal solution: the first L + 1 coordinates of the twisted
+    sum I(L + 1, T^{-(L+1)} x) 0.  The skew-invariance recurrence
     phi(T x)_j = rho_j(x) + phi(x)_{j-1} is re-checked coordinate-wise
     below the truncation frontier.
     """
@@ -294,17 +295,10 @@ def shift_solve_unilateral(c: ShiftCocycle, x: float) -> ShiftSolution:
         raise ConfigInvalid("cocycle carries two-sided data")
     c.require_truncation()
     L = c.truncation
-
-    def coords_at(y: float) -> np.ndarray:
-        past = [c.base.step_n(y, -(r + 1)) for r in range(L + 1)]
-        out = np.zeros(L + 1, dtype=complex)
-        for j in range(L + 1):
-            for r in range(j + 1):
-                out[j] += c.rho_at(j - r, past[r])
-        return out
-
-    coords = coords_at(x)
-    coords_next = coords_at(c.base.step(x))
+    coords, coords_next = (
+        shift_twisted_sum(c, c.base.step_n(y, -(L + 1)), L + 1)[1][:L + 1]
+        for y in (x, c.base.step(x))
+    )
     rho_here = np.array([c.rho_at(j, x) for j in range(L + 1)], dtype=complex)
     shifted = np.concatenate(([0.0], coords[:-1]))
     residual_ = float(np.max(np.abs(coords_next[:L] - (rho_here + shifted)[:L])))
@@ -326,28 +320,22 @@ def shift_solve_bilateral(c: ShiftCocycle, x: float, tail: int) -> ShiftSolution
 
         coordinate n = sum_{j=0}^{tail} rho_{n-j}(T^{-(j+1)} x)
 
-    on the window |n| <= truncation.  Once tail >= truncation + support
-    the window is exact and the invariance residual drops to rounding
-    level; the residual is reported alongside the coordinates.
+    on the window |n| <= truncation: the twisted sum
+    I(tail + 1, T^{-(tail+1)} x) 0, cut or padded with zeros to the window.
+    Once tail >= truncation + support the window is exact and the
+    invariance residual drops to rounding level; the residual is reported
+    alongside the coordinates.
     """
     if not c.bilateral:
         raise ConfigInvalid("cocycle carries one-sided data")
     c.require_truncation()
     L = c.truncation
-    J = c.support_level
-
-    def coords_at(y: float) -> np.ndarray:
-        past = [c.base.step_n(y, -(j + 1)) for j in range(tail + 1)]
-        out = np.zeros(2 * L + 1, dtype=complex)
-        for n in range(-L, L + 1):
-            lo = max(0, n - J)
-            hi = min(tail, n + J)
-            for j in range(lo, hi + 1):
-                out[n + L] += c.rho_at(n - j, past[j])
-        return out
-
-    coords = coords_at(x)
-    coords_next = coords_at(c.base.step(x))
+    coords, coords_next = np.zeros((2, 2 * L + 1), dtype=complex)
+    for out, y in ((coords, x), (coords_next, c.base.step(x))):
+        lo, window = shift_twisted_sum(c, c.base.step_n(y, -(tail + 1)), tail + 1)
+        # window[i] is coordinate lo + i, and -L <= lo = -support.
+        top = min(lo + len(window), L + 1)
+        out[lo + L:top + L] = window[:top - lo]
     rho_here = np.array(
         [c.rho_at(n, x) for n in range(-L, L + 1)], dtype=complex
     )

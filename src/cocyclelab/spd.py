@@ -17,8 +17,10 @@ L^{-1} Q L^{-T} in one stacked ``eigvalsh``.  For n = 2 closed forms are
 faster than a LAPACK call: one exact Jacobi rotation diagonalizes, and the
 distance scans take the eigenvalues of the whitened 2x2 matrix directly.
 The exponential map :func:`whitened_exp` takes a whole stack of tangent
-matrices through one stacked ``eigh`` at every n.  Supported dimensions
-are 2 <= n <= 8.  Non-finite input raises
+matrices through one stacked ``eigh`` at every n.  The congruence helpers
+and :func:`spd_distances_from` take a (k, n, n) stack where they take one
+point, check it entry by entry and name the failing entry in errors.
+Supported dimensions are 2 <= n <= 8.  Non-finite input raises
 :class:`~cocyclelab.errors.NonFinite`.
 """
 
@@ -54,7 +56,8 @@ def symmetry_defect(a: np.ndarray) -> float:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """(a + a^T) / 2 for one matrix or each entry of a (..., n, n) stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def require_square(a: np.ndarray, *, check_dim: bool = True) -> np.ndarray:
@@ -69,15 +72,54 @@ def require_square(a: np.ndarray, *, check_dim: bool = True) -> np.ndarray:
     return a
 
 
-def require_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    a = require_square(a)
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("matrix has non-finite entries")
-    defect = symmetry_defect(a)
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if defect > tol * scale:
-        raise NotSymmetric(f"symmetry defect {defect:.3e} exceeds {tol:g}")
-    return symmetrize(a)
+def require_symmetric(a: np.ndarray) -> np.ndarray:
+    return _symmetric(require_square(a), "matrix")
+
+
+def _require(ok, error, what: str, problem):
+    """Raise ``error`` at the first entry where ``ok`` fails.
+
+    ``ok`` is a NumPy boolean, 0-d for one matrix, which the message calls
+    ``what``, or with one flag per entry of a stack, whose entry k the
+    message calls "``what`` entry k".  ``problem`` ends the message; a
+    callable gets k.
+    """
+    if not _holds(ok):
+        k = int(np.argmin(ok))
+        name = what if ok.ndim == 0 else f"{what} entry {k}"
+        raise error(f"{name} {problem(k) if callable(problem) else problem}")
+
+
+def _holds(ok) -> bool:
+    # A one-matrix check's 0-d flag is read directly: ok.all() costs 40x.
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
+def _matrices(a, what: str) -> np.ndarray:
+    """``a`` as one (n, n) float matrix or a (k, n, n) stack of them, with
+    MIN_DIM <= n <= MAX_DIM and finite entries."""
+    a = np.asarray(a, dtype=float)
+    if (a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]
+            or not MIN_DIM <= a.shape[-1] <= MAX_DIM):
+        raise DimensionMismatch(
+            f"{what}: expected an (n, n) matrix or a (k, n, n) stack with "
+            f"{MIN_DIM} <= n <= {MAX_DIM}, got shape {a.shape}"
+        )
+    _require(np.isfinite(a).all(axis=(-2, -1)), NonFinite, what,
+             "has non-finite entries")
+    return a
+
+
+def _symmetric(a, what: str) -> np.ndarray:
+    """:func:`require_symmetric` for one matrix or every entry of a stack."""
+    a = _matrices(a, what)
+    flipped = np.swapaxes(a, -1, -2)
+    defect = np.max(np.abs(a - flipped), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    _require(defect <= SYMMETRY_TOL * scale, NotSymmetric, what,
+             lambda k: f"has symmetry defect {np.ravel(defect)[k]:.3e} "
+                       f"exceeding {SYMMETRY_TOL:g}")
+    return 0.5 * (a + flipped)
 
 
 @dataclass(frozen=True)
@@ -121,12 +163,17 @@ def sym_eigen(P: np.ndarray) -> EigenDecomposition:
 
 
 def _cholesky(P: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of a finite symmetric matrix; it exists
-    exactly when the matrix is positive definite."""
+    """Lower Cholesky factor of a finite symmetric matrix, or of each entry
+    of a stack; it exists exactly when the matrix is positive definite."""
     try:
         return np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{what} is not positive definite") from None
+        pass
+    # LAPACK does not say which entry failed: name the one with the
+    # smallest eigenvalue, which is not positive definite if any is.
+    lowest = np.linalg.eigvalsh(P)[..., 0]
+    _require(lowest > lowest.min(), NotPositiveDefinite, what,
+             "is not positive definite")
 
 
 def require_spd(P: np.ndarray) -> np.ndarray:
@@ -167,29 +214,24 @@ def spd_sqrt_batch(batch: np.ndarray) -> np.ndarray:
     :func:`require_spd`, and an error names the entry's index.
     """
     batch = np.asarray(batch, dtype=float)
-    if (batch.ndim != 3 or batch.shape[1] != batch.shape[2]
-            or not MIN_DIM <= batch.shape[1] <= MAX_DIM):
+    if batch.ndim != 3:
         raise DimensionMismatch(f"expected a (m, n, n) batch, got {batch.shape}")
-    batch = _require_symmetric_batch(batch)
+    batch = _symmetric(batch, "batch")
     if batch.shape[1] == 2:
         a, b, c = batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1]
         det = a * c - b * b
-        _require_positive_batch((a > 0.0) & (det > 0.0))
+        _require((a > 0.0) & (det > 0.0), NotPositiveDefinite, "batch",
+                 "is not positive definite")
         s = np.sqrt(det)
         out = batch.copy()
         out[:, 0, 0] += s
         out[:, 1, 1] += s
         return out / np.sqrt(a + c + 2.0 * s)[:, None, None]
     values, vectors = np.linalg.eigh(batch)
-    _require_positive_batch(values[:, 0] > 0.0)
+    _require(values[:, 0] > 0.0, NotPositiveDefinite, "batch",
+             "is not positive definite")
     roots = (vectors * np.sqrt(values)[:, None, :]) @ vectors.transpose(0, 2, 1)
-    return 0.5 * (roots + roots.transpose(0, 2, 1))
-
-
-def _require_positive_batch(positive: np.ndarray):
-    if not np.all(positive):
-        k = int(np.argmin(positive))
-        raise NotPositiveDefinite(f"batch entry {k} is not positive definite")
+    return symmetrize(roots)
 
 
 def spd_distance(P: np.ndarray, Q: np.ndarray) -> float:
@@ -269,25 +311,29 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     return whitened_exp(P, t * whitened_logs(P, Q[np.newaxis])[0])
 
 
+# The congruence helpers take one (n, n) matrix or a (k, n, n) stack, act
+# entry by entry, and name the failing entry of a stack in their errors.
+
 def gl_action(g: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Congruence action g . P = g P g^T; an isometry of Pos(n)."""
-    g = require_square(g)
-    P = np.asarray(P, dtype=float)
+    g = _matrices(g, "g")
+    P = _matrices(P, "P")
     if g.shape != P.shape:
         raise DimensionMismatch(f"shapes {g.shape} and {P.shape} differ")
-    if abs(np.linalg.det(g)) <= SINGULAR_TOL:
-        raise SingularMatrix("|det g| below invertibility tolerance")
-    return symmetrize(g @ P @ g.T)
+    _require(np.abs(np.linalg.det(g)) > SINGULAR_TOL, SingularMatrix, "g",
+             "has |det g| below invertibility tolerance")
+    return symmetrize(g @ P @ np.swapaxes(g, -1, -2))
 
 
-def conf_normalizer(A: np.ndarray) -> float:
-    """Scalar (det A^T A)^{-1/2n} making |det(lambda A)| = 1."""
-    A = require_square(A)
-    n = A.shape[0]
-    det = np.linalg.det(A.T @ A)
-    if det <= SINGULAR_TOL ** 2:
-        raise SingularMatrix("det A^T A below invertibility tolerance")
-    return float(det ** (-1.0 / (2.0 * n)))
+def conf_normalizer(A: np.ndarray):
+    """Scalar (det A^T A)^{-1/2n} making |det(lambda A)| = 1; an array of
+    them for a stack."""
+    A = _matrices(A, "A")
+    det = np.linalg.det(np.swapaxes(A, -1, -2) @ A)
+    _require(det > SINGULAR_TOL ** 2, SingularMatrix, "A",
+             "has det A^T A below invertibility tolerance")
+    lam = det ** (-1.0 / (2.0 * A.shape[-1]))
+    return float(lam) if A.ndim == 2 else lam
 
 
 def conf_action(g: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -296,24 +342,23 @@ def conf_action(g: np.ndarray, P: np.ndarray) -> np.ndarray:
     The result is renormalized to determinant one to suppress drift.
     """
     P = require_unit_determinant(P)
-    lam = conf_normalizer(g)
-    out = symmetrize((lam * lam) * (g @ P @ g.T))
-    return _renormalize_det(out)
+    lam = np.asarray(conf_normalizer(g))[..., None, None]
+    return _renormalize_det((lam * lam) * gl_action(g, P))
 
 
 def require_unit_determinant(P: np.ndarray, tol: float = UNIT_DET_TOL) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    det = np.linalg.det(P)
-    if abs(det - 1.0) > tol:
-        raise NotUnitDeterminant(f"|det P - 1| = {abs(det - 1.0):.3e} > {tol:g}")
+    P = _matrices(P, "P")
+    gap = np.abs(np.linalg.det(P) - 1.0)
+    _require(gap <= tol, NotUnitDeterminant, "P",
+             lambda k: f"has |det P - 1| = {np.ravel(gap)[k]:.3e} > {tol:g}")
     return P
 
 
 def _renormalize_det(P: np.ndarray) -> np.ndarray:
     """P / det(P)^{1/n} for one matrix or each of a (..., n, n) stack."""
     det = np.linalg.det(P)
-    if (det <= 0.0).any():
-        raise NotPositiveDefinite("determinant lost positivity")
+    _require(np.isfinite(det), NonFinite, "P", "has a non-finite determinant")
+    _require(det > 0.0, NotPositiveDefinite, "P", "lost determinant positivity")
     scale = det ** (1.0 / P.shape[-1])
     # Indexing a NumPy scalar costs more than the division it feeds.
     return P / (scale if P.ndim == 2 else scale[..., None, None])
@@ -321,7 +366,9 @@ def _renormalize_det(P: np.ndarray) -> np.ndarray:
 
 def unit_determinant(P: np.ndarray) -> np.ndarray:
     """Project an SPD matrix onto the det = 1 slice."""
-    return _renormalize_det(require_spd(P))
+    P = _symmetric(P, "P")
+    _cholesky(P, "P")
+    return _renormalize_det(P)
 
 
 def quasiconformal_distortion(A: np.ndarray) -> float:
@@ -339,11 +386,14 @@ def quasiconformal_distortion(A: np.ndarray) -> float:
 # sample of a fiber.  Each scan whitens by the Cholesky factor L of the
 # candidate P: the eigenvalues of P^{-1} Q are those of L^{-1} Q L^{-T}.
 
-def _entry_error(what: str, *entries) -> Exception:
-    """The error for a matrix that failed a positivity test."""
-    if all(np.all(np.isfinite(e)) for e in entries):
-        return NotPositiveDefinite(f"{what} is not positive definite")
-    return NonFinite(f"{what} has non-finite entries")
+def _require_positive(positive, what: str, *parts):
+    """:func:`_require` for a positivity test of entries read from
+    ``parts``; a failing entry with a non-finite part raises NonFinite."""
+    if not _holds(positive):
+        k = int(np.argmin(positive))
+        finite = all(np.isfinite(np.ravel(part)[k]) for part in parts)
+        _require(positive, NotPositiveDefinite if finite else NonFinite, what,
+                 "is not positive definite" if finite else "has non-finite entries")
 
 
 def _distance_2x2(a, b, c, qa, qb, qc) -> np.ndarray:
@@ -367,40 +417,19 @@ def _distance_2x2(a, b, c, qa, qb, qc) -> np.ndarray:
     lam2 = (qa * qc - qb * qb) / (det_p * lam1)
     # lam2 is the smaller eigenvalue of M, so it is positive exactly when
     # Q is positive definite; a NaN fails the test as well.
-    positive = lam2 > 0.0
-    if not np.all(positive):
-        k = int(np.argmin(positive))
-        raise _entry_error(f"batch entry {k}", qa[k], qb[k], qc[k])
+    _require_positive(lam2 > 0.0, "batch", qa, qb, qc)
     l1 = np.log(lam1)
     l2 = np.log(lam2)
     return np.sqrt(l1 * l1 + l2 * l2)
 
 
-def _require_symmetric_batch(batch: np.ndarray) -> np.ndarray:
-    """:func:`require_symmetric` for every entry of a (m, n, n) batch."""
-    finite = np.all(np.isfinite(batch), axis=(1, 2))
-    if not np.all(finite):
-        k = int(np.argmin(finite))
-        raise NonFinite(f"batch entry {k} has non-finite entries")
-    flipped = batch.transpose(0, 2, 1)
-    defect = np.max(np.abs(batch - flipped), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(batch), axis=(1, 2)))
-    asymmetric = defect > SYMMETRY_TOL * scale
-    if np.any(asymmetric):
-        k = int(np.argmax(asymmetric))
-        raise NotSymmetric(
-            f"batch entry {k}: symmetry defect {defect[k]:.3e} "
-            f"exceeds {SYMMETRY_TOL:g}"
-        )
-    return 0.5 * (batch + flipped)
-
-
 def _whitened_distances(L: np.ndarray, batch: np.ndarray,
                         first: int = 0) -> np.ndarray:
     """Distances from L L^T to every entry of a checked symmetric batch,
-    whose entry k is called ``first + k`` in errors."""
+    whose entry k is called ``first + k`` in errors.  ``L`` is one factor
+    or a stack of them paired with the batch."""
     w = np.linalg.inv(L)
-    lam = np.linalg.eigvalsh(w @ batch @ w.T)
+    lam = np.linalg.eigvalsh(w @ batch @ np.swapaxes(w, -1, -2))
     positive = lam[:, 0] > 0.0
     if not np.all(positive):
         k = first + int(np.argmin(positive))
@@ -410,22 +439,26 @@ def _whitened_distances(L: np.ndarray, batch: np.ndarray,
 
 
 def _distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    if P.shape[0] == 2:
+    """d(P, Q) for every entry Q of a (m, n, n) batch; ``P`` is one
+    reference point or a (m, n, n) stack paired with the batch."""
+    if P.shape[-1] == 2:
         # Only the entries the closed form reads are checked, to keep the
-        # hot 2x2 scan to array arithmetic.
-        a, b, c = P[0, 0], P[0, 1], P[1, 1]
-        if not (a > 0.0 and a * c - b * b > 0.0 and math.isfinite(a + b + c)):
-            raise _entry_error("reference point", a, b, c)
+        # hot 2x2 scan to array arithmetic.  P.T[j, i] is P[..., i, j]: a
+        # NumPy scalar for one point, which computes faster than a 0-d array.
+        a, b, c = P.T[0, 0], P.T[1, 0], P.T[1, 1]
+        _require_positive((a > 0.0) & (a * c - b * b > 0.0)
+                          & np.isfinite(a + b + c), "reference point", a, b, c)
         return _distance_2x2(a, b, c, batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1])
-    L = _cholesky(require_symmetric(P), "reference point")
-    return _whitened_distances(L, _require_symmetric_batch(batch))
+    L = _cholesky(_symmetric(P, "reference point"), "reference point")
+    return _whitened_distances(L, _symmetric(batch, "batch"))
 
 
 def whitened_logs(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Tangent vectors log(L^{-1} Q L^{-T}) at P = L L^T, of norm d(P, Q)."""
     w = np.linalg.inv(_cholesky(require_symmetric(P), "reference point"))
-    lam, vecs = np.linalg.eigh(w @ _require_symmetric_batch(batch) @ w.T)
-    _require_positive_batch(lam[:, 0] > 0.0)
+    lam, vecs = np.linalg.eigh(w @ _symmetric(batch, "batch") @ w.T)
+    _require(lam[:, 0] > 0.0, NotPositiveDefinite, "batch",
+             "is not positive definite")
     return (vecs * np.log(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
@@ -443,16 +476,22 @@ def whitened_exp(P: np.ndarray, S: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"tangent shape {S.shape} incompatible with point {L.shape}"
         )
-    lam, vecs = np.linalg.eigh(_require_symmetric_batch(S.reshape(-1, *L.shape)))
+    lam, vecs = np.linalg.eigh(_symmetric(S.reshape(-1, *L.shape), "batch"))
     out = L @ ((vecs * np.exp(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)) @ L.T
-    return (0.5 * (out + out.transpose(0, 2, 1))).reshape(S.shape)
+    return symmetrize(out).reshape(S.shape)
 
 
 def spd_distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Distances from ``P`` to every matrix of a (m, n, n) batch."""
-    P = require_square(P)
+    """Distances from ``P`` to every matrix of a (m, n, n) batch.
+
+    ``P`` is one point, or a (m, n, n) stack of reference points paired
+    with the batch: entry k is then d(P[k], batch[k]).  Every reference
+    point is checked as one is, and an error names the entry.
+    """
+    P = np.asarray(P, dtype=float)
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 3 or batch.shape[1:] != P.shape:
+    if (batch.ndim != 3 or P.shape not in (batch.shape, batch.shape[1:])
+            or not MIN_DIM <= batch.shape[-1] == batch.shape[-2] <= MAX_DIM):
         raise DimensionMismatch(
             f"batch shape {batch.shape} incompatible with point {P.shape}"
         )
@@ -471,10 +510,8 @@ def pairwise_spd_distances(batch: np.ndarray) -> np.ndarray:
         a = batch[:, 0, 0]
         b = batch[:, 0, 1]
         c = batch[:, 1, 1]
-        positive = (a > 0.0) & (a * c - b * b > 0.0) & np.isfinite(a + b + c)
-        if not np.all(positive):
-            k = int(np.argmin(positive))
-            raise _entry_error(f"batch entry {k}", a[k], b[k], c[k])
+        _require_positive((a > 0.0) & (a * c - b * b > 0.0)
+                          & np.isfinite(a + b + c), "batch", a, b, c)
         iu, ju = np.triu_indices(m, k=1)
         out = np.empty(len(iu))
         for lo in range(0, len(iu), PAIR_CHUNK):
@@ -482,7 +519,7 @@ def pairwise_spd_distances(batch: np.ndarray) -> np.ndarray:
             j = ju[lo:lo + PAIR_CHUNK]
             out[lo:lo + PAIR_CHUNK] = _distance_2x2(a[i], b[i], c[i], a[j], b[j], c[j])
         return out
-    batch = _require_symmetric_batch(batch)
+    batch = _symmetric(batch, "batch")
     return np.concatenate([
         _whitened_distances(
             _cholesky(batch[i], f"batch entry {i}"), batch[i + 1:], first=i + 1

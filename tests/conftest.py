@@ -2,7 +2,9 @@
 
 The oracles here (exact minimum enclosing circle by Welzl's algorithm,
 exact minimum enclosing ball by support-set enumeration, brute-force scans)
-are deliberately separate from the library code paths they check.
+are deliberately separate from the library code paths they check.  The
+per-cell references run the library's one-matrix kernels one cell at a
+time, against the stacked paths of the reduction.
 """
 
 import itertools
@@ -11,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from cocyclelab import spd
 
 sys.setrecursionlimit(10000)
 
@@ -140,6 +144,31 @@ def exact_min_enclosing_ball(pts):
             if r < best_r and np.linalg.norm(pts - c, axis=1).max() <= r + 1e-12:
                 best_c, best_r = c, r
     return best_c, best_r
+
+
+# -- per-cell references for the stacked reduction ----------------------------
+
+def reference_oracle_distances(section, oracle):
+    """d(phi(x_i), phi*(x_i)) one cell at a time: one scalar oracle call
+    and one spd_distance per cell."""
+    return np.array([
+        spd.spd_distance(value, oracle(theta))
+        for theta, value in zip(section.thetas, section.values)
+    ])
+
+
+def reference_invariance_residual(fb, values):
+    """sup_i d(A(x_i) . phi(x_i), phi(x_i + alpha)) one cell at a time:
+    the scalar generator, one gl_action or conf_action and one
+    spd_distance per cell, x_i + alpha matched to its nearest cell."""
+    residual = 0.0
+    for i, x in enumerate(fb.cell_centers()):
+        a = fb.cocycle.generator(x)
+        image = (spd.conf_action(a, values[i]) if fb.conformal
+                 else spd.gl_action(a, values[i]))
+        j = int(fb.cocycle.base.step(x) * fb.cells) % fb.cells
+        residual = max(residual, spd.spd_distance(image, values[j]))
+    return residual
 
 
 # -- sequential references for the orbit kernels ------------------------------

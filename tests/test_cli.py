@@ -6,15 +6,22 @@ import os
 import numpy as np
 import pytest
 
+from cocyclelab import cli, spd
 from cocyclelab.cli import main
 from cocyclelab.cocycles import twisted_birkhoff
 from cocyclelab.presets import (
+    coboundary_cocycle,
     coboundary_isometry_cocycle,
+    conformal_coboundary_cocycle,
     golden_rotation,
     jump_cascade,
     rotation_translation_cocycle,
+    scalar_orthogonal_cocycle,
 )
+from cocyclelab.reduction import sample_fibers, section_from_centers
 from cocyclelab.trigpoly import TrigPoly
+
+from conftest import reference_oracle_distances
 
 
 def run_cli(tmp_path, *args, env_seed=None):
@@ -223,12 +230,53 @@ class TestOtherCommands:
         assert code == 0
         assert summary["defect"] <= 1e-9
 
-    def test_reduce_oracle(self, tmp_path):
+    @pytest.mark.parametrize(
+        "preset", ["coboundary", "conformal-coboundary", "scalar-orthogonal"])
+    def test_reduce_oracle(self, tmp_path, preset):
         code, summary, _ = run_cli(
-            tmp_path, "reduce", "--preset", "coboundary", "--oracle",
+            tmp_path, "reduce", "--preset", preset, "--oracle",
         )
         assert code == 0
         assert summary["defect"] <= 1e-9
+
+    @pytest.mark.parametrize("preset, conformal", [
+        ("coboundary", False), ("coboundary", True),
+        ("conformal-coboundary", True),
+    ])
+    def test_oracle_distance_column_matches_per_cell_loop(
+            self, tmp_path, preset, conformal):
+        argv = ["reduce", "--preset", preset, "--cells", "32", "--steps",
+                "1600"] + (["--conformal"] if conformal else [])
+        code, summary, out = run_cli(tmp_path, *argv)
+        assert code == 0
+        c = {"coboundary": coboundary_cocycle,
+             "conformal-coboundary": conformal_coboundary_cocycle}[preset]()
+        oracle = c.oracle_section
+        if conformal:
+            oracle = lambda x: spd.unit_determinant(c.oracle_section(x))
+        fb = sample_fibers(c, 0.2, oracle(0.2), 1600, 32, conformal=conformal)
+        want = reference_oracle_distances(section_from_centers(fb).section,
+                                          oracle)
+        rows = (out / "reduction_cells.csv").read_text().splitlines()
+        assert rows[0].split(",")[3] == "oracle_distance"
+        column = np.array([float(row.split(",")[3]) for row in rows[1:]])
+        assert np.max(np.abs(column - want)) <= 1e-12
+        assert abs(summary["oracle_max_distance"] - want.max()) <= 1e-12
+
+    def test_scalar_only_oracle_is_invariant_violation(self, tmp_path,
+                                                       monkeypatch):
+        # An oracle that ignores the array contract gives one (2, 2)
+        # matrix for 512 cells.
+        def preset():
+            c = scalar_orthogonal_cocycle()
+            c.oracle_section = lambda x: np.eye(2)
+            return c
+
+        monkeypatch.setattr(cli, "scalar_orthogonal_cocycle", preset)
+        code, _, _ = run_cli(
+            tmp_path, "reduce", "--preset", "scalar-orthogonal", "--oracle",
+        )
+        assert code == 4
 
     def test_reduce_defect_bound_enforced(self, tmp_path):
         code, _, _ = run_cli(

@@ -9,6 +9,7 @@ from cocyclelab.circle import ParabolicBase
 from cocyclelab.cocycles import MatrixCocycle, matrix_products
 from cocyclelab.errors import (
     ConfigInvalid,
+    DimensionMismatch,
     EmptyCell,
     NotOrthogonal,
     NotPositiveDefinite,
@@ -33,7 +34,11 @@ from cocyclelab.reduction import (
 )
 from cocyclelab.solvers import Section
 
-from conftest import sequential_congruence_orbit
+from conftest import (
+    reference_invariance_residual,
+    reference_oracle_distances,
+    sequential_congruence_orbit,
+)
 
 
 def identity_cocycle(base):
@@ -90,18 +95,48 @@ class TestConstructCoboundary:
         for x, a in zip(xs, batch):
             assert np.max(np.abs(a - c.generator(x))) <= 1e-12
 
+    @pytest.mark.parametrize("make", [
+        coboundary_cocycle, conformal_coboundary_cocycle,
+        scalar_orthogonal_cocycle, lambda: coboundary_3x3(),
+    ])
+    def test_oracle_section_is_array_valued(self, make):
+        c = make()
+        xs = np.linspace(0.0, 0.99, 17)
+        stack = c.oracle_section(xs)
+        assert stack.shape == (17, c.dim, c.dim)
+        want = np.array([c.oracle_section(x) for x in xs])
+        assert want.shape == stack.shape
+        assert np.max(np.abs(stack - want)) <= 1e-15
+
+    def test_stacks_scalar_maps_without_batches(self):
+        # Without b_batch and q_batch the scalar maps are stacked; the
+        # generators match the defining product point by point.
+        c = coboundary_3x3()
+        xs = np.linspace(0.05, 0.95, 9)
+        b = [spd.spd_exp(np.sin(2 * np.pi * x) * S0_3X3) for x in xs]
+        b_next = [spd.spd_exp(np.sin(2 * np.pi * c.base.step(x)) * S0_3X3)
+                  for x in xs]
+        q = [rotation_3x3(x) for x in xs]
+        want = np.array([bn @ qq @ np.linalg.inv(bb)
+                         for bn, qq, bb in zip(b_next, q, b)])
+        assert np.max(np.abs(c.generators_along(xs) - want)) <= 1e-13
+        phi = np.array([bb @ bb.T for bb in b])
+        assert np.max(np.abs(c.oracle_section(xs) - phi)) <= 1e-13
+
 
 S0_3X3 = np.array([[0.5, 0.2, -0.1], [0.2, -0.3, 0.25], [-0.1, 0.25, 0.1]])
 
 
-def coboundary_3x3(scalar_gen=None):
-    """B(x) = exp(sin(2 pi x) S0), Q(x) the rotation by 2 pi x about e_3."""
-    def q_gen(x):
-        c, s = np.cos(2 * np.pi * x), np.sin(2 * np.pi * x)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def rotation_3x3(x):
+    c, s = np.cos(2 * np.pi * x), np.sin(2 * np.pi * x)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
+
+def coboundary_3x3(scalar_gen=None):
+    """B(x) = exp(sin(2 pi x) S0), Q(x) the rotation by 2 pi x about e_3,
+    given as scalar maps only."""
     return construct_coboundary(
-        lambda x: spd.spd_exp(np.sin(2 * np.pi * x) * S0_3X3), q_gen,
+        lambda x: spd.spd_exp(np.sin(2 * np.pi * x) * S0_3X3), rotation_3x3,
         golden_rotation(), dim=3, scalar_gen=scalar_gen,
     )
 
@@ -289,6 +324,60 @@ def reference_defects(c, phi, conformal):
         else:
             defects.append(np.linalg.norm(a_tilde.T @ a_tilde - np.eye(c.dim)))
     return np.array(defects), distortion
+
+
+def reduction_case(n, conformal):
+    """A coboundary of dimension n and its exact section phi*, scaled to
+    det 1 for the conformal pipeline."""
+    if n == 2:
+        c = conformal_coboundary_cocycle() if conformal else coboundary_cocycle()
+    else:
+        c = coboundary_3x3(
+            (lambda x: np.exp(0.3 * np.cos(2 * np.pi * np.asarray(x))))
+            if conformal else None
+        )
+    if not conformal:
+        return c, c.oracle_section
+    return c, lambda x: spd.unit_determinant(c.oracle_section(x))
+
+
+class TestPerCellReferences:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("conformal", [False, True])
+    def test_residual_and_oracle_distance_match_loop(self, n, conformal):
+        c, oracle = reduction_case(n, conformal)
+        fb = sample_fibers(c, 0.2, oracle(0.2), 1600, 32, conformal=conformal)
+        got = section_from_centers(fb)
+        want = reference_invariance_residual(fb, got.section.values)
+        assert want > 1e-4  # a genuine residual, not rounding
+        assert abs(got.invariance_residual - want) <= 1e-12
+        distances = reference_oracle_distances(got.section, oracle)
+        assert abs(oracle_section_distance(got.section, oracle)
+                   - distances.max()) <= 1e-12
+
+    @pytest.mark.parametrize("conformal", [False, True])
+    def test_callable_of_wrong_shape_rejected(self, conformal):
+        c = conformal_coboundary_cocycle()
+        reduce = reduce_to_conformal if conformal else reduce_to_orthogonal
+        with pytest.raises(DimensionMismatch, match="512 points"):
+            reduce(c, lambda x: np.eye(2))
+        with pytest.raises(DimensionMismatch, match="512 points"):
+            reduce(c, lambda x: np.tile(np.eye(3), (len(x), 1, 1)))
+        section = Section.from_samples(
+            [0.25, 0.75], np.tile(np.eye(2), (2, 1, 1)), fiber="spd")
+        with pytest.raises(DimensionMismatch):
+            oracle_section_distance(section, lambda x: np.eye(2))
+
+    def test_callable_evaluated_twice_per_lookup(self):
+        c = coboundary_cocycle()
+        calls = []
+
+        def oracle(xs):
+            calls.append(np.shape(xs))
+            return c.oracle_section(xs)
+
+        reduce_to_orthogonal(c, oracle)
+        assert calls == [(512,), (512,)]
 
 
 class TestBatchedConjugation:

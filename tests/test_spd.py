@@ -262,6 +262,38 @@ class TestDistance:
             spd.pairwise_spd_distances(indefinite)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_paired_scan_matches_reference(self, rng, n):
+        P = np.array([random_spd(rng, n) for _ in range(7)])
+        Q = np.array([random_spd(rng, n) for _ in range(7)])
+        got = spd.spd_distances_from(P, Q)
+        want = [reference_spd_distance(p, q) for p, q in zip(P, Q)]
+        assert np.max(np.abs(got - want)) <= 1e-12
+        with pytest.raises(DimensionMismatch):
+            spd.spd_distances_from(P[:6], Q)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_paired_scan_names_bad_reference(self, rng, n, k):
+        P = np.array([random_spd(rng, n) for _ in range(6)])
+        Q = np.array([random_spd(rng, n) for _ in range(6)])
+        indefinite = P.copy()
+        indefinite[k] = -indefinite[k]
+        with pytest.raises(NotPositiveDefinite, match=f"reference point entry {k}"):
+            spd.spd_distances_from(indefinite, Q)
+        with pytest.raises(NotPositiveDefinite, match=f"batch entry {k}"):
+            spd.spd_distances_from(Q, indefinite)
+        non_finite = P.copy()
+        non_finite[k] = _with_entry(P[k], np.nan)
+        with pytest.raises(NonFinite, match=f"reference point entry {k}"):
+            spd.spd_distances_from(non_finite, Q)
+        if n > 2:  # the 2x2 closed form reads upper triangles only
+            skewed = P.copy()
+            skewed[k, 0, 1] += 1e-3
+            with pytest.raises(NotSymmetric, match=f"reference point entry {k}"):
+                spd.spd_distances_from(skewed, Q)
+
+
 class TestGeodesic:
     def test_endpoints(self, rng):
         P = random_spd(rng, 2)
@@ -340,6 +372,45 @@ class TestActions:
     def test_conf_requires_unit_determinant(self):
         with pytest.raises(NotUnitDeterminant):
             spd.conf_action(np.eye(2), np.diag([2.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacks_match_per_matrix(self, rng, n):
+        P = np.array([random_spd(rng, n) for _ in range(5)])
+        g = rng.standard_normal((5, n, n)) + 2.0 * np.eye(n)
+        units = spd.unit_determinant(P)
+        pairs = [
+            (spd.unit_determinant(P), [spd.unit_determinant(p) for p in P]),
+            (spd.gl_action(g, P), [spd.gl_action(a, p) for a, p in zip(g, P)]),
+            (spd.conf_action(g, units),
+             [spd.conf_action(a, u) for a, u in zip(g, units)]),
+            (spd.conf_normalizer(g), [spd.conf_normalizer(a) for a in g]),
+        ]
+        for stacked, single in pairs:
+            single = np.array(single)
+            assert stacked.shape == single.shape
+            assert np.max(np.abs(stacked - single)) <= 1e-14 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_errors_name_the_entry(self, rng, n):
+        P = np.array([random_spd(rng, n) for _ in range(5)])
+        g = rng.standard_normal((5, n, n)) + 2.0 * np.eye(n)
+        units = spd.unit_determinant(P)
+        singular = g.copy()
+        singular[3] = 0.0
+        with pytest.raises(SingularMatrix, match="entry 3"):
+            spd.gl_action(singular, P)
+        with pytest.raises(SingularMatrix, match="entry 3"):
+            spd.conf_normalizer(singular)
+        with pytest.raises(SingularMatrix, match="entry 3"):
+            spd.conf_action(singular, units)
+        with pytest.raises(NotUnitDeterminant, match="entry 3"):
+            spd.conf_action(g, np.concatenate([units[:3], P[3:]]))
+        indefinite = P.copy()
+        indefinite[3] = -indefinite[3]
+        with pytest.raises(NotPositiveDefinite, match="entry 3"):
+            spd.unit_determinant(indefinite)
+        with pytest.raises(DimensionMismatch):
+            spd.gl_action(g, P[:4])
 
 
 class TestNormalizerDistortion:
@@ -426,9 +497,37 @@ class TestNonFinite:
             lambda: spd.spd_sqrt(bad),
             lambda: spd.spd_sqrt_batch(batch),
             lambda: spd.require_spd(bad),
+            lambda: spd.gl_action(P, bad),
+            lambda: spd.gl_action(bad, P),
+            lambda: spd.conf_action(bad, np.eye(n)),
+            lambda: spd.conf_action(np.eye(n), bad),
+            lambda: spd.conf_normalizer(bad),
+            lambda: spd.require_unit_determinant(bad),
+            lambda: spd._renormalize_det(bad),
+            lambda: spd.unit_determinant(bad),
         ]
         for call in calls:
             with pytest.raises(NonFinite):
+                call()
+        # The same helpers on stacks name the bad entry.
+        g = rng.standard_normal((4, n, n)) + 2.0 * np.eye(n)
+        units = spd.unit_determinant(np.array([random_spd(rng, n) for _ in range(4)]))
+        bad_g = g.copy()
+        bad_g[2] = _with_entry(g[2], value)
+        bad_units = units.copy()
+        bad_units[2] = bad
+        stack_calls = [
+            lambda: spd.gl_action(g, batch),
+            lambda: spd.gl_action(bad_g, units),
+            lambda: spd.conf_action(g, bad_units),
+            lambda: spd.conf_action(bad_g, units),
+            lambda: spd.conf_normalizer(bad_g),
+            lambda: spd.require_unit_determinant(bad_units),
+            lambda: spd._renormalize_det(batch),
+            lambda: spd.unit_determinant(batch),
+        ]
+        for call in stack_calls:
+            with pytest.raises(NonFinite, match="entry 2"):
                 call()
 
     @pytest.mark.parametrize("n", [2, 3])
