@@ -147,8 +147,8 @@ def _load_point_set(path: str) -> PointSet:
     if kind == "spd":
         if pts.ndim != 3 or pts.shape[1] != pts.shape[2]:
             raise E.ConfigInvalid("spd points must be an array of square matrices")
-        for p in pts:
-            spd.require_spd(p)
+        # One check of the whole stack; an error names the failing entry.
+        spd._cholesky(spd._symmetric(pts, "point"), "point")
         return PointSet(SPDSpace(pts.shape[1]), pts)
     raise E.ConfigInvalid(f"unknown space kind {kind!r}")
 
@@ -517,7 +517,7 @@ def cmd_recurrence(args) -> dict:
         raise E.ConfigInvalid(f"unknown recurrence preset {args.preset!r}")
     sample = recurrence_isometries(cocycle, args.x, args.delta, args.n)
     checks = semigroup_closure_check(
-        cocycle, args.x, args.delta, args.n, max_pairs=args.pairs
+        cocycle, args.x, sample, max_pairs=args.pairs
     )
     rows = [
         (int(k), repr(float(np.linalg.norm(iso.translation))))

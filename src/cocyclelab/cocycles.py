@@ -12,8 +12,10 @@ the orbit.  The translation part of I(k, x) is the twisted Birkhoff sum
 Isometries are composed as homogeneous matrices [[Psi, rho], [0, 1]], so
 isometry cocycles and matrix cocycles x -> A(x) in GL(n) share one kernel,
 ``prefix_products``: every orbit walk reads the left prefix products of
-the generators along the orbit.  Shift cocycles carry finitely supported
-coordinate data over the one-sided or two-sided coordinate shift.
+the generators along the orbit, formed by a chunked, work-efficient scan
+whose products do not depend on how far the orbit is walked.  Shift
+cocycles carry finitely supported coordinate data over the one-sided or
+two-sided coordinate shift.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .circle import return_times
 from .errors import (
     ConfigInvalid,
+    DimensionMismatch,
     NonFinite,
     NotOrthogonal,
     SingularMatrix,
@@ -34,9 +37,12 @@ from .trigpoly import TrigPoly
 
 ORTHOGONALITY_TOL = 1e-10
 ITERATION_CAP = 10 ** 7
-# Generators per block of the doubling scan in prefix_products.  The scan's
-# temporaries are one block of matrices, whatever the orbit length.
-SCAN_BLOCK = 1024
+# Chunk length of the scan in prefix_products.  It is fixed, not chosen
+# from the orbit length, so that a product does not depend on how far the
+# orbit is walked (prefix-stability); the scan's temporaries are one matrix
+# per chunk.  Short chunks keep short orbits cheap: a chunk's prefixes are
+# one stacked product per column, so a level costs SCAN_BLOCK calls.
+SCAN_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -170,16 +176,39 @@ class IsometryCocycle:
         )
 
     def generators_along(self, xs: np.ndarray) -> np.ndarray:
-        """Homogeneous generators [[Psi(x), rho(x)], [0, 1]] at the points xs."""
+        """Homogeneous generators [[Psi(x), rho(x)], [0, 1]] at the points xs.
+
+        The batch functions must answer a (k, l, l) linear stack and a
+        (k, l) translation stack, or (k,) when l = 1; any other shape
+        raises DimensionMismatch rather than being read in the wrong order.
+        """
         k, l = len(xs), self.dim
         gens = np.zeros((k, l + 1, l + 1))
         if self.constant_linear is not None:
             gens[:, :l, :l] = self.constant_linear
         else:
-            gens[:, :l, :l] = self._linear_batch_fn(xs)
-        gens[:, :l, l] = np.reshape(self._translation_batch_fn(xs), (k, l))
+            gens[:, :l, :l] = _batch(self._linear_batch_fn(xs), (k, l, l),
+                                     "linear parts")
+        rho = np.asarray(self._translation_batch_fn(xs), dtype=float)
+        if l == 1 and rho.shape == (k,):
+            rho = rho[:, None]
+        gens[:, :l, l] = _batch(rho, (k, l), "translations")
         gens[:, l, l] = 1.0
         return gens
+
+
+def _batch(values, shape: tuple, what: str) -> np.ndarray:
+    """A batch function's answer as a float array of exactly ``shape``;
+    for no points, any empty answer will do."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0 == shape[0]:
+        return values.reshape(shape)
+    if values.shape != shape:
+        raise DimensionMismatch(
+            f"{what} at {shape[0]} points have shape {values.shape}, "
+            f"expected {shape}"
+        )
+    return values
 
 
 def prefix_products(gens: np.ndarray) -> np.ndarray:
@@ -187,31 +216,71 @@ def prefix_products(gens: np.ndarray) -> np.ndarray:
 
     Returns M of shape (k + 1, d, d) with M[0] = I and
     M[j] = gens[j-1] ... gens[0].  For generators taken along an orbit,
-    M[j] is the cocycle A(j, x), and M[j + i] = A(j, T^i x) M[i].  Inside
-    each block of SCAN_BLOCK generators a doubling scan (Hillis & Steele,
-    CACM 1986) forms the block's prefixes in log2(SCAN_BLOCK) stacked
-    products; the block is then carried by the last product of the block
-    before.  Raises NonFinite when a product is not finite: a non-finite
-    generator spreads to every later product, and a product overflows
-    (a partial product the scan forms on the way counts).
+    M[j] is the cocycle A(j, x), and M[j + i] = A(j, T^i x) M[i].
+
+    A chunked, work-efficient scan (Blelloch, "Prefix sums and their
+    applications", 1990).  The generators are cut into chunks of
+    SCAN_BLOCK.  Each chunk's own prefixes are formed one column at a
+    time, by one stacked product over all chunks per column.  The chunk
+    totals are scanned by the same method, which gives each chunk its
+    carry, the product of every chunk before it, and each chunk is then
+    multiplied by its carry.  That is about two stacked products per step,
+    and the temporaries are O(k / SCAN_BLOCK) matrices.
+
+    The scan is prefix-stable: the chunk length does not depend on k, so
+    M[j] is bit-identical whatever the length of the stack it is read
+    from.  Raises NonFinite, naming the first step, when a product is not
+    finite: a non-finite generator spreads to every later product, and a
+    product overflows (a partial product the scan forms on the way
+    counts).
     """
-    gens = np.asarray(gens, dtype=float)
-    k, d = gens.shape[0], gens.shape[-1]
-    out = np.empty((k + 1, d, d))
-    out[0] = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, k, SCAN_BLOCK):
-            block = out[lo + 1:lo + 1 + SCAN_BLOCK]
-            block[:] = gens[lo:lo + SCAN_BLOCK]
-            shift = 1
-            while shift < len(block):
-                block[shift:] = block[shift:] @ block[:-shift]
-                shift *= 2
-            block[:] = block @ out[lo]
-    bad = ~np.isfinite(out).all(axis=(1, 2))
-    if bad.any():
-        raise NonFinite(f"product at step {int(np.argmax(bad))} is not finite")
+        out = _scan(np.asarray(gens, dtype=float))
+    finite = np.isfinite(out)
+    if not finite.all():
+        step = int(np.argmin(finite.all(axis=(1, 2))))
+        raise NonFinite(f"product at step {step} is not finite")
     return out
+
+
+def _scan(gens: np.ndarray) -> np.ndarray:
+    """The unchecked scan of :func:`prefix_products`."""
+    k, d = gens.shape[0], gens.shape[-1]
+    chunks = -(-k // SCAN_BLOCK)
+    # Whole chunks: the last one is padded with identities, and the result
+    # is a view of the first k + 1 rows.
+    buf = np.empty((chunks * SCAN_BLOCK + 1, d, d))
+    buf[0] = np.identity(d)
+    buf[k + 1:] = buf[0]
+    body = buf[1:].reshape(chunks, SCAN_BLOCK, d, d)
+    # Column j of every chunk is gens[j::SCAN_BLOCK] times column j - 1.
+    # Reading the generators, not the buffer, keeps each product from
+    # overwriting its own operand; padding rows are skipped, not formed.
+    cols = body.swapaxes(0, 1)
+    cols[0] = gens[::SCAN_BLOCK]
+    unpadded = cols[:, :-1]
+    filled = k - (chunks - 1) * SCAN_BLOCK
+    for j in range(1, min(SCAN_BLOCK, k)):
+        at = cols if j < filled else unpadded
+        np.matmul(gens[j::SCAN_BLOCK], at[j - 1], out=at[j])
+    # Chunk c > 0 is carried by the product of every chunk before it.  A
+    # carry multiplies every matrix of its chunk on the right, so it acts
+    # on the chunk's matrices stacked as one (SCAN_BLOCK * d, d) block, 64
+    # chunks per stacked product (a temporary of 512 matrices whatever k).
+    # The carries are the scan of the chunk totals, by the same method.
+    # When the totals fit one chunk, that scan is sequential: the carry of
+    # chunk c is then the last matrix of chunk c - 1 once it is carried, so
+    # the chunks are carried one at a time, each reading the one before.
+    if chunks > 1:
+        rows = body.reshape(chunks, SCAN_BLOCK * d, d)
+        if chunks > SCAN_BLOCK + 1:
+            carries, group = _scan(body[:-1, -1])[1:], 64
+        else:
+            carries, group = body[:-1, -1], 1
+        for lo in range(1, chunks, group):
+            part = rows[lo:lo + group]
+            part[...] = part @ carries[lo - 1:lo - 1 + group]
+    return buf[:k + 1]
 
 
 def orbit_products(c, x: float, k: int) -> np.ndarray:
@@ -302,23 +371,23 @@ class SemigroupPairCheck:
     ok: bool
 
 
-def semigroup_closure_check(c: IsometryCocycle, x: float, delta: float,
-                            n: int, max_pairs: int = 6
-                            ) -> list[SemigroupPairCheck]:
-    """Empirical closure of the recurrence sample under composition.
+def semigroup_closure_check(c: IsometryCocycle, x: float,
+                            sample: list[tuple[int, FiniteIsometry]],
+                            max_pairs: int = 6) -> list[SemigroupPairCheck]:
+    """Empirical closure of a recurrence sample under composition.
 
-    For sampled returns I1 = I(k1, x), I2 = I(k2, x), the cocycle identity
-    places I(k1 + k2, x) within (2 + C) * eps of I1 I2, where eps is the
-    continuity gap of I(k1, .) over the return displacement and C bounds
-    the right-translation distortion of the metric over the sampled
-    family (C = 1 + max translation norm, measured, not assumed).
+    ``sample`` is the output of :func:`recurrence_isometries` at x, so
+    one orbit walk serves both.  For sampled returns I1 = I(k1, x),
+    I2 = I(k2, x), the cocycle identity places I(k1 + k2, x) within
+    (2 + C) * eps of I1 I2, where eps is the continuity gap of I(k1, .)
+    over the return displacement and C bounds the right-translation
+    distortion of the metric over the sampled family (C = 1 + max
+    translation norm, measured, not assumed).
     """
-    sample = recurrence_isometries(c, x, delta, n)
     if len(sample) < 2:
         return []
-    c_const = 1.0 + max(
-        float(np.linalg.norm(iso.translation)) for _, iso in sample
-    )
+    translations = np.array([iso.translation for _, iso in sample])
+    c_const = 1.0 + float(np.linalg.norm(translations, axis=1).max())
     checks = []
     for a in range(min(max_pairs, len(sample))):
         for b in range(a, min(max_pairs, len(sample))):
@@ -357,12 +426,14 @@ class MatrixCocycle:
         return np.asarray(self._generator(x), dtype=float)
 
     def generators_along(self, xs: np.ndarray) -> np.ndarray:
+        """The generators at the points xs as one (k, n, n) stack; a batch
+        of any other shape raises DimensionMismatch."""
+        shape = (len(xs), self.dim, self.dim)
         if self._generator_batch is not None:
             gens = self._generator_batch(xs)
         else:
             gens = [self.generator(x) for x in xs]
-        return np.reshape(np.asarray(gens, dtype=float),
-                          (len(xs), self.dim, self.dim))
+        return _batch(gens, shape, "generators")
 
 
 @dataclass

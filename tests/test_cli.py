@@ -108,6 +108,17 @@ class TestCenterCommand:
         )
         assert code == 2 and summary is None
 
+    def test_indefinite_spd_point_is_named(self, tmp_path, capsys):
+        pts = [np.eye(2), np.diag([2.0, 3.0]), np.diag([1.0, -1.0]),
+               np.eye(2)]
+        path = tmp_path / "spd.json"
+        path.write_text(json.dumps(
+            {"space": "spd", "points": [p.tolist() for p in pts]}
+        ))
+        code, summary, _ = run_cli(tmp_path, "center", "--input", str(path))
+        assert code == 4 and summary is None
+        assert "point entry 2 is not positive definite" in capsys.readouterr().err
+
     def test_non_finite_spd_point_is_numeric_error(self, tmp_path):
         pts = [np.eye(3).tolist(), [[1.0, float("nan"), 0.0],
                                     [float("nan"), 1.0, 0.0],

@@ -25,6 +25,7 @@ from cocyclelab.cocycles import (
 )
 from cocyclelab.errors import (
     ConfigInvalid,
+    DimensionMismatch,
     NonFinite,
     NotOrthogonal,
     TruncationTooSmall,
@@ -75,10 +76,16 @@ def scan_generators(rng, k, kind):
     return gens
 
 
+# Orbit lengths at the scan's boundaries: one chunk, the totals of one
+# chunk, and (1023 to 2051 with SCAN_BLOCK = 8) a third level of chunks.
+B = SCAN_BLOCK
+SCAN_LENGTHS = sorted({0, 1, 2, 3, B - 1, B, B + 1, B * B - 1, B * B,
+                       B * B + 1, 2 * B * B + 3, 1023, 1024, 1025, 2051})
+
+
 class TestPrefixProducts:
     @pytest.mark.parametrize("kind", ["2", "3", "affine3"])
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, SCAN_BLOCK - 1, SCAN_BLOCK,
-                                   SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 3])
+    @pytest.mark.parametrize("k", SCAN_LENGTHS)
     def test_matches_sequential_loop(self, rng, kind, k):
         gens = scan_generators(rng, k, kind)
         got = prefix_products(gens)
@@ -88,6 +95,23 @@ class TestPrefixProducts:
         err = np.abs(got - want).max(axis=(1, 2))
         scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1.0)
         assert np.all(err <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("kind", ["2", "3", "affine3"])
+    def test_prefix_stable(self, rng, kind):
+        # M[j] must not depend on how far the orbit is walked: a shorter
+        # stack gives the same bits, not just close values.
+        gens = scan_generators(rng, SCAN_LENGTHS[-1], kind)
+        full = prefix_products(gens)
+        for j in SCAN_LENGTHS:
+            assert np.array_equal(prefix_products(gens[:j])[-1], full[j]), j
+
+    def test_names_first_non_finite_step(self, rng):
+        # The error comes from the check of the whole result, so it names
+        # the first product the NaN reaches, not a step of a chunk total.
+        gens = scan_generators(rng, 2 * B * B + 3, "3")
+        gens[B * B + 5] = np.nan
+        with pytest.raises(NonFinite, match=rf"at step {B * B + 6} is"):
+            prefix_products(gens)
 
     def test_non_finite_generator_rejected(self):
         def generator(x):
@@ -107,6 +131,64 @@ class TestPrefixProducts:
         assert c.generators_along(np.array([])).shape == (0, 3, 3)
         rep = matrix_products(c, 0.1, 0)
         assert np.array_equal(rep.product, np.eye(3))
+
+
+class TestGeneratorBatchShape:
+    xs = np.array([0.1, 0.2, 0.3])
+
+    def test_matrix_batch_of_wrong_layout_rejected(self):
+        def rotations(xs):
+            return np.stack([rotation_matrix(2 * np.pi * x) for x in xs])
+
+        good = MatrixCocycle(golden_rotation(), 2, lambda x: np.eye(2),
+                             generator_batch=rotations)
+        assert np.array_equal(good.generators_along(self.xs),
+                              rotations(self.xs))
+        # Stacked along the last axis: the right size, the wrong order.
+        last_axis = MatrixCocycle(
+            golden_rotation(), 2, lambda x: np.eye(2),
+            generator_batch=lambda xs: np.moveaxis(rotations(xs), 0, -1),
+        )
+        with pytest.raises(DimensionMismatch, match="3 points"):
+            last_axis.generators_along(self.xs)
+        flat = MatrixCocycle(golden_rotation(), 2, lambda x: np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            flat.generators_along(self.xs)
+
+    def test_translation_batch_of_wrong_layout_rejected(self):
+        def translations(xs):
+            return np.column_stack([np.cos(xs), np.sin(xs)])
+
+        good = IsometryCocycle(golden_rotation(), 2, constant_linear=np.eye(2),
+                               translation_batch_fn=translations)
+        assert np.array_equal(good.generators_along(self.xs)[:, :2, 2],
+                              translations(self.xs))
+        last_axis = IsometryCocycle(
+            golden_rotation(), 2, constant_linear=np.eye(2),
+            translation_batch_fn=lambda xs: translations(xs).T,
+        )
+        with pytest.raises(DimensionMismatch, match="3 points"):
+            last_axis.generators_along(self.xs)
+        one_linear = IsometryCocycle(
+            golden_rotation(), 2, linear_batch_fn=lambda xs: np.eye(2),
+            translation_batch_fn=translations,
+        )
+        with pytest.raises(DimensionMismatch):
+            one_linear.generators_along(self.xs)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1)])
+    def test_line_translations_as_vector_or_column(self, shape):
+        c = IsometryCocycle(golden_rotation(), 1, constant_linear=np.eye(1),
+                            translation_batch_fn=lambda xs: np.reshape(xs, shape))
+        gens = c.generators_along(self.xs)
+        assert np.array_equal(gens[:, 0, 1], self.xs)
+        assert np.array_equal(gens[:, :, 0], np.tile([1.0, 0.0], (3, 1)))
+
+    def test_line_translations_of_wrong_layout_rejected(self):
+        c = IsometryCocycle(golden_rotation(), 1, constant_linear=np.eye(1),
+                            translation_batch_fn=lambda xs: np.reshape(xs, (1, 3)))
+        with pytest.raises(DimensionMismatch):
+            c.generators_along(self.xs)
 
 
 def skew_parts(kind, rng):
@@ -140,7 +222,9 @@ class TestAgainstSequentialLoop:
     @pytest.mark.parametrize("kind", ["constant", "identity", "table"])
     def test_iterate_skew_and_probe(self, rng, kind):
         c, psi, rho = skew_parts(kind, rng)
-        x0, v0, n = 0.2, np.array([0.3, -0.7]), 2 * SCAN_BLOCK + 5
+        # Long enough for three levels of carries at SCAN_BLOCK = 8: 257
+        # chunks, 32 chunks of their totals, then 4.
+        x0, v0, n = 0.2, np.array([0.3, -0.7]), 2053
         xs = c.base.orbit(x0, n)
         want = sequential_skew_orbit([psi(x) for x in xs],
                                      [rho(x) for x in xs], v0)
@@ -309,7 +393,8 @@ class TestRecurrence:
         c = rotation_translation_cocycle(
             golden_rotation(), 0.9, TrigPoly.random(2, rng, 0.3)
         )
-        checks = semigroup_closure_check(c, 0.1, 0.02, 30_000, max_pairs=4)
+        sample = recurrence_isometries(c, 0.1, 0.02, 30_000)
+        checks = semigroup_closure_check(c, 0.1, sample, max_pairs=4)
         assert len(checks) >= 3
         for ch in checks:
             assert ch.ok, (ch.k1, ch.k2, ch.deviation, ch.bound)
