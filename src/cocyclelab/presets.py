@@ -50,7 +50,7 @@ def _exp_family(s0: np.ndarray):
     def batch(xs: np.ndarray) -> np.ndarray:
         s = np.sin(2.0 * np.pi * np.asarray(xs, dtype=float))
         diag = np.exp(s[:, None] * d[None, :])
-        return np.einsum("ij,kj,lj->kil", u, diag, u)
+        return (u * diag[:, None, :]) @ u.T
 
     return single, batch
 

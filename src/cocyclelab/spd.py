@@ -9,13 +9,15 @@ GL(n, R) and makes Pos(n) a complete, nonpositively curved space.  The
 det = 1 slice Conf(n) is totally geodesic; GL(n, R) acts on it through
 the normalized congruence  g . P = (det g^T g)^{-1/n} g P g^T.
 
-For n >= 3 the spectral work is LAPACK's, through ``numpy.linalg``:
-:func:`sym_eigen` is ``eigh``, a positivity test is one Cholesky
-factorization, and a distance scan whitens its whole batch by the Cholesky
-factor L of the reference point and takes the eigenvalues of every
-L^{-1} Q L^{-T} in one stacked ``eigvalsh``.  For n = 2 closed forms are
-faster than a LAPACK call: one exact Jacobi rotation diagonalizes, and the
-distance scans take the eigenvalues of the whitened 2x2 matrix directly.
+Every eigendecomposition is LAPACK's, through ``numpy.linalg``:
+:func:`sym_eigen` is ``eigh``, the matrix functions log, exp and square
+root take one ``eigh`` for one matrix or a whole stack, and a positivity
+test is one Cholesky factorization.  For n >= 3 a distance scan whitens
+its whole batch by the Cholesky factor L of the reference point and takes
+the eigenvalues of every L^{-1} Q L^{-T} in one stacked ``eigvalsh``.
+For n = 2 one closed form is faster than a LAPACK call: the eigenvalues
+lam1 >= lam2 of the whitened 2x2 matrix, which give the distance, and by
+Cayley-Hamilton the geodesic, an affine combination of its endpoints.
 The exponential map :func:`whitened_exp` takes a whole stack of tangent
 matrices through one stacked ``eigh`` at every n.  The congruence helpers
 and :func:`spd_distances_from` take a (k, n, n) stack where they take one
@@ -60,11 +62,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def require_square(a: np.ndarray, *, check_dim: bool = True) -> np.ndarray:
+def require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if check_dim and not (MIN_DIM <= a.shape[0] <= MAX_DIM):
+    if not (MIN_DIM <= a.shape[0] <= MAX_DIM):
         raise DimensionMismatch(
             f"dimension {a.shape[0]} outside supported range "
             f"[{MIN_DIM}, {MAX_DIM}]"
@@ -138,19 +140,13 @@ class EigenDecomposition:
 
 
 def sym_eigen(P: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a symmetric matrix; eigenvalues descend.
+    """Diagonalize a symmetric matrix by LAPACK ``eigh``; eigenvalues
+    descend.
 
-    n = 2 is one exact Jacobi rotation, n >= 3 is LAPACK ``eigh``.  Each
-    eigenvector is signed so that its largest-magnitude entry is positive,
-    which makes the output a deterministic function of the input.
+    Each eigenvector is signed so that its largest-magnitude entry is
+    positive, which makes the output a deterministic function of the input.
     """
-    A = require_symmetric(P)
-    if A.shape[0] == 2:
-        l1, l2, c0, s0 = _eig_2x2_scalars(A[0, 0], A[0, 1], A[1, 1])
-        values = np.array([l1, l2])
-        Q = np.array([[c0, s0], [-s0, c0]])
-    else:
-        values, Q = np.linalg.eigh(A)
+    values, Q = np.linalg.eigh(require_symmetric(P))
     order = np.argsort(-values, kind="stable")
     values = values[order]
     Q = Q[:, order]
@@ -182,28 +178,30 @@ def require_spd(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _spectral(eig: EigenDecomposition, fn) -> np.ndarray:
-    return symmetrize(eig.rotation @ (fn(eig.values)[:, None] * eig.rotation.T))
+def _spectral(A: np.ndarray, fn, what: str | None = None) -> np.ndarray:
+    """``fn`` applied to the spectrum of a symmetric matrix, or of each
+    entry of a (k, n, n) stack, through one ``eigh``: V fn(lam) V^T,
+    symmetrized.  With ``what``, every spectrum must be positive, and an
+    error names the failing entry as :func:`_require` does."""
+    lam, v = np.linalg.eigh(A)
+    if what is not None:
+        _require(lam[..., 0] > 0.0, NotPositiveDefinite, what,
+                 "is not positive definite")
+    return symmetrize((v * fn(lam)[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
 def spd_log(P: np.ndarray) -> np.ndarray:
     """Matrix logarithm Pos(n) -> Sym(n); inverse of :func:`spd_exp`."""
-    eig = sym_eigen(P)
-    if eig.values[-1] <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {eig.values[-1]:.3e} <= 0")
-    return _spectral(eig, np.log)
+    return _spectral(require_symmetric(P), np.log, "matrix")
 
 
 def spd_exp(S: np.ndarray) -> np.ndarray:
     """Matrix exponential Sym(n) -> Pos(n)."""
-    return _spectral(sym_eigen(S), np.exp)
+    return _spectral(require_symmetric(S), np.exp)
 
 
 def spd_sqrt(P: np.ndarray) -> np.ndarray:
-    eig = sym_eigen(P)
-    if eig.values[-1] <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {eig.values[-1]:.3e} <= 0")
-    return _spectral(eig, np.sqrt)
+    return _spectral(require_symmetric(P), np.sqrt, "matrix")
 
 
 def spd_sqrt_batch(batch: np.ndarray) -> np.ndarray:
@@ -227,11 +225,7 @@ def spd_sqrt_batch(batch: np.ndarray) -> np.ndarray:
         out[:, 0, 0] += s
         out[:, 1, 1] += s
         return out / np.sqrt(a + c + 2.0 * s)[:, None, None]
-    values, vectors = np.linalg.eigh(batch)
-    _require(values[:, 0] > 0.0, NotPositiveDefinite, "batch",
-             "is not positive definite")
-    roots = (vectors * np.sqrt(values)[:, None, :]) @ vectors.transpose(0, 2, 1)
-    return symmetrize(roots)
+    return _spectral(batch, np.sqrt, "batch")
 
 
 def spd_distance(P: np.ndarray, Q: np.ndarray) -> float:
@@ -246,60 +240,6 @@ def spd_distance(P: np.ndarray, Q: np.ndarray) -> float:
     return float(_distances_from(P, Q[np.newaxis])[0])
 
 
-def _eig_2x2_scalars(a: float, b: float, c: float):
-    if b == 0.0:
-        return a, c, 1.0, 0.0
-    tau = (c - a) / (2.0 * b)
-    if tau >= 0.0:
-        t = 1.0 / (tau + (1.0 + tau * tau) ** 0.5)
-    else:
-        t = -1.0 / (-tau + (1.0 + tau * tau) ** 0.5)
-    c0 = 1.0 / (1.0 + t * t) ** 0.5
-    return a - t * b, c + t * b, c0, t * c0
-
-
-def _spectral_2x2(a, b, c, fn):
-    # fn applied to the eigenvalues of [[a, b], [b, c]]; rebuilt in place.
-    l1, l2, c0, s0 = _eig_2x2_scalars(a, b, c)
-    f1, f2 = fn(l1), fn(l2)
-    return (
-        f1 * c0 * c0 + f2 * s0 * s0,
-        (f2 - f1) * c0 * s0,
-        f1 * s0 * s0 + f2 * c0 * c0,
-    )
-
-
-def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
-    pa, pb, pc = P[0, 0], 0.5 * (P[0, 1] + P[1, 0]), P[1, 1]
-    qa, qb, qc = Q[0, 0], 0.5 * (Q[0, 1] + Q[1, 0]), Q[1, 1]
-    if not math.isfinite(pa + pb + pc + qa + qb + qc):
-        raise NonFinite("geodesic endpoint has non-finite entries")
-    if pa * pc - pb * pb <= 0.0 or pa <= 0.0:
-        raise NotPositiveDefinite("geodesic endpoint is not positive definite")
-    ra, rb, rc = _spectral_2x2(pa, pb, pc, lambda v: v ** -0.5)
-    # inner = rp @ Q @ rp with rp = [[ra, rb], [rb, rc]] symmetric.
-    m00 = ra * qa + rb * qb
-    m01 = ra * qb + rb * qc
-    m10 = rb * qa + rc * qb
-    m11 = rb * qb + rc * qc
-    ia = m00 * ra + m01 * rb
-    ib = m00 * rb + m01 * rc
-    ic = m10 * rb + m11 * rc
-    ib = 0.5 * (ib + (m10 * ra + m11 * rb))
-    if ia * ic - ib * ib <= 0.0 or ia <= 0.0:
-        raise NotPositiveDefinite("geodesic endpoint is not positive definite")
-    ma, mb, mc = _spectral_2x2(ia, ib, ic, lambda v: v ** t)
-    sa, sb, sc = _spectral_2x2(pa, pb, pc, lambda v: v ** 0.5)
-    n00 = sa * ma + sb * mb
-    n01 = sa * mb + sb * mc
-    n10 = sb * ma + sc * mb
-    n11 = sb * mb + sc * mc
-    ga = n00 * sa + n01 * sb
-    gb = 0.5 * ((n00 * sb + n01 * sc) + (n10 * sa + n11 * sb))
-    gc = n10 * sb + n11 * sc
-    return np.array([[ga, gb], [gb, gc]])
-
-
 def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     """Point P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} on the geodesic P -> Q."""
     P = np.asarray(P, dtype=float)
@@ -309,6 +249,33 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     if P.shape[0] == 2:
         return _geodesic_2x2(P, Q, t)
     return whitened_exp(P, t * whitened_logs(P, Q[np.newaxis])[0])
+
+
+def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
+    """P #_t Q for 2x2 P and Q, off-diagonals read as the mean of the two.
+
+    With P = L L^T and M = L^{-1} Q L^{-T} of eigenvalues lam1 >= lam2,
+    Cayley-Hamilton gives M^t = lam2^t I + c (M - lam2 I) with
+    c = (lam1^t - lam2^t) / (lam1 - lam2), and L (M - lam2 I) L^T is
+    Q - lam2 P, so P #_t Q = (lam2^t - c lam2) P + c Q.  c is evaluated as
+    lam1^(t-1) expm1(-t l) / expm1(-l) with l = log(lam1 / lam2), which
+    neither cancels for close eigenvalues nor overflows for distant ones,
+    and t = 0 and t = 1 return P and Q exactly.
+    """
+    a, b, c = P[0, 0], 0.5 * (P[0, 1] + P[1, 0]), P[1, 1]
+    qa, qb, qc = Q[0, 0], 0.5 * (Q[0, 1] + Q[1, 0]), Q[1, 1]
+    if not math.isfinite(a + b + c + qa + qb + qc):
+        raise NonFinite("geodesic endpoint has non-finite entries")
+    if a <= 0.0 or a * c - b * b <= 0.0:
+        raise NotPositiveDefinite("geodesic endpoint is not positive definite")
+    lam1, lam2 = _whitened_eigenvalues_2x2(a, b, c, qa, qb, qc,
+                                           "geodesic endpoint")
+    ell = math.log(lam1 / lam2)
+    ratio = math.expm1(-t * ell) / math.expm1(-ell) if ell > 0.0 else t
+    k = lam1 ** (t - 1.0) * ratio
+    w = lam2 ** t - k * lam2
+    off = w * b + k * qb
+    return np.array([[w * a + k * qa, off], [off, w * c + k * qc]])
 
 
 # The congruence helpers take one (n, n) matrix or a (k, n, n) stack, act
@@ -396,15 +363,17 @@ def _require_positive(positive, what: str, *parts):
                  "is not positive definite" if finite else "has non-finite entries")
 
 
-def _distance_2x2(a, b, c, qa, qb, qc) -> np.ndarray:
-    """d(P, Q) for P = [[a, b], [b, c]], already checked positive definite,
-    and Q = [[qa, qb], [qb, qc]], elementwise over broadcast arrays.
+def _whitened_eigenvalues_2x2(a, b, c, qa, qb, qc, what: str = "batch"):
+    """Eigenvalues lam1 >= lam2 of M = L^{-1} Q L^{-T}, which are those of
+    P^{-1} Q, for P = [[a, b], [b, c]] = L L^T, already checked positive
+    definite, and Q = [[qa, qb], [qb, qc]], elementwise over broadcast
+    arrays.  A Q that is not positive definite raises, named ``what``.
 
-    M = L^{-1} Q L^{-T} = [[m00, f/2], [f/2, m11]] has the eigenvalues
+    M = [[m00, f/2], [f/2, m11]] has the eigenvalues
     ((m00 + m11) +- sqrt((m00 - m11)^2 + f^2)) / 2, and the smaller is
     taken as det Q / (det P * larger).  Neither step subtracts nearly
-    equal numbers, so rounding moves the distance by ~1e-16 even when P
-    and Q nearly coincide; the root of tr^2 - 4 det moves it by ~1e-8.
+    equal numbers, so rounding moves them by ~1e-16 relative even when P
+    and Q nearly coincide; the root of tr^2 - 4 det moves them by ~1e-8.
     """
     det_p = a * c - b * b
     r = b / a
@@ -417,7 +386,14 @@ def _distance_2x2(a, b, c, qa, qb, qc) -> np.ndarray:
     lam2 = (qa * qc - qb * qb) / (det_p * lam1)
     # lam2 is the smaller eigenvalue of M, so it is positive exactly when
     # Q is positive definite; a NaN fails the test as well.
-    _require_positive(lam2 > 0.0, "batch", qa, qb, qc)
+    _require_positive(lam2 > 0.0, what, qa, qb, qc)
+    return lam1, lam2
+
+
+def _distance_2x2(a, b, c, qa, qb, qc) -> np.ndarray:
+    """d(P, Q) = sqrt(log^2 lam1 + log^2 lam2) for the arguments of
+    :func:`_whitened_eigenvalues_2x2`."""
+    lam1, lam2 = _whitened_eigenvalues_2x2(a, b, c, qa, qb, qc)
     l1 = np.log(lam1)
     l2 = np.log(lam2)
     return np.sqrt(l1 * l1 + l2 * l2)
@@ -456,10 +432,7 @@ def _distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
 def whitened_logs(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Tangent vectors log(L^{-1} Q L^{-T}) at P = L L^T, of norm d(P, Q)."""
     w = np.linalg.inv(_cholesky(require_symmetric(P), "reference point"))
-    lam, vecs = np.linalg.eigh(w @ _symmetric(batch, "batch") @ w.T)
-    _require(lam[:, 0] > 0.0, NotPositiveDefinite, "batch",
-             "is not positive definite")
-    return (vecs * np.log(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return _spectral(w @ _symmetric(batch, "batch") @ w.T, np.log, "batch")
 
 
 def whitened_exp(P: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -476,8 +449,7 @@ def whitened_exp(P: np.ndarray, S: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"tangent shape {S.shape} incompatible with point {L.shape}"
         )
-    lam, vecs = np.linalg.eigh(_symmetric(S.reshape(-1, *L.shape), "batch"))
-    out = L @ ((vecs * np.exp(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)) @ L.T
+    out = L @ _spectral(_symmetric(S.reshape(-1, *L.shape), "batch"), np.exp) @ L.T
     return symmetrize(out).reshape(S.shape)
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here (exact minimum enclosing circle by Welzl's algorithm,
-exact minimum enclosing ball by support-set enumeration, brute-force scans)
-are deliberately separate from the library code paths they check.  The
+exact minimum enclosing ball by support-set enumeration, brute-force scans,
+a high-precision Decimal geodesic of Pos(2)) are deliberately separate from
+the library code paths they check.  The
 per-cell references run the library's one-matrix kernels one cell at a
 time, against the stacked paths of the reduction.
 """
@@ -10,6 +11,7 @@ time, against the stacked paths of the reduction.
 import itertools
 import random
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -37,6 +39,49 @@ def reference_spd_distance(P, Q):
     w = np.linalg.inv(np.linalg.cholesky(P))
     lam = np.linalg.eigvalsh(w @ Q @ w.T)
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
+
+
+def _decimal_spectral_2x2(m, fn):
+    """fn of the symmetric 2x2 (a, b, c) = [[a, b], [b, c]] by its
+    eigendecomposition in Decimal: eigenvalues by the quadratic formula,
+    eigenvectors (b, lam - a)."""
+    a, b, c = m
+    if b == 0:
+        return fn(a), Decimal(0), fn(c)
+    mid = (a + c) / 2
+    root = (((a - c) / 2) ** 2 + b * b).sqrt()
+    out = [Decimal(0)] * 3
+    for lam in (mid + root, mid - root):
+        v0, v1 = b, lam - a
+        weight = fn(lam) / (v0 * v0 + v1 * v1)
+        out[0] += weight * v0 * v0
+        out[1] += weight * v0 * v1
+        out[2] += weight * v1 * v1
+    return tuple(out)
+
+
+def _decimal_congruence_2x2(s, m):
+    """s m s for symmetric 2x2 triples (a, b, c)."""
+    (sa, sb, sc), (ma, mb, mc) = s, m
+    r00, r01 = sa * ma + sb * mb, sa * mb + sb * mc
+    r10, r11 = sb * ma + sc * mb, sb * mb + sc * mc
+    return r00 * sa + r01 * sb, r00 * sb + r01 * sc, r10 * sb + r11 * sc
+
+
+def reference_geodesic_2x2(P, Q, t, digits=40):
+    """P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} in ``digits``-digit Decimal
+    arithmetic, every matrix function by eigendecomposition, rounded once
+    to float at the end."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = tuple(Decimal(float(v)) for v in (P[0, 0], P[0, 1], P[1, 1]))
+        q = tuple(Decimal(float(v)) for v in (Q[0, 0], Q[0, 1], Q[1, 1]))
+        power = Decimal(float(t))
+        root = _decimal_spectral_2x2(p, lambda v: v.sqrt())
+        inv_root = _decimal_spectral_2x2(p, lambda v: 1 / v.sqrt())
+        m = _decimal_congruence_2x2(inv_root, q)
+        g = _decimal_congruence_2x2(root, _decimal_spectral_2x2(m, lambda v: v ** power))
+        return np.array([[float(g[0]), float(g[1])], [float(g[1]), float(g[2])]])
 
 
 def tetrahedron(side=1.0):

@@ -10,6 +10,7 @@ from cocyclelab.cocycles import (
     GridIsometryTable,
     IsometryCocycle,
     MatrixCocycle,
+    SemigroupPairCheck,
     ShiftCocycle,
     boundedness_probe,
     compose_along_orbit,
@@ -398,6 +399,32 @@ class TestRecurrence:
         assert len(checks) >= 3
         for ch in checks:
             assert ch.ok, (ch.k1, ch.k2, ch.deviation, ch.bound)
+
+    @pytest.mark.parametrize("beta, pairs", [(0.9, 4), (0.0, 6)])
+    def test_closure_check_matches_walk_per_pair(self, rng, beta, pairs):
+        # The check reads its products off one walk from x and one per k2;
+        # a walk per pair, as the reference below takes, gives the same bits.
+        c = rotation_translation_cocycle(
+            golden_rotation(), beta, TrigPoly.random(2, rng, 0.2)
+        )
+        x = 0.1
+        sample = recurrence_isometries(c, x, 0.02, 30_000)
+        c_const = 1.0 + max(np.linalg.norm(iso.translation) for _, iso in sample)
+        want = []
+        for a in range(min(pairs, len(sample))):
+            for b in range(a, min(pairs, len(sample))):
+                (k1, i1), (k2, i2) = sample[a], sample[b]
+                direct = compose_along_orbit(c, x, k1 + k2)
+                shifted = compose_along_orbit(c, c.base.step_n(x, k2), k1)
+                eps = shifted.distance_to(i1)
+                dev = direct.distance_to(i1.compose(i2))
+                bound = (2.0 + c_const) * eps + 1e-9
+                want.append(SemigroupPairCheck(
+                    k1=k1, k2=k2, deviation=dev, continuity_eps=eps,
+                    bound=bound, ok=dev <= bound,
+                ))
+        assert len(want) >= 10
+        assert semigroup_closure_check(c, x, sample, max_pairs=pairs) == want
 
     def test_linear_parts_match_column_loop(self, rng):
         c = rotation_translation_cocycle(

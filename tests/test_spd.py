@@ -14,7 +14,7 @@ from cocyclelab.errors import (
     SingularMatrix,
 )
 
-from conftest import random_spd, reference_spd_distance
+from conftest import random_spd, reference_geodesic_2x2, reference_spd_distance
 
 
 class TestSymEigen:
@@ -305,6 +305,14 @@ class TestGeodesic:
         mid = spd.spd_geodesic(np.eye(2), np.diag([4.0, 1.0]), 0.5)
         assert np.allclose(mid, np.diag([2.0, 1.0]), atol=1e-12)
 
+    def test_scalar_multiple(self):
+        # Q = 4P: P^{-1} Q has the double eigenvalue 4, and P #_t Q = 4^t P.
+        P = np.array([[2.0, 0.0], [0.0, 3.0]])
+        for t in (1e-3, 0.3, 0.5, 0.97):
+            want = 4.0 ** t * P
+            got = spd.spd_geodesic(P, 4.0 * P, t)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.abs(want).max()
+
     def test_constant_speed(self, rng):
         for n in (2, 3):
             P = random_spd(rng, n)
@@ -325,6 +333,65 @@ class TestGeodesic:
                    + spd.spd_distance(q, w) ** 2 / 2.0
                    - spd.spd_distance(p, q) ** 2 / 4.0)
             assert lhs <= rhs + 1e-9
+
+    def test_endpoints_exact_2x2(self, rng):
+        # Off-diagonals are read as the mean of the two, which is exact for
+        # symmetric input.
+        for _ in range(50):
+            P = spd.symmetrize(random_spd(rng, 2, spread=rng.uniform(0.1, 3.0)))
+            Q = spd.symmetrize(random_spd(rng, 2, spread=rng.uniform(0.1, 3.0)))
+            assert np.array_equal(spd.spd_geodesic(P, Q, 0.0), P)
+            assert np.array_equal(spd.spd_geodesic(P, Q, 1.0), Q)
+            assert np.array_equal(spd.spd_geodesic(P, P, 1.0), P)
+
+    @pytest.mark.parametrize("n, tol", [(2, 1e-14), (3, 1e-13)])
+    def test_reversal(self, rng, n, tol):
+        # P #_t Q = Q #_{1-t} P: the same point from the other end.
+        for _ in range(50):
+            P = random_spd(rng, n, spread=rng.uniform(0.1, 3.0))
+            Q = random_spd(rng, n, spread=rng.uniform(0.1, 3.0))
+            for t in (1e-3, 0.3, 0.5, 0.97):
+                G = spd.spd_geodesic(P, Q, t)
+                back = spd.spd_geodesic(Q, P, 1.0 - t)
+                assert np.max(np.abs(G - back)) <= tol * max(np.abs(G).max(), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_congruence_equivariance(self, rng, n):
+        # g (P #_t Q) g^T = (g P g^T) #_t (g Q g^T): congruences are isometries.
+        for _ in range(20):
+            P = random_spd(rng, n, spread=1.5)
+            Q = random_spd(rng, n, spread=1.5)
+            g = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+            for t in (0.3, 0.5, 0.97):
+                want = spd.gl_action(g, spd.spd_geodesic(P, Q, t))
+                got = spd.spd_geodesic(spd.gl_action(g, P), spd.gl_action(g, Q), t)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+    def test_matches_high_precision_reference(self):
+        # Generic pairs, near-scalar Q = sP + 1e-9 E and near-coincident
+        # Q = P + 1e-9 E, where eigenvalues of P^{-1} Q nearly coincide.
+        rng = np.random.default_rng(20261018)
+        pairs = []
+        for _ in range(40):
+            P = random_spd(rng, 2, spread=rng.uniform(0.1, 3.0))
+            E = spd.symmetrize(rng.standard_normal((2, 2)))
+            pairs.append((P, random_spd(rng, 2, spread=rng.uniform(0.1, 3.0))))
+            pairs.append((P, rng.uniform(0.3, 3.0) * P + 1e-9 * E))
+            pairs.append((P, P + 1e-9 * E))
+        for P, Q in pairs:
+            for t in (1e-3, 0.3, 0.5, 0.97):
+                want = reference_geodesic_2x2(P, Q, t)
+                err = np.max(np.abs(spd.spd_geodesic(P, Q, t) - want))
+                assert err <= 1e-14 * max(np.abs(want).max(), 1.0), (P, Q, t)
+
+    def test_unit_determinant_midpoint(self, rng):
+        # On det-1 pairs P # Q = (P + Q) / sqrt(det(P + Q)).
+        for _ in range(50):
+            P, Q = spd.unit_determinant(np.array(
+                [random_spd(rng, 2, spread=rng.uniform(0.1, 3.0)) for _ in range(2)]))
+            want = (P + Q) / np.sqrt(np.linalg.det(P + Q))
+            mid = spd.spd_geodesic(P, Q, 0.5)
+            assert np.max(np.abs(mid - want)) <= 1e-14 * np.abs(want).max()
 
 
 class TestActions:
