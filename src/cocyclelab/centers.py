@@ -9,6 +9,10 @@ geodesic, and log/exp at a point in isometric tangent coordinates):
 * the iterated-midpoint center, obtained by repeatedly replacing a set
   with the midpoints of its (nearly) diametral pairs.
 
+Both the Chebyshev center and the diameter start from the two-point
+certificate of :func:`pair_certificates`, which certifies the segments of
+one stack together, many fibres at once or a single set.
+
 The quantitative checks — center continuity d(ctr B, ctr B_eps)^2 <=
 8 eps r_B, the sqrt(2) diameter shrink of midpoint sets, and the radius
 drop of intersecting balls — live here as report-producing operations.
@@ -208,24 +212,124 @@ def radius_at(B: PointSet, v) -> float:
     return float(np.max(B.space.distances_from(v, B.points)))
 
 
-def _pair_certificate(B: PointSet):
-    """Farthest pair (a, b) of B by two scans, and its geodesic midpoint.
+@dataclass
+class PairCertificates:
+    """Two-point certificates of the segments ``points[bounds[i]:bounds[i+1]]``
+    of one stack, from :func:`pair_certificates`.
 
-    a is farthest from ``points[0]`` and b farthest from a.  Any centre is
-    at least d(a, b)/2 from a or from b, so r* >= d(a, b)/2; if the
-    midpoint c covers B within that radius, c is the centre and d(a, b)
-    the diameter.  Returns (a, b), d(a, b)/2, c and the covering radius
-    seen from c.
+    For segment i: ``first[i]`` = a and ``second[i]`` = b, indices within
+    the segment, a farthest from the segment's first point and b farthest
+    from a; ``half[i]`` = d(a, b)/2; ``mids[i]`` their geodesic midpoint c;
+    and ``radius[i]`` the covering radius of the segment seen from c.  Any
+    centre is at least d(a, b)/2 from a or from b, so r* >= d(a, b)/2: a
+    segment that c covers within that radius has centre c and diameter
+    d(a, b).
     """
-    space = B.space
-    pts = B.points
-    a = int(np.argmax(space.distances_from(pts[0], pts)))
-    from_a = space.distances_from(pts[a], pts)
-    b = int(np.argmax(from_a))
-    half = 0.5 * float(from_a[b])
-    mid = space.geodesic(pts[a], pts[b], 0.5)
-    radius = float(np.max(space.distances_from(mid, pts)))
-    return (a, b), half, mid, radius
+
+    space: object
+    points: np.ndarray
+    bounds: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    half: np.ndarray
+    mids: np.ndarray
+    radius: np.ndarray
+
+    def segment(self, i: int) -> np.ndarray:
+        return self.points[self.bounds[i]:self.bounds[i + 1]]
+
+    def diameter(self, i: int) -> float:
+        """Largest pairwise distance of segment i, 0 for a singleton: d(a, b)
+        when the certificate holds, since every pair then lies within
+        2 r(c), which is d(a, b) up to CERTIFICATE_SLACK; else the O(m^2)
+        pairwise scan."""
+        pts = self.segment(i)
+        if len(pts) < 2:
+            return 0.0
+        half = float(self.half[i])
+        if _covers(half, float(self.radius[i])):
+            return 2.0 * half
+        return float(np.max(self.space.pairwise(pts)))
+
+    def diameters(self) -> np.ndarray:
+        return np.array([self.diameter(i) for i in range(len(self.half))])
+
+    def center(self, i: int) -> CenterReport:
+        """The certified Chebyshev centre of segment i, as
+        :func:`chebyshev_center` returns it: the midpoint where the
+        certificate holds, else the tangent-ball search from the midpoint."""
+        pts = self.segment(i)
+        if len(pts) == 1:
+            return CenterReport(pts[0].copy(), 0.0, 0, 0.0, (0,))
+        half, radius = float(self.half[i]), float(self.radius[i])
+        if _covers(half, radius):
+            # min(): rounding can put the computed radius a few ulps below half.
+            return CenterReport(self.mids[i], radius, 0, min(half, radius),
+                                (int(self.first[i]), int(self.second[i])))
+        return _tangent_center(self.space, pts, self.mids[i])
+
+
+def pair_certificates(space, points: np.ndarray,
+                      bounds: np.ndarray | None = None) -> PairCertificates:
+    """Pair certificates of every nonempty segment
+    ``points[bounds[i]:bounds[i+1]]``; without ``bounds``, of all points.
+
+    Three segmented scans: each ``space.distances_from`` call takes a stack
+    of reference points paired with the points, the segment's first point,
+    then a, then c, and segmented maxima (first index on ties, as
+    ``np.argmax``) pick a, b and the radius.  Passes take whole segments,
+    at most ``spd.PAIR_CHUNK`` points each unless one segment is longer.
+    The midpoint is one ``space.geodesic`` call per segment.
+    """
+    points = np.asarray(points, dtype=float)
+    bounds = (np.array([0, len(points)]) if bounds is None
+              else np.asarray(bounds))
+    parts, lo, last = [], 0, len(bounds) - 1
+    while lo < last:
+        hi = last
+        if bounds[last] - bounds[lo] > spd.PAIR_CHUNK:
+            hi = max(lo + 1, int(np.searchsorted(
+                bounds, bounds[lo] + spd.PAIR_CHUNK, side="right")) - 1)
+        parts.append(_certify(space, points[bounds[lo]:bounds[hi]],
+                              bounds[lo:hi + 1] - bounds[lo]))
+        lo = hi
+    fields = (parts[0] if len(parts) == 1
+              else [np.concatenate(field) for field in zip(*parts)])
+    return PairCertificates(space, points, bounds, *fields)
+
+
+def _certify(space, points: np.ndarray, bounds: np.ndarray):
+    """One pass of :func:`pair_certificates`: (first, second, half, mids,
+    radius) of the segments of ``points`` cut at ``bounds``, which start
+    at 0."""
+    starts = bounds[:-1]
+    # seg[j] is the segment of point j; with one segment no index arrays
+    # are built and every reference is one point.
+    seg = None if len(starts) == 1 else np.repeat(np.arange(len(starts)),
+                                                  np.diff(bounds))
+
+    def spread(stack, idx=None):
+        """Entry idx[s] of ``stack``, or entry s without ``idx``, for every
+        point of segment s."""
+        if seg is None:
+            return stack[0 if idx is None else idx[0]]
+        return (stack if idx is None else stack[idx])[seg]
+
+    def first_argmax(d):
+        if seg is None:
+            return d.argmax(keepdims=True)
+        hits = np.flatnonzero(d == np.maximum.reduceat(d, starts)[seg])
+        return hits[np.searchsorted(hits, starts)]
+
+    a = first_argmax(space.distances_from(spread(points, starts), points))
+    from_a = space.distances_from(spread(points, a), points)
+    b = first_argmax(from_a)
+    mids = np.empty((len(starts),) + points.shape[1:])
+    for k, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+        mids[k] = space.geodesic(points[i], points[j], 0.5)
+    radius = np.maximum.reduceat(
+        space.distances_from(spread(mids), points), starts)
+    return a - starts, b - starts, 0.5 * from_a[b], mids, radius
 
 
 def _covers(half: float, mid_radius: float) -> bool:
@@ -236,27 +340,25 @@ def _covers(half: float, mid_radius: float) -> bool:
 def chebyshev_center(B: PointSet) -> CenterReport:
     """Chebyshev centre, returned only with a certificate of optimality.
 
-    First the two-point certificate: a = farthest point from ``points[0]``,
-    b = farthest from a; their midpoint c is the centre if it covers B within
-    d(a, b)/2.  Otherwise, from z = c, tangent-space re-linearisation
-    (Arnaudon & Nielsen, CGTA 2013): solve the minimum enclosing ball of
-    y_i = log_z(p_i) exactly and move z <- exp_z(its centre).  Its weights w
-    bound the optimum: F_w(x) = sum w_i d(x, p_i)^2 is 2-strongly geodesically
-    convex on a CAT(0) space (Sturm 2003), so r*^2 >= F_w(z) - |sum w_i y_i|^2.
+    First the two-point certificate of :func:`pair_certificates`: a =
+    farthest point from ``points[0]``, b = farthest from a; their midpoint c
+    is the centre if it covers B within d(a, b)/2.  Otherwise, from z = c,
+    tangent-space re-linearisation (Arnaudon & Nielsen, CGTA 2013): solve
+    the minimum enclosing ball of y_i = log_z(p_i) exactly and move
+    z <- exp_z(its centre).  Its weights w bound the optimum:
+    F_w(x) = sum w_i d(x, p_i)^2 is 2-strongly geodesically convex on a
+    CAT(0) space (Sturm 2003), so r*^2 >= F_w(z) - |sum w_i y_i|^2.
     Full steps, exact in R^d, until one fails to halve the one before; then
     damped steps.  After OUTER_STEP_CAP moves without a certificate,
     NoConvergence is raised: no centre is returned uncertified.
     """
-    space = B.space
-    pts = B.points
     if len(B) == 1:
-        return CenterReport(pts[0].copy(), 0.0, 0, 0.0, (0,))
+        return CenterReport(B.points[0].copy(), 0.0, 0, 0.0, (0,))
+    return pair_certificates(B.space, B.points).center(0)
 
-    pair, half, z, mid_radius = _pair_certificate(B)
-    if _covers(half, mid_radius):
-        # min(): rounding can put the computed radius a few ulps below half.
-        return CenterReport(z, mid_radius, 0, min(half, mid_radius), pair)
 
+def _tangent_center(space, pts: np.ndarray, z) -> CenterReport:
+    """The tangent-ball search of :func:`chebyshev_center` from z."""
     damped, last = False, np.inf
     for step in itertools.count():
         support, g, radius, bound = _tangent_certificate(space, pts, z)
@@ -330,16 +432,12 @@ def _tangent_ball(y: np.ndarray):
 def diameter(B: PointSet) -> float:
     """Largest pairwise distance; 0 for singletons.
 
-    When the two-point certificate holds, every pair lies within
-    2 r(c), which is d(a, b) up to CERTIFICATE_SLACK, so d(a, b) is
-    returned without the O(m^2) pairwise scan.
+    :meth:`PairCertificates.diameter` of the one segment: d(a, b) when the
+    two-point certificate holds, without the O(m^2) pairwise scan.
     """
     if len(B) < 2:
         return 0.0
-    _, half, _, mid_radius = _pair_certificate(B)
-    if _covers(half, mid_radius):
-        return 2.0 * half
-    return float(np.max(B.space.pairwise(B.points)))
+    return pair_certificates(B.space, B.points).diameter(0)
 
 
 def midpoint_set(B: PointSet, rel_tol: float = 1e-9) -> PointSet:

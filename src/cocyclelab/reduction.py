@@ -11,6 +11,14 @@ is from the orthogonal group.  The conformal variant runs the same
 construction on the det-1 slice with the normalized congruence action
 and reports the defect of lambda(x) A~(x) instead.
 
+The buckets are slices of one array sorted by cell.  One segmented pair
+certificate (:func:`~cocyclelab.centers.pair_certificates`), three
+distance scans over all cells per pass, is computed once in
+:func:`sample_fibers` and kept on the buckets: it gives every cell's
+diameter there and every cell's centre in :func:`section_from_centers`.
+Only cells whose geodesic midpoint does not certify take a pairwise
+diameter scan and the tangent-ball centre search.
+
 Coboundary constructions A(x) = B(T x) Q(x) B(x)^{-1} provide ground
 truth: their products are uniformly bounded and the exact section
 phi*(x) = B(x) B(x)^T is attached for oracle comparisons.
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .centers import PointSet, SPDSpace, chebyshev_center, diameter
+from .centers import PairCertificates, SPDSpace, pair_certificates
 from .circle import minimality_probe
 from .cocycles import MatrixCocycle, prefix_products
 from .errors import (
@@ -83,7 +91,7 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
         xs = np.asarray(xs, dtype=float)
         b_next = stack(b_batch, b_gen, base.step_many(xs))
         out = (b_next @ stack(q_batch, q_gen, xs)
-               @ np.linalg.inv(stack(b_batch, b_gen, xs)))
+               @ spd.inv(stack(b_batch, b_gen, xs)))
         if scalar_gen is not None:
             out = out * np.asarray(scalar_gen(xs), dtype=float)[:, None, None]
         return out
@@ -91,7 +99,7 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
     # Telescoping bound from a sample of the conjugacy loop.
     bs = stack(b_batch, b_gen, np.arange(64) / 64.0)
     bound = (np.linalg.norm(bs, 2, axis=(1, 2)).max()
-             * np.linalg.norm(np.linalg.inv(bs), 2, axis=(1, 2)).max())
+             * np.linalg.norm(spd.inv(bs), 2, axis=(1, 2)).max())
 
     def oracle_section(x):
         xs = np.asarray(x, dtype=float)
@@ -108,7 +116,8 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
 
 @dataclass
 class FiberBuckets:
-    """Orbit samples of the fiber, grouped by uniform base cells."""
+    """Orbit samples of the fiber, grouped by uniform base cells, with the
+    pair certificate of every cell (``certificates``)."""
 
     cocycle: MatrixCocycle
     conformal: bool
@@ -118,6 +127,7 @@ class FiberBuckets:
     cell_points: list
     counts: np.ndarray
     diameters: np.ndarray
+    certificates: PairCertificates
 
     @property
     def min_occupancy(self) -> int:
@@ -137,7 +147,7 @@ class FiberBuckets:
 def _unit_det_generators(gens: np.ndarray) -> np.ndarray:
     """Each generator scaled to |det A| = 1; the normalized congruence
     action of the conformal pipeline ignores the scale."""
-    dets = np.abs(np.linalg.det(gens))
+    dets = np.abs(spd.det(gens))
     singular = dets <= spd.SINGULAR_TOL
     if singular.any():
         k = int(np.argmax(singular))
@@ -153,8 +163,11 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
 
     The fiber moves by the congruence action (det-normalized when
     ``conformal``); every visited pair (x_k, P_k) lands in the cell of
-    x_k.  Raises EmptyCell when some cell stays empty, which is also the
-    honest failure mode for non-minimal bases.
+    x_k.  The samples are sorted by cell once, ``cell_points`` are slices
+    of that array, and one segmented pair certificate of all cells, kept
+    as ``certificates``, gives the diameters.  Raises EmptyCell when some
+    cell stays empty, which is also the honest failure mode for
+    non-minimal bases.
     """
     if cells < 1:
         raise ConfigInvalid(f"cells = {cells} must be >= 1")
@@ -190,21 +203,19 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
 
     idx = np.minimum((xs * cells).astype(int), cells - 1)
     order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    boundaries = np.searchsorted(sorted_idx, np.arange(cells + 1))
-    cell_points = []
-    counts = np.empty(cells, dtype=int)
-    for i in range(cells):
-        lo, hi = boundaries[i], boundaries[i + 1]
-        counts[i] = hi - lo
-        if hi == lo:
-            raise EmptyCell(f"cell {i} of {cells} received no samples")
-        cell_points.append(points[order[lo:hi]])
-    space = SPDSpace(n, conformal=conformal)
-    diameters = np.array([diameter(PointSet(space, pts)) for pts in cell_points])
+    bounds = np.searchsorted(idx[order], np.arange(cells + 1))
+    counts = np.diff(bounds)
+    if not counts.all():
+        raise EmptyCell(f"cell {int(np.argmin(counts))} of {cells} "
+                        f"received no samples")
+    points = points[order]
+    certificates = pair_certificates(SPDSpace(n, conformal=conformal),
+                                     points, bounds)
     return FiberBuckets(
         cocycle=c, conformal=conformal, cells=cells, steps=steps, x0=x0,
-        cell_points=cell_points, counts=counts, diameters=diameters,
+        cell_points=[points[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
+        counts=counts, diameters=certificates.diameters(),
+        certificates=certificates,
     )
 
 
@@ -227,14 +238,15 @@ def section_from_centers(fb: FiberBuckets, *,
     The invariance residual  sup_i d(A(x_i) . phi(x_i), phi(x_i + alpha))
     (cells matched by nearest cell) quantifies how close the recovered
     section is to being skew-invariant; it acts on and measures all cells
-    as one stack.  A cell whose farthest pair has a covering geodesic
-    midpoint costs three distance scans.  Every centre is certified
-    exact, so ``center_tol`` is accepted for compatibility and ignored.
+    as one stack.  The centres are read from the pair certificate that
+    :func:`sample_fibers` kept, so a cell whose geodesic midpoint covers it
+    costs no further scan; only the others run the tangent-ball search of
+    :func:`~cocyclelab.centers.chebyshev_center` from that midpoint.  Every
+    centre is certified exact, so ``center_tol`` is accepted for
+    compatibility and ignored.
     """
     c = fb.cocycle
-    space = SPDSpace(c.dim, conformal=fb.conformal)
-
-    reports = [chebyshev_center(PointSet(space, pts)) for pts in fb.cell_points]
+    reports = [fb.certificates.center(i) for i in range(fb.cells)]
     # SPDSpace(conformal=True) keeps every centre on the det-1 slice.
     values = np.array([r.center for r in reports])
 
@@ -311,7 +323,7 @@ def _reduce(c: MatrixCocycle, phi, conformal: bool) -> ReductionResult:
     values = section.values
     a = c.generators_along(section.thetas)
     b_values = spd.spd_sqrt_batch(values)
-    a_tilde = np.linalg.inv(spd.spd_sqrt_batch(next_values)) @ a @ b_values
+    a_tilde = spd.inv(spd.spd_sqrt_batch(next_values)) @ a @ b_values
     distortion = None
     if conformal:
         spd.require_unit_determinant(values)

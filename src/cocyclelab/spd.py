@@ -15,9 +15,11 @@ root take one ``eigh`` for one matrix or a whole stack, and a positivity
 test is one Cholesky factorization.  For n >= 3 a distance scan whitens
 its whole batch by the Cholesky factor L of the reference point and takes
 the eigenvalues of every L^{-1} Q L^{-T} in one stacked ``eigvalsh``.
-For n = 2 one closed form is faster than a LAPACK call: the eigenvalues
+For n = 2 closed forms are faster than a LAPACK call: the eigenvalues
 lam1 >= lam2 of the whitened 2x2 matrix, which give the distance, and by
-Cayley-Hamilton the geodesic, an affine combination of its endpoints.
+Cayley-Hamilton the geodesic, an affine combination of its endpoints;
+and :func:`det` (ad - bc) and :func:`inv` (the adjugate over det) of
+whole stacks, which raise SingularMatrix naming the entry.
 The exponential map :func:`whitened_exp` takes a whole stack of tangent
 matrices through one stacked ``eigh`` at every n.  The congruence helpers
 and :func:`spd_distances_from` take a (k, n, n) stack where they take one
@@ -252,7 +254,8 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
 
 
 def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
-    """P #_t Q for 2x2 P and Q, off-diagonals read as the mean of the two.
+    """P #_t Q for 2x2 P and Q, off-diagonals read as the mean of the two;
+    an endpoint whose two differ beyond SYMMETRY_TOL raises NotSymmetric.
 
     With P = L L^T and M = L^{-1} Q L^{-T} of eigenvalues lam1 >= lam2,
     Cayley-Hamilton gives M^t = lam2^t I + c (M - lam2 I) with
@@ -266,6 +269,13 @@ def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     qa, qb, qc = Q[0, 0], 0.5 * (Q[0, 1] + Q[1, 0]), Q[1, 1]
     if not math.isfinite(a + b + c + qa + qb + qc):
         raise NonFinite("geodesic endpoint has non-finite entries")
+    for X in (P, Q):
+        # _symmetric's test, on Python floats.
+        (x00, x01), (x10, x11) = X.tolist()
+        gap = abs(x01 - x10)
+        if gap > SYMMETRY_TOL * max(1.0, abs(x00), abs(x01), abs(x10), abs(x11)):
+            raise NotSymmetric(f"geodesic endpoint has symmetry defect "
+                               f"{gap:.3e} exceeding {SYMMETRY_TOL:g}")
     if a <= 0.0 or a * c - b * b <= 0.0:
         raise NotPositiveDefinite("geodesic endpoint is not positive definite")
     lam1, lam2 = _whitened_eigenvalues_2x2(a, b, c, qa, qb, qc,
@@ -278,6 +288,38 @@ def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     return np.array([[w * a + k * qa, off], [off, w * c + k * qc]])
 
 
+def det(A: np.ndarray):
+    """Determinant of one (n, n) matrix or of each entry of a (..., n, n)
+    stack: ad - bc for n = 2, LAPACK for n >= 3."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-1] == 2:
+        return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    return np.linalg.det(A)
+
+
+def inv(A: np.ndarray) -> np.ndarray:
+    """Inverse of one (n, n) matrix or of each entry of a (..., n, n) stack:
+    the adjugate over the determinant for n = 2, LAPACK for n >= 3.
+
+    Raises SingularMatrix, naming the entry, when |det| <= SINGULAR_TOL.
+    """
+    A = np.asarray(A, dtype=float)
+    d = det(A)
+    size = np.abs(d)
+    _require(size > SINGULAR_TOL, SingularMatrix, "matrix",
+             lambda k: f"has |det| = {np.ravel(size)[k]:.3e} "
+                       f"<= {SINGULAR_TOL:g}")
+    if A.shape[-1] != 2:
+        return np.linalg.inv(A)
+    out = np.empty_like(A)
+    out[..., 0, 0] = A[..., 1, 1]
+    out[..., 0, 1] = -A[..., 0, 1]
+    out[..., 1, 0] = -A[..., 1, 0]
+    out[..., 1, 1] = A[..., 0, 0]
+    out /= np.asarray(d)[..., None, None]
+    return out
+
+
 # The congruence helpers take one (n, n) matrix or a (k, n, n) stack, act
 # entry by entry, and name the failing entry of a stack in their errors.
 
@@ -287,7 +329,7 @@ def gl_action(g: np.ndarray, P: np.ndarray) -> np.ndarray:
     P = _matrices(P, "P")
     if g.shape != P.shape:
         raise DimensionMismatch(f"shapes {g.shape} and {P.shape} differ")
-    _require(np.abs(np.linalg.det(g)) > SINGULAR_TOL, SingularMatrix, "g",
+    _require(np.abs(det(g)) > SINGULAR_TOL, SingularMatrix, "g",
              "has |det g| below invertibility tolerance")
     return symmetrize(g @ P @ np.swapaxes(g, -1, -2))
 
@@ -296,10 +338,10 @@ def conf_normalizer(A: np.ndarray):
     """Scalar (det A^T A)^{-1/2n} making |det(lambda A)| = 1; an array of
     them for a stack."""
     A = _matrices(A, "A")
-    det = np.linalg.det(np.swapaxes(A, -1, -2) @ A)
-    _require(det > SINGULAR_TOL ** 2, SingularMatrix, "A",
+    gram = det(np.swapaxes(A, -1, -2) @ A)
+    _require(gram > SINGULAR_TOL ** 2, SingularMatrix, "A",
              "has det A^T A below invertibility tolerance")
-    lam = det ** (-1.0 / (2.0 * A.shape[-1]))
+    lam = gram ** (-1.0 / (2.0 * A.shape[-1]))
     return float(lam) if A.ndim == 2 else lam
 
 
@@ -315,7 +357,7 @@ def conf_action(g: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def require_unit_determinant(P: np.ndarray, tol: float = UNIT_DET_TOL) -> np.ndarray:
     P = _matrices(P, "P")
-    gap = np.abs(np.linalg.det(P) - 1.0)
+    gap = np.abs(det(P) - 1.0)
     _require(gap <= tol, NotUnitDeterminant, "P",
              lambda k: f"has |det P - 1| = {np.ravel(gap)[k]:.3e} > {tol:g}")
     return P
@@ -323,10 +365,10 @@ def require_unit_determinant(P: np.ndarray, tol: float = UNIT_DET_TOL) -> np.nda
 
 def _renormalize_det(P: np.ndarray) -> np.ndarray:
     """P / det(P)^{1/n} for one matrix or each of a (..., n, n) stack."""
-    det = np.linalg.det(P)
-    _require(np.isfinite(det), NonFinite, "P", "has a non-finite determinant")
-    _require(det > 0.0, NotPositiveDefinite, "P", "lost determinant positivity")
-    scale = det ** (1.0 / P.shape[-1])
+    size = det(P)
+    _require(np.isfinite(size), NonFinite, "P", "has a non-finite determinant")
+    _require(size > 0.0, NotPositiveDefinite, "P", "lost determinant positivity")
+    scale = size ** (1.0 / P.shape[-1])
     # Indexing a NumPy scalar costs more than the division it feeds.
     return P / (scale if P.ndim == 2 else scale[..., None, None])
 

@@ -22,6 +22,7 @@ from cocyclelab.centers import (
     diameter,
     hausdorff_distance,
     midpoint_set,
+    pair_certificates,
     radius_at,
     space_selftest,
 )
@@ -305,6 +306,95 @@ class TestCertificate:
                     assert abs(bound - r_star) <= 1e-12 * max(r_star, 1.0)
                     far = np.linalg.norm(pts - z, axis=1).max()
                     assert abs(radius - far) <= 1e-12 * max(far, 1.0)
+
+
+def ragged_segments(rng, space, sizes):
+    """One point set per size: every other one along a line or geodesic,
+    where the pair certificate tends to hold, the rest spread out."""
+    if isinstance(space, EuclideanSpace):
+        direction = rng.standard_normal(space.dim)
+        for k, m in enumerate(sizes):
+            pts = rng.standard_normal((m, space.dim))
+            yield (np.outer(rng.random(m), direction) + 0.05 * pts
+                   if k % 2 == 0 else pts)
+        return
+    n = space.n
+    direction = spd.symmetrize(rng.standard_normal((n, n)))
+    for k, m in enumerate(sizes):
+        along, noise = (1.0, 0.02) if k % 2 == 0 else (0.0, 0.5)
+        pts = np.array([
+            spd.spd_exp(along * rng.random() * direction
+                        + noise * spd.symmetrize(rng.standard_normal((n, n))))
+            for _ in range(m)
+        ])
+        yield spd.unit_determinant(pts) if space.conformal else pts
+
+
+def assert_same_report(got, want):
+    assert np.array_equal(got.center, want.center)
+    assert (got.radius, got.lower_bound, got.iterations, got.support) == (
+        want.radius, want.lower_bound, want.iterations, want.support)
+
+
+def assert_matches_one_segment_calls(space, segments):
+    """The segmented certificate equals the one-segment call on every
+    segment, field by field, with the same diameters and centres."""
+    bounds = np.cumsum([0] + [len(pts) for pts in segments])
+    cert = pair_certificates(space, np.concatenate(segments), bounds)
+    diameters = cert.diameters()
+    for i, pts in enumerate(segments):
+        one = pair_certificates(space, pts)
+        assert cert.first[i] == one.first[0]
+        assert cert.second[i] == one.second[0]
+        assert np.array_equal(cert.half[i], one.half[0])
+        assert np.array_equal(cert.mids[i], one.mids[0])
+        assert np.array_equal(cert.radius[i], one.radius[0])
+        assert diameters[i] == diameter(PointSet(space, pts))
+        assert_same_report(cert.center(i), chebyshev_center(PointSet(space, pts)))
+    return cert
+
+
+class TestPairCertificates:
+    @pytest.mark.parametrize("space", [
+        EuclideanSpace(3), SPDSpace(2), SPDSpace(2, conformal=True), SPDSpace(3),
+    ], ids=lambda space: space.name)
+    def test_segmented_equals_one_segment_calls(self, rng, space):
+        sizes = (3, 300, 1, 2, 300, 1, 3)
+        cert = assert_matches_one_segment_calls(
+            space, list(ragged_segments(rng, space, sizes)))
+        certified = [cert.center(i).iterations == 0
+                     for i, m in enumerate(sizes) if m > 2]
+        assert any(certified) and not all(certified)
+
+    @pytest.mark.parametrize("space", [EuclideanSpace(3), SPDSpace(2)],
+                             ids=lambda space: space.name)
+    def test_passes_take_whole_segments(self, rng, space):
+        # A segment longer than PAIR_CHUNK takes a pass alone; the others
+        # share passes of at most PAIR_CHUNK points.
+        sizes = (2, 300, spd.PAIR_CHUNK + 904, 1, 3000, 3, 3000)
+        assert_matches_one_segment_calls(
+            space, list(ragged_segments(rng, space, sizes)))
+
+    def test_ties_take_the_first_index(self):
+        # From 0, the points 1 and -1 tie at distance 1, so a = 1; from 1
+        # the two copies of -1 tie, so b = 2.
+        line = EuclideanSpace(1)
+        tied = np.array([[0.0], [1.0], [-1.0], [-1.0], [1.0]])
+        cert = pair_certificates(line, np.concatenate([[[5.0], [7.0]], tied, tied]),
+                                 np.array([0, 2, 7, 12]))
+        assert cert.first.tolist() == [1, 1, 1]
+        assert cert.second.tolist() == [0, 2, 2]
+        one = pair_certificates(line, tied)
+        assert (one.first[0], one.second[0]) == (1, 2)
+        assert chebyshev_center(PointSet(line, tied)).support == (1, 2)
+
+    def test_failing_segments_match_chebyshev_center(self, rng):
+        triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+        segments = [triangle, rng.random((2, 2)), rng.random((9, 2)),
+                    triangle + 3.0, rng.random((1, 2))]
+        cert = assert_matches_one_segment_calls(E2, segments)
+        # Neither triangle pair-certifies; the tangent ball takes one move.
+        assert [cert.center(i).iterations for i in (0, 3)] == [1, 1]
 
 
 def _regular_polygon(m):

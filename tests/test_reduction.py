@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import spd
+from cocyclelab.centers import PointSet, SPDSpace, chebyshev_center
 from cocyclelab.circle import ParabolicBase
 from cocyclelab.cocycles import MatrixCocycle, matrix_products
 from cocyclelab.errors import (
@@ -122,6 +123,23 @@ class TestConstructCoboundary:
         assert np.max(np.abs(c.generators_along(xs) - want)) <= 1e-13
         phi = np.array([bb @ bb.T for bb in b])
         assert np.max(np.abs(c.oracle_section(xs) - phi)) <= 1e-13
+
+    def test_singular_conjugacy_raises_typed_error(self):
+        # B(x) = diag(1, 0) for x >= 0.9 has no inverse: SingularMatrix,
+        # which the CLI maps to an exit code, naming the entry.
+        def b_gen(x):
+            return np.diag([1.0, 0.0 if x >= 0.9 else 1.0])
+
+        with pytest.raises(SingularMatrix, match="entry"):
+            construct_coboundary(b_gen, lambda x: np.eye(2), golden_rotation())
+        # Singular only between the bound's sample points k / 64, so the
+        # cocycle is built and its generators raise.
+        def b_gap(x):
+            return np.diag([1.0, 0.0 if 0.907 <= x < 0.92 else 1.0])
+
+        c = construct_coboundary(b_gap, lambda x: np.eye(2), golden_rotation())
+        with pytest.raises(SingularMatrix, match="entry 1"):
+            c.generators_along(np.array([0.5, 0.91]))
 
 
 S0_3X3 = np.array([[0.5, 0.2, -0.1], [0.2, -0.3, 0.25], [-0.1, 0.25, 0.1]])
@@ -272,6 +290,44 @@ class TestSectionFromCenters:
         d_fine = oracle_section_distance(fine.section, c.oracle_section)
         assert d_fine < d_coarse
 
+    def test_off_graph_reports_match_chebyshev_center(self):
+        # From v0 = I the fibres are off the graph of phi*: some cells fail
+        # the pair certificate and take the tangent-ball search, from the
+        # stored midpoint, exactly as chebyshev_center does.
+        c = conformal_coboundary_cocycle()
+        fb = sample_fibers(c, 0.2, np.eye(2), 1600, 16, conformal=True)
+        got = section_from_centers(fb)
+        space = SPDSpace(2, conformal=True)
+        moved = 0
+        for i, pts in enumerate(fb.cell_points):
+            want = chebyshev_center(PointSet(space, pts))
+            assert np.array_equal(got.section.values[i], want.center)
+            assert got.center_gaps[i] == want.radius - want.lower_bound
+            assert got.center_supports[i] == want.support
+            moved += want.iterations > 0
+        assert moved > 0
+
+    def test_scans_do_not_grow_with_cells(self, monkeypatch):
+        # Diameters and centres share one certificate of three segmented
+        # scans per pass, so the number of distance scans of a pipeline
+        # does not depend on the number of cells.
+        c = coboundary_cocycle()
+        v0 = c.oracle_section(0.2)
+        real = spd.spd_distances_from
+        scans = {}
+        for cells in (64, 128):
+            calls = []
+
+            def counted(*args):
+                calls.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(spd, "spd_distances_from", counted)
+            section_from_centers(sample_fibers(c, 0.2, v0, 6400, cells))
+            monkeypatch.undo()
+            scans[cells] = len(calls)
+        assert scans[64] == scans[128] < 64
+
     def test_centers_commute_with_congruence(self, rng):
         # Recomputing after a fixed g in GL(2) conjugates the section.
         c = coboundary_cocycle()
@@ -283,8 +339,6 @@ class TestSectionFromCenters:
             np.array([spd.gl_action(g, p) for p in pts])
             for pts in fb.cell_points
         ]
-        from cocyclelab.centers import PointSet, SPDSpace, chebyshev_center
-
         space = SPDSpace(2)
         for i in (0, 7, 15):
             mapped_center = chebyshev_center(

@@ -522,6 +522,32 @@ class TestNormalizerDistortion:
             spd.quasiconformal_distortion(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+class TestDetInv:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_match_lapack_on_stacks(self, rng, n):
+        A = rng.standard_normal((50, n, n))
+        assert np.allclose(spd.det(A), np.linalg.det(A), rtol=1e-13, atol=1e-15)
+        assert np.allclose(spd.inv(A), np.linalg.inv(A), rtol=1e-12, atol=1e-13)
+        assert np.allclose(spd.inv(A) @ A, np.eye(n), atol=1e-10)
+        # One matrix gives one entry's answer.
+        assert np.allclose(spd.inv(A[7]), spd.inv(A)[7], rtol=1e-15, atol=0)
+        assert np.ndim(spd.det(A[7])) == 0
+
+    def test_closed_form_2x2(self):
+        A = np.array([[2.0, 3.0], [5.0, 7.0]])
+        assert spd.det(A) == -1.0
+        assert np.array_equal(spd.inv(A), np.array([[-7.0, 3.0], [5.0, -2.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_entry_named(self, rng, n):
+        A = rng.standard_normal((4, n, n)) + 2.0 * np.eye(n)
+        A[2] = np.diag([1.0] + [0.0] * (n - 1))
+        with pytest.raises(SingularMatrix, match="matrix entry 2"):
+            spd.inv(A)
+        with pytest.raises(SingularMatrix, match="matrix has"):
+            spd.inv(A[2])
+
+
 def test_symmetry_enforced_after_operations(rng):
     # Every constructor/operation keeps the symmetry defect below 1e-12.
     P = random_spd(rng, 3)
@@ -627,3 +653,8 @@ class TestNonFinite:
                     call(X)
                 except CocycleLabError:
                     pass
+        # A non-symmetric endpoint is rejected at every n, as by
+        # spd_distance, not read as the mean of its off-diagonals.
+        for call in calls[-2:]:
+            with pytest.raises(NotSymmetric):
+                call(bad_inputs[-1])
