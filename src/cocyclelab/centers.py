@@ -13,6 +13,16 @@ Both the Chebyshev center and the diameter start from the two-point
 certificate of :func:`pair_certificates`, which certifies the segments of
 one stack together, many fibres at once or a single set.
 
+Where it fails, the centre search re-linearises at z and bounds the
+optimal radius from below by weights w on the points: r*^2 >= F_w(c*)
+for F_w = sum w_i d(., p_i)^2, and F_w is 2-strongly geodesically convex
+(Sturm 2003), so F_w(c*) >= F_w(z) - |sum w_i log_z p_i|^2.  Nothing in
+this uses the choice of w beyond sum w_i = 1, w >= 0: the weights of the
+tangent enclosing ball make the bound largest at the z where they were
+solved, and the same weights, kept at the next z, still bound r*.  So a
+move is certified first with the last ball's weights, and a new ball is
+solved only when that stale bound falls short.
+
 The quantitative checks — center continuity d(ctr B, ctr B_eps)^2 <=
 8 eps r_B, the sqrt(2) diameter shrink of midpoint sets, and the radius
 drop of intersecting balls — live here as report-producing operations.
@@ -347,9 +357,11 @@ def chebyshev_center(B: PointSet) -> CenterReport:
     the minimum enclosing ball of y_i = log_z(p_i) exactly and move
     z <- exp_z(its centre).  Its weights w bound the optimum:
     F_w(x) = sum w_i d(x, p_i)^2 is 2-strongly geodesically convex on a
-    CAT(0) space (Sturm 2003), so r*^2 >= F_w(z) - |sum w_i y_i|^2.
-    Full steps, exact in R^d, until one fails to halve the one before; then
-    damped steps.  After OUTER_STEP_CAP moves without a certificate,
+    CAT(0) space (Sturm 2003), so r*^2 >= F_w(z) - |sum w_i y_i|^2.  That
+    holds for any probability weights, so each new z is certified first
+    with the weights of the move before, and the ball is solved again only
+    where they fall short: one ball per search in R^d.  Full steps, exact
+    in R^d, until one fails to halve the one before; then damped steps.  After OUTER_STEP_CAP moves without a certificate,
     NoConvergence is raised: no centre is returned uncertified.
     """
     if len(B) == 1:
@@ -358,13 +370,22 @@ def chebyshev_center(B: PointSet) -> CenterReport:
 
 
 def _tangent_center(space, pts: np.ndarray, z) -> CenterReport:
-    """The tangent-ball search of :func:`chebyshev_center` from z."""
-    damped, last = False, np.inf
+    """The tangent-ball search of :func:`chebyshev_center` from z.
+
+    Each new z is certified first with the weights of the ball solved at
+    the move before, and the enclosing ball is solved again only where
+    that stale bound does not certify.  The fresh weights maximise the
+    weighted variance F_w(z) - |g|^2 over all probability weights, so the
+    stale bound never exceeds the fresh one: it certifies only where a
+    fresh ball would, and the moves, the centre and the radius are those
+    of a ball per move.  Only ``lower_bound`` and ``support`` may differ,
+    by rounding or on cospherical sets."""
+    damped, last, ball = False, np.inf, None
     for step in itertools.count():
-        support, g, radius, bound = _tangent_certificate(space, pts, z)
-        if radius - bound <= CERTIFICATE_SLACK * max(radius, 1.0):
+        ball, g, radius, bound = _tangent_certificate(space, pts, z, ball)
+        if _tangent_covers(radius, bound):
             return CenterReport(z, radius, step, min(bound, radius),
-                                tuple(sorted(support)))
+                                tuple(sorted(ball[0])))
         if step == OUTER_STEP_CAP:
             raise NoConvergence(f"gap {radius - bound:.3e} after {step} moves")
         size = float(np.linalg.norm(g))
@@ -379,17 +400,42 @@ def _tangent_center(space, pts: np.ndarray, z) -> CenterReport:
         z = space.exp(z, g)
 
 
-def _tangent_certificate(space, pts: np.ndarray, z):
-    """One re-linearisation at z: the support and the step g = sum w_i y_i
-    of the enclosing ball of y_i = log_z(p_i), the covering radius from z,
-    and the lower bound sqrt(F_w(z) - |g|^2) <= r*."""
+def _tangent_covers(radius: float, bound: float) -> bool:
+    """Whether a lower bound certifies the covering radius from z."""
+    return radius - bound <= CERTIFICATE_SLACK * max(radius, 1.0)
+
+
+def _tangent_certificate(space, pts: np.ndarray, z, ball=None):
+    """One re-linearisation at z: the ball (support, weights), its step g
+    and lower bound from :func:`_tangent_bound`, and the covering radius
+    from z.
+
+    A ``ball`` from an earlier z is tried first and kept if its bound
+    certifies; otherwise, and without one, the minimum enclosing ball of
+    the y_i = log_z(p_i) gives the weights, the largest bound at z and the
+    step."""
     y = space.log(z, pts)
-    support, w = _tangent_ball(y)
-    g = w @ y[support]
     dist2 = np.einsum("ij,ij->i", y, y)
     radius = float(np.sqrt(dist2.max()))
-    bound = float(np.sqrt(max(w @ dist2[support] - g @ g, 0.0)))
-    return support, g, radius, bound
+    if ball is not None:
+        g, bound = _tangent_bound(y, dist2, ball)
+        if _tangent_covers(radius, bound):
+            return ball, g, radius, bound
+    ball = _tangent_ball(y)
+    g, bound = _tangent_bound(y, dist2, ball)
+    return ball, g, radius, bound
+
+
+def _tangent_bound(y: np.ndarray, dist2: np.ndarray, ball):
+    """The step g = sum w_i y_i and the lower bound sqrt(F_w(z) - |g|^2)
+    <= r* of probability weights w on the rows ``support`` of the tangent
+    vectors y = log_z(p), whose squared norms are ``dist2``; ``ball`` is
+    (support, w).  It holds for any probability weights (module
+    docstring); those of the minimum enclosing ball of the y_i make it
+    largest."""
+    support, w = ball
+    g = w @ y[support]
+    return g, float(np.sqrt(max(w @ dist2[support] - g @ g, 0.0)))
 
 
 def _tangent_ball(y: np.ndarray):
@@ -446,11 +492,16 @@ def midpoint_set(B: PointSet, rel_tol: float = 1e-9) -> PointSet:
     Coincident midpoints are merged, so e.g. the four corners of a square
     produce the single center point.
     """
+    return _midpoints(B, rel_tol)[0]
+
+
+def _midpoints(B: PointSet, rel_tol: float) -> tuple[PointSet, float]:
+    """:func:`midpoint_set` and diam(B), read from its one pairwise scan."""
     space = B.space
     pts = B.points
     m = pts.shape[0]
     if m == 1:
-        return PointSet(space, pts.copy())
+        return PointSet(space, pts.copy()), 0.0
     iu, ju = np.triu_indices(m, k=1)
     dists = space.pairwise(pts)
     diam = float(np.max(dists))
@@ -462,7 +513,7 @@ def midpoint_set(B: PointSet, rel_tol: float = 1e-9) -> PointSet:
     for p in mids:
         if all(space.distance(p, q) > merge_tol for q in unique):
             unique.append(p)
-    return PointSet(space, np.array(unique))
+    return PointSet(space, np.array(unique)), diam
 
 
 def bt_center(B: PointSet, rounds: int = 60):
@@ -492,11 +543,13 @@ class ShrinkReport:
 
 
 def check_diameter_shrink(B: PointSet) -> ShrinkReport:
-    """Ratio diam(midpoints of diametral pairs) / diam(B) against 1/sqrt(2)."""
+    """Ratio diam(midpoints of diametral pairs) / diam(B) against 1/sqrt(2).
+
+    diam(B) is read from the pairwise scan that finds the diametral pairs.
+    """
     if len(B) < 2:
         raise EmptySet("need at least two points")
-    d0 = diameter(B)
-    mids = midpoint_set(B, rel_tol=1e-9)
+    mids, d0 = _midpoints(B, rel_tol=1e-9)
     d1 = diameter(mids)
     ratio = 0.0 if d0 == 0.0 else d1 / d0
     return ShrinkReport(
@@ -508,8 +561,12 @@ def check_diameter_shrink(B: PointSet) -> ShrinkReport:
 
 
 def hausdorff_distance(A: PointSet, B: PointSet) -> float:
-    """max-min over the |A| x |B| distances, from one scan per point of A."""
-    cross = np.array([A.space.distances_from(p, B.points) for p in A.points])
+    """max-min over the |A| x |B| distances, from one paired scan: every
+    point of A repeated |B| times against B tiled |A| times."""
+    m, k = len(A), len(B)
+    tiles = (m,) + (1,) * (B.points.ndim - 1)
+    cross = A.space.distances_from(np.repeat(A.points, k, axis=0),
+                                   np.tile(B.points, tiles)).reshape(m, k)
     return float(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
 
 

@@ -57,12 +57,17 @@ class FiniteIsometry:
         tr = np.asarray(self.translation, dtype=float)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "translation", tr)
-        defect = np.linalg.norm(lin.T @ lin - np.eye(lin.shape[0]))
-        if defect > ORTHOGONALITY_TOL:
-            raise NotOrthogonal(
-                f"linear part orthogonality defect {defect:.3e} > "
-                f"{ORTHOGONALITY_TOL:g}"
-            )
+        _require_orthogonal(lin[None], "linear part")
+
+    @classmethod
+    def _checked(cls, linear: np.ndarray,
+                 translation: np.ndarray) -> "FiniteIsometry":
+        """An isometry from float arrays whose linear part has already
+        passed :func:`_require_orthogonal`, built without checking again."""
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "linear", linear)
+        object.__setattr__(iso, "translation", translation)
+        return iso
 
     @property
     def dim(self) -> int:
@@ -87,6 +92,22 @@ class FiniteIsometry:
         return float(
             np.linalg.norm(self.linear - other.linear, 2)
             + np.linalg.norm(self.translation - other.translation)
+        )
+
+
+def _require_orthogonal(linears: np.ndarray, what: str, names=None) -> None:
+    """Raise NotOrthogonal unless every matrix Q of a (k, l, l) stack has
+    ||Q^T Q - I||_F <= ORTHOGONALITY_TOL; the error names the first failing
+    entry as ``what`` or, with ``names``, as ``what`` names[i]."""
+    defects = np.linalg.norm(
+        np.swapaxes(linears, -1, -2) @ linears - np.eye(linears.shape[-1]),
+        axis=(-2, -1))
+    if np.any(defects > ORTHOGONALITY_TOL):
+        i = int(np.argmax(defects > ORTHOGONALITY_TOL))
+        name = what if names is None else f"{what} {names[i]}"
+        raise NotOrthogonal(
+            f"{name} orthogonality defect {defects[i]:.3e} > "
+            f"{ORTHOGONALITY_TOL:g}"
         )
 
 
@@ -153,11 +174,7 @@ class IsometryCocycle:
         self.dim = int(dim)
         if constant_linear is not None:
             constant_linear = np.asarray(constant_linear, dtype=float)
-            defect = np.linalg.norm(
-                constant_linear.T @ constant_linear - np.eye(self.dim)
-            )
-            if defect > ORTHOGONALITY_TOL:
-                raise NotOrthogonal("constant linear part is not orthogonal")
+            _require_orthogonal(constant_linear[None], "constant linear part")
         self.constant_linear = constant_linear
         self._linear_batch_fn = linear_batch_fn
         self._translation_batch_fn = translation_batch_fn
@@ -350,7 +367,8 @@ def recurrence_isometries(c: IsometryCocycle, x: float, delta: float,
     """Pairs (k, I(k, x)) over the return times d(T^k x, x) < delta.
 
     One pass along the orbit; an empirical sample of the recurrence
-    semigroup of x.
+    semigroup of x.  The orthonormalised linear parts are checked as one
+    stack, and a failure names the return time.
     """
     if n > 10 ** 6:
         raise ConfigInvalid("n exceeds the 1e6 recurrence bound")
@@ -359,9 +377,11 @@ def recurrence_isometries(c: IsometryCocycle, x: float, delta: float,
         return []
     prods = orbit_products(c, x, int(ks[-1]))[ks]
     l = c.dim
+    linears = gram_schmidt(prods[:, :l, :l])
+    _require_orthogonal(linears, "return k =", ks)
     return [
-        (int(k), FiniteIsometry(q, p[:l, l].copy()))
-        for k, q, p in zip(ks, gram_schmidt(prods[:, :l, :l]), prods)
+        (int(k), FiniteIsometry._checked(q, p[:l, l].copy()))
+        for k, q, p in zip(ks, linears, prods)
     ]
 
 

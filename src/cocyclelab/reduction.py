@@ -194,7 +194,9 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
     w = prefix_products(gens)
     del gens
     w = w @ np.linalg.cholesky(v0)
-    points = w @ w.transpose(0, 2, 1)
+    # A contiguous copy of the transpose keeps the stacked matmul off its
+    # strided loop; the products are the same bits.
+    points = w @ np.ascontiguousarray(w.transpose(0, 2, 1))
     del w
     points += points.transpose(0, 2, 1)
     points *= 0.5

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import cocyclelab
-from cocyclelab import spd
+from cocyclelab import centers, spd
 from cocyclelab.centers import (
     OUTER_STEP_CAP,
+    _tangent_bound,
     _tangent_certificate,
     EuclideanSpace,
     PointSet,
@@ -308,6 +309,94 @@ class TestCertificate:
                     assert abs(radius - far) <= 1e-12 * max(far, 1.0)
 
 
+def counting_balls(monkeypatch):
+    """Patch ``centers._tangent_ball`` to record one entry per call."""
+    calls = []
+    real = centers._tangent_ball
+    monkeypatch.setattr(centers, "_tangent_ball",
+                        lambda y: calls.append(len(y)) or real(y))
+    return calls
+
+
+def tangent_bound_at(space, pts, z, ball):
+    """The lower bound of ``ball`` = (support, weights) at z."""
+    y = space.log(z, pts)
+    return _tangent_bound(y, np.einsum("ij,ij->i", y, y), ball)[1]
+
+
+class TestStaleWeights:
+    def test_any_weights_bound_the_optimum(self, rng):
+        # sqrt(F_w(z) - |g|^2) <= r* for every probability vector w and
+        # every z, not only for the enclosing ball's weights at z.
+        for dim in (2, 3):
+            space = EuclideanSpace(dim)
+            for pts in elongated_sets(rng, dim, 20):
+                _, r_star = exact_min_enclosing_ball(pts)
+                for _ in range(10):
+                    z = pts.mean(axis=0) + rng.standard_normal(dim)
+                    support = np.flatnonzero(rng.random(len(pts)) < 0.6)
+                    if len(support) == 0:
+                        support = np.arange(len(pts))
+                    w = rng.dirichlet(np.ones(len(support)))
+                    bound = tangent_bound_at(space, pts, z, (support, w))
+                    assert bound <= r_star + 1e-12 * max(r_star, 1.0)
+
+    def test_stale_bound_never_exceeds_fresh(self, rng):
+        # Along the full steps of the search on Pos(2) sets, the last ball's
+        # weights, and random weights, bound no more than a fresh ball at
+        # the same z: the fresh weights maximise the weighted variance.
+        compared = 0
+        for m in range(3, 10):
+            for _ in range(4):
+                pts = np.array([random_spd(rng, 2, 0.6) for _ in range(m)])
+                z = pair_certificates(S2, pts).mids[0]
+                ball, g, _, _ = _tangent_certificate(S2, pts, z)
+                for _ in range(4):
+                    z = S2.exp(z, g)
+                    fresh_ball, g, radius, fresh = _tangent_certificate(
+                        S2, pts, z)
+                    w = rng.dirichlet(np.ones(m))
+                    for stale_ball in (ball, (np.arange(m), w)):
+                        stale = tangent_bound_at(S2, pts, z, stale_ball)
+                        assert stale <= fresh + 1e-12
+                        assert stale <= radius + 1e-12
+                        compared += 1
+                    ball = fresh_ball
+        assert compared == 7 * 4 * 4 * 2
+
+    def test_euclidean_search_solves_one_ball(self, rng, monkeypatch):
+        # The first move lands on the exact centre, where the same weights
+        # certify: one ball and one move wherever the pair certificate fails.
+        calls = counting_balls(monkeypatch)
+        searched = 0
+        for dim in (2, 3):
+            triangle = np.pad(acute_scalene_triangle(), ((0, 0), (0, dim - 2)))
+            for pts in [triangle, *elongated_sets(rng, dim, 30)]:
+                calls.clear()
+                rep = chebyshev_center(PointSet(EuclideanSpace(dim), pts))
+                if rep.iterations == 0:
+                    assert calls == []
+                    continue
+                assert (rep.iterations, len(calls)) == (1, 1)
+                assert_certified(rep)
+                searched += 1
+        assert searched >= 20
+
+    def test_spd_search_solves_one_ball_per_move(self, rng, monkeypatch):
+        # One ball at each z but the last, which the stale weights certify.
+        calls = counting_balls(monkeypatch)
+        moves = 0
+        for n in (2, 3):
+            for m in range(3, 10):
+                pts = np.array([random_spd(rng, n, 0.6) for _ in range(m)])
+                calls.clear()
+                rep = chebyshev_center(PointSet(SPDSpace(n), pts))
+                assert len(calls) == rep.iterations
+                assert_certified(rep)
+                moves += rep.iterations
+        assert moves >= 20
+
+
 def ragged_segments(rng, space, sizes):
     """One point set per size: every other one along a line or geodesic,
     where the pair certificate tends to hold, the rest spread out."""
@@ -591,7 +680,10 @@ class TestDiameterShrink:
     def test_random_planar_sets(self, rng):
         for _ in range(100):
             pts = rng.random((int(rng.integers(3, 10)), 2))
-            assert check_diameter_shrink(PointSet(E2, pts)).passed
+            rep = check_diameter_shrink(PointSet(E2, pts))
+            assert rep.passed
+            brute = np.linalg.norm(pts[:, None] - pts[None], axis=2).max()
+            assert abs(rep.diam_before - brute) <= 1e-15
 
 
 class TestCenterContinuity:
@@ -642,6 +734,20 @@ class TestCenterContinuity:
         want = max(d.min(axis=1).max(), d.min(axis=0).max())
         assert abs(got - want) <= 1e-12
         assert got == hausdorff_distance(PointSet(S2, b), PointSet(S2, a))
+
+    @pytest.mark.parametrize("space", [E2, S2], ids=["euclidean", "pos2"])
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 5), (6, 1), (7, 3), (2, 9)])
+    def test_hausdorff_against_brute_force(self, rng, space, sizes):
+        def draw(m):
+            if space is E2:
+                return rng.random((m, 2))
+            return np.array([random_spd(rng, 2, 0.8) for _ in range(m)])
+
+        a, b = draw(sizes[0]), draw(sizes[1])
+        d = np.array([[space.distance(p, q) for q in b] for p in a])
+        want = max(d.min(axis=1).max(), d.min(axis=0).max())
+        got = hausdorff_distance(PointSet(space, a), PointSet(space, b))
+        assert abs(got - want) <= 1e-12
 
 
 def scalar_ball_battery(space, v0, v0p, r0, eps, samples, rng):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cocyclelab import cocycles
 from cocyclelab.circle import GOLDEN_MEAN, RotationBase
 from cocyclelab.cocycles import (
     SCAN_BLOCK,
@@ -425,6 +426,30 @@ class TestRecurrence:
                 ))
         assert len(want) >= 10
         assert semigroup_closure_check(c, x, sample, max_pairs=pairs) == want
+
+    def test_stacked_check_names_the_failing_return(self, rng, monkeypatch):
+        # The linear parts are checked once as a stack; a defect in one of
+        # them names its return time, and the returned isometries are those
+        # FiniteIsometry builds with its own check.
+        c = rotation_translation_cocycle(
+            golden_rotation(), 0.9, TrigPoly.random(2, rng, 0.3)
+        )
+        sample = recurrence_isometries(c, 0.1, 0.02, 30_000)
+        for _, iso in sample:
+            rebuilt = FiniteIsometry(iso.linear, iso.translation)
+            assert np.array_equal(rebuilt.linear, iso.linear)
+            assert np.array_equal(rebuilt.translation, iso.translation)
+        bad = len(sample) // 2
+        real = cocycles.gram_schmidt
+
+        def skewed(M):
+            out = real(M)
+            out[bad, 0, 1] += 1e-9
+            return out
+
+        monkeypatch.setattr(cocycles, "gram_schmidt", skewed)
+        with pytest.raises(NotOrthogonal, match=f"return k = {sample[bad][0]} "):
+            recurrence_isometries(c, 0.1, 0.02, 30_000)
 
     def test_linear_parts_match_column_loop(self, rng):
         c = rotation_translation_cocycle(
