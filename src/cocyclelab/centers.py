@@ -1,7 +1,8 @@
 """Centers of bounded point sets in a CAT(0) space.
 
 Two notions are implemented over an abstract space contract (distance,
-geodesic, and log/exp at a point in isometric tangent coordinates):
+geodesic, and log/exp at a point in isometric tangent coordinates, also
+as a ``chart`` at one point for a batch the space has checked once):
 
 * the Chebyshev center, the unique minimizer of the covering radius
   r_B(v) = max_w d(v, w), returned with a lower bound on the optimal
@@ -89,11 +90,30 @@ class EuclideanSpace:
         diff = batch[iu] - batch[ju]
         return np.sqrt(np.sum(diff * diff, axis=1))
 
+    def points(self, batch: np.ndarray) -> np.ndarray:
+        return np.asarray(batch, float)
+
+    def chart(self, z) -> "_EuclideanChart":
+        return _EuclideanChart(z)
+
     def log(self, z, batch: np.ndarray) -> np.ndarray:
-        return np.asarray(batch, float) - np.asarray(z, float)
+        return self.chart(z).log(self.points(batch))
 
     def exp(self, z, v: np.ndarray):
-        return np.asarray(z, float) + v
+        return self.chart(z).exp(v)
+
+
+class _EuclideanChart:
+    """log_z and exp_z of R^d."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, float)
+
+    def log(self, pts: np.ndarray) -> np.ndarray:
+        return pts - self.z
+
+    def exp(self, v: np.ndarray) -> np.ndarray:
+        return self.z + v
 
 
 class SPDSpace:
@@ -129,20 +149,45 @@ class SPDSpace:
     def pairwise(self, batch: np.ndarray) -> np.ndarray:
         return spd.pairwise_spd_distances(batch)
 
+    def points(self, batch: np.ndarray) -> np.ndarray:
+        """The batch checked and symmetrized once, for :meth:`chart` logs."""
+        return spd.require_symmetric_batch(batch)
+
+    def chart(self, z) -> "_SPDChart":
+        """log and exp at z on one Cholesky factorization of z."""
+        return _SPDChart(self, z)
+
     def log(self, z, batch: np.ndarray) -> np.ndarray:
-        return spd.whitened_logs(z, batch)[:, self._rows, self._cols] * self._scale
+        return self.chart(z).log(self.points(batch))
 
     def exp(self, z, v: np.ndarray):
         """exp_z of one tangent vector (dim,) or of a (m, dim) stack of
-        them, through one :func:`spd.whitened_exp` call: (n, n) or
-        (m, n, n)."""
+        them: (n, n) or (m, n, n)."""
+        return self.chart(z).exp(v)
+
+
+class _SPDChart:
+    """log_z and exp_z of an :class:`SPDSpace` on one
+    :class:`spd.Whitening` of z."""
+
+    def __init__(self, space: SPDSpace, z):
+        self.space = space
+        self.at = spd.Whitening(z)
+
+    def log(self, pts: np.ndarray) -> np.ndarray:
+        """Tangent coordinates of a batch :meth:`SPDSpace.points` checked."""
+        s = self.space
+        return self.at.logs(pts)[:, s._rows, s._cols] * s._scale
+
+    def exp(self, v: np.ndarray) -> np.ndarray:
+        """One :meth:`spd.Whitening.exp` call for the whole stack."""
+        s = self.space
         v = np.asarray(v, dtype=float)
-        S = np.empty(v.shape[:-1] + (self.n, self.n))
-        S[..., self._cols, self._rows] = S[..., self._rows, self._cols] = (
-            v / self._scale)
-        out = spd.whitened_exp(z, S)
+        S = np.empty(v.shape[:-1] + (s.n, s.n))
+        S[..., s._cols, s._rows] = S[..., s._rows, s._cols] = v / s._scale
+        out = self.at.exp(S)
         # The slice is totally geodesic; renormalize drift.
-        return spd._renormalize_det(out) if self.conformal else out
+        return spd._renormalize_det(out) if s.conformal else out
 
 
 def space_selftest(space, sample_points: np.ndarray, rng: np.random.Generator,
@@ -379,10 +424,15 @@ def _tangent_center(space, pts: np.ndarray, z) -> CenterReport:
     stale bound never exceeds the fresh one: it certifies only where a
     fresh ball would, and the moves, the centre and the radius are those
     of a ball per move.  Only ``lower_bound`` and ``support`` may differ,
-    by rounding or on cospherical sets."""
+    by rounding or on cospherical sets.
+
+    The points are checked once per search and every z is factorized
+    once, in one ``space.chart`` for both its log and its exp."""
+    pts = space.points(pts)
     damped, last, ball = False, np.inf, None
     for step in itertools.count():
-        ball, g, radius, bound = _tangent_certificate(space, pts, z, ball)
+        chart = space.chart(z)
+        ball, g, radius, bound = _linearise(chart.log(pts), ball)
         if _tangent_covers(radius, bound):
             return CenterReport(z, radius, step, min(bound, radius),
                                 tuple(sorted(ball[0])))
@@ -397,7 +447,7 @@ def _tangent_center(space, pts: np.ndarray, z) -> CenterReport:
             # the Hessian of d(., p)^2 / 2 at distance r has eigenvalues in
             # [1, zeta], so every error shrinks by (zeta - 1) / (zeta + 1).
             g = g * (2.0 * np.tanh(x) / (np.tanh(x) + x))
-        z = space.exp(z, g)
+        z = chart.exp(g)
 
 
 def _tangent_covers(radius: float, bound: float) -> bool:
@@ -414,7 +464,11 @@ def _tangent_certificate(space, pts: np.ndarray, z, ball=None):
     certifies; otherwise, and without one, the minimum enclosing ball of
     the y_i = log_z(p_i) gives the weights, the largest bound at z and the
     step."""
-    y = space.log(z, pts)
+    return _linearise(space.log(z, pts), ball)
+
+
+def _linearise(y: np.ndarray, ball):
+    """:func:`_tangent_certificate` from the tangent vectors y = log_z(p)."""
     dist2 = np.einsum("ij,ij->i", y, y)
     radius = float(np.sqrt(dist2.max()))
     if ball is not None:

@@ -138,17 +138,23 @@ def base_from_descriptor(desc: dict):
     raise ConfigInvalid(f"unknown base descriptor {desc!r}")
 
 
-def minimality_probe(base, x0: float, n: int, delta: float) -> bool:
-    """True iff the first ``n`` forward iterates are delta-dense in [0, 1)."""
-    if n > 10 ** 7:
-        raise ConfigInvalid("n exceeds the 1e7 probe bound")
-    xs = np.sort(base.orbit(x0, n))
+def is_dense(xs: np.ndarray, delta: float) -> bool:
+    """True iff the nonempty points ``xs`` of [0, 1) are delta-dense: no
+    gap between circularly consecutive points exceeds 2 delta."""
+    xs = np.sort(xs)
     gaps = np.diff(xs)
     max_gap = max(
         float(gaps.max(initial=0.0)),
         float(1.0 - xs[-1] + xs[0]),
     )
     return max_gap <= 2.0 * delta
+
+
+def minimality_probe(base, x0: float, n: int, delta: float) -> bool:
+    """True iff the first ``n`` forward iterates are delta-dense in [0, 1)."""
+    if n > 10 ** 7:
+        raise ConfigInvalid("n exceeds the 1e7 probe bound")
+    return is_dense(base.orbit(x0, n), delta)
 
 
 def return_times(base, x: float, delta: float, n: int) -> np.ndarray:

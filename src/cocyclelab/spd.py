@@ -20,8 +20,9 @@ lam1 >= lam2 of the whitened 2x2 matrix, which give the distance, and by
 Cayley-Hamilton the geodesic, an affine combination of its endpoints;
 and :func:`det` (ad - bc) and :func:`inv` (the adjugate over det) of
 whole stacks, which raise SingularMatrix naming the entry.
-The exponential map :func:`whitened_exp` takes a whole stack of tangent
-matrices through one stacked ``eigh`` at every n.  The congruence helpers
+The logarithm and exponential maps at a point, on one Cholesky
+factorization of it (:class:`Whitening`), take a whole stack through one
+stacked ``eigh`` at every n.  The congruence helpers
 and :func:`spd_distances_from` take a (k, n, n) stack where they take one
 point, check it entry by entry and name the failing entry in errors.
 Supported dimensions are 2 <= n <= 8.  Non-finite input raises
@@ -78,6 +79,12 @@ def require_square(a: np.ndarray) -> np.ndarray:
 
 def require_symmetric(a: np.ndarray) -> np.ndarray:
     return _symmetric(require_square(a), "matrix")
+
+
+def require_symmetric_batch(batch: np.ndarray) -> np.ndarray:
+    """A (m, n, n) batch checked symmetric and finite entry by entry, and
+    symmetrized; an error names the entry."""
+    return _symmetric(batch, "batch")
 
 
 def _require(ok, error, what: str, problem):
@@ -250,7 +257,8 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
         raise DimensionMismatch(f"shapes {P.shape} and {Q.shape} differ")
     if P.shape[0] == 2:
         return _geodesic_2x2(P, Q, t)
-    return whitened_exp(P, t * whitened_logs(P, Q[np.newaxis])[0])
+    at = Whitening(P)
+    return at.exp(t * at.logs(require_symmetric_batch(Q[np.newaxis]))[0])
 
 
 def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
@@ -471,28 +479,45 @@ def _distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return _whitened_distances(L, _symmetric(batch, "batch"))
 
 
-def whitened_logs(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Tangent vectors log(L^{-1} Q L^{-T}) at P = L L^T, of norm d(P, Q)."""
-    w = np.linalg.inv(_cholesky(require_symmetric(P), "reference point"))
-    return _spectral(w @ _symmetric(batch, "batch") @ w.T, np.log, "batch")
+class Whitening:
+    """A point P = L L^T of Pos(n), checked and Cholesky-factorized once,
+    with the whitened logarithm and exponential at P as methods, so a
+    caller that takes both at one point factorizes it once, and one that
+    takes logs of one batch at many points checks the batch once."""
+
+    def __init__(self, P: np.ndarray):
+        self.L = _cholesky(require_symmetric(P), "reference point")
+
+    def logs(self, batch: np.ndarray) -> np.ndarray:
+        """Tangent vectors log(L^{-1} Q L^{-T}) at P, of norm d(P, Q), of
+        every entry Q of a batch that :func:`require_symmetric_batch`
+        returned."""
+        w = np.linalg.inv(self.L)
+        return _spectral(w @ batch @ w.T, np.log, "batch")
+
+    def exp(self, S: np.ndarray) -> np.ndarray:
+        """L exp(S) L^T of one symmetric (n, n) matrix or of each entry of a
+        (..., n, n) stack, in its shape; as :func:`whitened_exp`."""
+        L = self.L
+        S = np.asarray(S, dtype=float)
+        if S.ndim < 2 or S.shape[-2:] != L.shape:
+            raise DimensionMismatch(
+                f"tangent shape {S.shape} incompatible with point {L.shape}"
+            )
+        out = L @ _spectral(_symmetric(S.reshape(-1, *L.shape), "batch"),
+                            np.exp) @ L.T
+        return symmetrize(out).reshape(S.shape)
 
 
 def whitened_exp(P: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """L exp(S) L^T with L = chol(P); the inverse of :func:`whitened_logs`.
+    """L exp(S) L^T with L = chol(P); the inverse of :meth:`Whitening.logs`.
 
     ``S`` is one symmetric (n, n) matrix or a (..., n, n) stack of them,
     and the result has its shape.  The whole stack takes one Cholesky
     factorization of P, one symmetry and finiteness check and one stacked
     ``eigh``; an error names the entry's index in the flattened stack.
     """
-    L = _cholesky(require_symmetric(P), "reference point")
-    S = np.asarray(S, dtype=float)
-    if S.ndim < 2 or S.shape[-2:] != L.shape:
-        raise DimensionMismatch(
-            f"tangent shape {S.shape} incompatible with point {L.shape}"
-        )
-    out = L @ _spectral(_symmetric(S.reshape(-1, *L.shape), "batch"), np.exp) @ L.T
-    return symmetrize(out).reshape(S.shape)
+    return Whitening(P).exp(S)
 
 
 def spd_distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:

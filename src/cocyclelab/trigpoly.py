@@ -31,11 +31,26 @@ class TrigPoly:
         return sorted(self.coeffs)
 
     def __call__(self, theta):
-        """Evaluate at a scalar or an ndarray of angles in turns."""
+        """Evaluate at a scalar or an ndarray of angles in turns.
+
+        One exp per point, z = e^{2 pi i theta}, and Horner's rule over the
+        mode range: in z for the modes n >= 0 and in conj(z) = 1/z for the
+        modes n < 0."""
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(theta.shape, dtype=complex)
-        for n, c in self.coeffs.items():
-            out += c * np.exp(TWO_PI_I * n * theta)
+        if self.coeffs:
+            z = np.exp(TWO_PI_I * theta)
+            lo, hi = min(self.coeffs), max(self.coeffs)
+            for n in range(hi, -1, -1):
+                out *= z
+                out += self.coeffs.get(n, 0.0)
+            if lo < 0:
+                w = z.conj()
+                neg = np.zeros_like(out)
+                for n in range(lo, 0):
+                    neg += self.coeffs.get(n, 0.0)
+                    neg *= w
+                out += neg
         if out.shape == ():
             return complex(out)
         return out

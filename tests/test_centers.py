@@ -397,6 +397,34 @@ class TestStaleWeights:
         assert moves >= 20
 
 
+class TestTangentFactorisation:
+    def test_one_cholesky_per_move(self, rng, monkeypatch):
+        # Every z of the search is factorised once, for its log and its
+        # exp, and the point stack is checked once per search.
+        factorised, checked = [], []
+        cholesky, check = spd._cholesky, spd.require_symmetric_batch
+        monkeypatch.setattr(spd, "_cholesky", lambda P, what: (
+            factorised.append(what) or cholesky(P, what)))
+        monkeypatch.setattr(spd, "require_symmetric_batch", lambda batch: (
+            checked.append(len(batch)) or check(batch)))
+        moves = 0
+        for space in (SPDSpace(2), SPDSpace(3), SPDSpace(2, conformal=True)):
+            for m in range(3, 10):
+                pts = np.array([random_spd(rng, space.n, 0.6)
+                                for _ in range(m)])
+                if space.conformal:
+                    pts = spd.unit_determinant(pts)
+                z = pair_certificates(space, pts).mids[0]
+                factorised.clear()
+                checked.clear()
+                rep = centers._tangent_center(space, pts, z)
+                assert factorised == ["reference point"] * (rep.iterations + 1)
+                assert checked == [m]
+                assert_certified(rep)
+                moves += rep.iterations
+        assert moves >= 20
+
+
 def ragged_segments(rng, space, sizes):
     """One point set per size: every other one along a line or geodesic,
     where the pair certificate tends to hold, the rest spread out."""

@@ -170,6 +170,14 @@ class TestSolveCommand:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("command,steps", [
+        ("birkhoff", "0"), ("birkhoff", "-3"), ("birkhoff", "1"),
+        ("demo-counterexample", "1"),
+    ])
+    def test_short_walk_is_config_error(self, tmp_path, command, steps):
+        code, summary, _ = run_cli(tmp_path, command, "--steps", steps)
+        assert code == 2 and summary is None
+
     def test_birkhoff_counterexample(self, tmp_path):
         code, summary, out = run_cli(
             tmp_path, "birkhoff", "--preset", "counterexample",

@@ -382,6 +382,21 @@ class TestBoundednessProbe:
         rep = boundedness_probe(jc.cocycle, 0.3, v0, 100_000)
         assert rep.sup_norm <= np.linalg.norm(v0) + 2.0 * jc.sup_psi + 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 500, 20_000])
+    def test_slope_matches_polyfit(self, rng, n):
+        phi = TrigPoly.random(4, rng)
+        c = coboundary_isometry_cocycle(golden_rotation(), 1.3, phi)
+        rep = boundedness_probe(c, 0.2, rng.random(2), n)
+        running = np.maximum.accumulate(rep.norms)[1:]
+        want = np.polyfit(np.log(np.arange(1, n + 1)), running, 1)[0]
+        assert abs(rep.growth_slope - want) <= 1e-12 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_short_walk_rejected(self, n):
+        c = constant_cocycle(golden_rotation(), 2, [1.0, 0.0])
+        with pytest.raises(ConfigInvalid):
+            boundedness_probe(c, 0.1, np.zeros(2), n)
+
 
 class TestRecurrence:
     def test_trivial_cocycle_returns_identity(self):

@@ -4,7 +4,7 @@ orthogonal and conformal conjugation."""
 import numpy as np
 import pytest
 
-from cocyclelab import spd
+from cocyclelab import presets, spd
 from cocyclelab.centers import PointSet, SPDSpace, chebyshev_center
 from cocyclelab.circle import ParabolicBase
 from cocyclelab.cocycles import MatrixCocycle, matrix_products
@@ -523,6 +523,45 @@ class TestReduceToConformal:
         assert res.defect <= 5e-2
         # Where the defect is tiny the reduced distortion is 1.
         assert res.distortion_max_deviation <= res.defect + 1e-9
+
+
+class TestExpFamily:
+    """B(x) = exp(sin(2 pi x) S0) from the spectral projectors of S0."""
+
+    DIRECTIONS = [conjugacy_direction(0.7),
+                  conjugacy_direction(0.7, traceless=True)]
+
+    @pytest.mark.parametrize("s0", DIRECTIONS)
+    def test_matches_matrix_exponential(self, s0):
+        _, batch = presets._exp_family(s0)
+        xs = np.concatenate([np.arange(256) / 256.0,
+                             golden_rotation().orbit(0.2, 256)])
+        got = batch(xs)
+        for x, b in zip(xs, got):
+            want = spd.spd_exp(np.sin(2.0 * np.pi * x) * s0)
+            assert np.abs(b - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("s0", DIRECTIONS)
+    def test_symmetric_bit_for_bit(self, s0):
+        _, batch = presets._exp_family(s0)
+        b = batch(golden_rotation().orbit(0.3, 5000))
+        assert np.array_equal(b, b.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("s0", DIRECTIONS)
+    def test_single_is_batch_at_one_point(self, s0):
+        single, batch = presets._exp_family(s0)
+        for x in (0.0, 0.125, 0.3, 0.77):
+            assert np.array_equal(single(x), batch([x])[0])
+
+
+def test_sample_fibers_computes_one_orbit(monkeypatch):
+    c = coboundary_cocycle()
+    calls = []
+    orbit = type(c.base).orbit
+    monkeypatch.setattr(type(c.base), "orbit", lambda self, x0, n: (
+        calls.append(n) or orbit(self, x0, n)))
+    sample_fibers(c, 0.2, c.oracle_section(0.2), 3200, 64)
+    assert calls == [3200]
 
 
 def test_s0_scaling():
