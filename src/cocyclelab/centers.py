@@ -1,8 +1,9 @@
 """Centers of bounded point sets in a CAT(0) space.
 
-Two notions are implemented over an abstract space contract (distance,
-geodesic, and log/exp at a point in isometric tangent coordinates, also
-as a ``chart`` at one point for a batch the space has checked once):
+Two notions are implemented over an abstract space contract: distance,
+geodesic, distance scans, ``points(batch)``, which checks a batch once,
+and ``chart(z)``, whose ``log`` and ``exp`` map such a batch and tangent
+vectors between the space and isometric tangent coordinates at z:
 
 * the Chebyshev center, the unique minimizer of the covering radius
   r_B(v) = max_w d(v, w), returned with a lower bound on the optimal
@@ -96,12 +97,6 @@ class EuclideanSpace:
     def chart(self, z) -> "_EuclideanChart":
         return _EuclideanChart(z)
 
-    def log(self, z, batch: np.ndarray) -> np.ndarray:
-        return self.chart(z).log(self.points(batch))
-
-    def exp(self, z, v: np.ndarray):
-        return self.chart(z).exp(v)
-
 
 class _EuclideanChart:
     """log_z and exp_z of R^d."""
@@ -150,20 +145,13 @@ class SPDSpace:
         return spd.pairwise_spd_distances(batch)
 
     def points(self, batch: np.ndarray) -> np.ndarray:
-        """The batch checked and symmetrized once, for :meth:`chart` logs."""
-        return spd.require_symmetric_batch(batch)
+        """The batch checked and symmetrized once, for :meth:`chart` logs;
+        an error names the entry."""
+        return spd._symmetric(batch, "batch")
 
     def chart(self, z) -> "_SPDChart":
         """log and exp at z on one Cholesky factorization of z."""
         return _SPDChart(self, z)
-
-    def log(self, z, batch: np.ndarray) -> np.ndarray:
-        return self.chart(z).log(self.points(batch))
-
-    def exp(self, z, v: np.ndarray):
-        """exp_z of one tangent vector (dim,) or of a (m, dim) stack of
-        them: (n, n) or (m, n, n)."""
-        return self.chart(z).exp(v)
 
 
 class _SPDChart:
@@ -180,7 +168,8 @@ class _SPDChart:
         return self.at.logs(pts)[:, s._rows, s._cols] * s._scale
 
     def exp(self, v: np.ndarray) -> np.ndarray:
-        """One :meth:`spd.Whitening.exp` call for the whole stack."""
+        """exp_z of one tangent vector (dim,) or of a (m, dim) stack of
+        them, (n, n) or (m, n, n): one :meth:`spd.Whitening.exp` call."""
         s = self.space
         v = np.asarray(v, dtype=float)
         S = np.empty(v.shape[:-1] + (s.n, s.n))
@@ -406,8 +395,9 @@ def chebyshev_center(B: PointSet) -> CenterReport:
     holds for any probability weights, so each new z is certified first
     with the weights of the move before, and the ball is solved again only
     where they fall short: one ball per search in R^d.  Full steps, exact
-    in R^d, until one fails to halve the one before; then damped steps.  After OUTER_STEP_CAP moves without a certificate,
-    NoConvergence is raised: no centre is returned uncertified.
+    in R^d, until one fails to halve the one before; then damped steps.
+    After OUTER_STEP_CAP moves without a certificate, NoConvergence is
+    raised: no centre is returned uncertified.
     """
     if len(B) == 1:
         return CenterReport(B.points[0].copy(), 0.0, 0, 0.0, (0,))
@@ -455,20 +445,14 @@ def _tangent_covers(radius: float, bound: float) -> bool:
     return radius - bound <= CERTIFICATE_SLACK * max(radius, 1.0)
 
 
-def _tangent_certificate(space, pts: np.ndarray, z, ball=None):
-    """One re-linearisation at z: the ball (support, weights), its step g
-    and lower bound from :func:`_tangent_bound`, and the covering radius
-    from z.
+def _linearise(y: np.ndarray, ball):
+    """One re-linearisation at z, from the tangent vectors y = log_z(p):
+    the ball (support, weights), its step g and lower bound from
+    :func:`_tangent_bound`, and the covering radius from z.
 
     A ``ball`` from an earlier z is tried first and kept if its bound
     certifies; otherwise, and without one, the minimum enclosing ball of
-    the y_i = log_z(p_i) gives the weights, the largest bound at z and the
-    step."""
-    return _linearise(space.log(z, pts), ball)
-
-
-def _linearise(y: np.ndarray, ball):
-    """:func:`_tangent_certificate` from the tangent vectors y = log_z(p)."""
+    the y_i gives the weights, the largest bound at z and the step."""
     dist2 = np.einsum("ij,ij->i", y, y)
     radius = float(np.sqrt(dist2.max()))
     if ball is not None:
@@ -706,7 +690,7 @@ def check_ball_intersection_radius(space, v0, v0p, r0: float, eps: float,
 def _sample_in_ball(space, center, radius: float, samples: int,
                     rng: np.random.Generator):
     """A (samples, ...) stack of uniform-ish points of the geodesic ball,
-    mapped by one ``space.exp`` call.
+    mapped by one ``exp`` of ``space.chart(center)``.
 
     Each sample draws one ``standard_normal(dim)`` direction and then one
     ``random()`` for its radius, in that order, so the stream does not
@@ -723,7 +707,7 @@ def _sample_in_ball(space, center, radius: float, samples: int,
         u[:, diag] -= u[:, diag].mean(axis=1, keepdims=True)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     r = radius * t ** (1.0 / space.dim)
-    return space.exp(center, r[:, None] * u)
+    return space.chart(center).exp(r[:, None] * u)
 
 
 def center_equivariance_check(B: PointSet, iso: Callable, tol: float = 1e-6) -> bool:

@@ -11,18 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, NonFinite
 
 GOLDEN_MEAN = (np.sqrt(5.0) - 1.0) / 2.0
 
 # Largest denominator checked when certifying that a rotation angle is not
 # rational, hence that the rotation is minimal for all practical horizons.
 MINIMALITY_DENOMINATOR = 10 ** 6
-
-
-def wrap(x):
-    """Canonical mod-1 representative, elementwise."""
-    return np.mod(x, 1.0)
 
 
 def circle_distance(x, y):
@@ -59,6 +54,8 @@ class RotationBase:
         """
         if abs(k) > 10 ** 9:
             raise ConfigInvalid("|k| exceeds the 1e9 iteration bound")
+        if not np.isfinite(x):
+            raise NonFinite(f"base point x = {x!r} is not finite")
         return float((Fraction(x) + k * self._alpha_frac) % 1)
 
     def orbit(self, x0: float, n: int) -> np.ndarray:

@@ -138,8 +138,11 @@ def _load_point_set(path: str) -> PointSet:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise E.ConfigInvalid(f"cannot read point-set file: {exc}") from exc
-    kind = raw.get("space", "euclidean")
-    pts = np.asarray(raw.get("points"), dtype=float)
+    try:
+        kind = raw.get("space", "euclidean")
+        pts = np.asarray(raw.get("points"), dtype=float)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise E.ConfigInvalid(f"malformed point-set file: {exc}") from exc
     if kind == "euclidean":
         if pts.ndim != 2:
             raise E.ConfigInvalid("euclidean points must be a 2-d array")
@@ -441,15 +444,14 @@ def cmd_reduce(args) -> dict:
         got = section_from_centers(fb)
         result = (reduce_to_conformal(cocycle, got.section) if conformal
                   else reduce_to_orthogonal(cocycle, got.section))
-        result.invariance_residual = got.invariance_residual
         summary["occupancy"] = {
             "min": fb.min_occupancy, "mean": fb.mean_occupancy,
         }
         summary["diameter_spread"] = fb.diameter_spread()
         summary["center_gap_max"] = float(got.center_gaps.max())
     summary["defect"] = result.defect
-    if result.invariance_residual is not None:
-        summary["invariance_residual"] = result.invariance_residual
+    if got is not None:
+        summary["invariance_residual"] = got.invariance_residual
     if result.distortion_max_deviation is not None:
         summary["distortion_max_deviation"] = result.distortion_max_deviation
     # One column per field; csv writes each float with str(), its repr.
@@ -468,7 +470,7 @@ def cmd_reduce(args) -> dict:
                zip(*columns.values()))
     summary_timing = {"runtime_seconds": time.perf_counter() - t0}
     summary["timing"] = summary_timing
-    if result.defect > args.defect_bound:
+    if not result.defect <= args.defect_bound:
         raise E.NotASolution(
             f"defect {result.defect:.3e} above bound {args.defect_bound:g}"
         )
@@ -482,7 +484,10 @@ def cmd_demo_counterexample(args) -> dict:
     bound = abs(args.v0) + 2.0 * jc.sup_psi
     thetas = np.arange(args.grid) / args.grid
     section = Section.from_samples(thetas, jc.candidate_values(thetas))
-    scales = [float(s) for s in args.scales.split(",")]
+    try:
+        scales = [float(s) for s in args.scales.split(",")]
+    except ValueError as exc:
+        raise E.ConfigInvalid(f"--scales {args.scales!r}: {exc}") from exc
     profile = oscillation_profile(section, jc.base.fixed_point, scales)
     minimal = minimality_probe(jc.base, args.x0, min(args.steps, 10 ** 5), 0.2)
     summary = {

@@ -418,6 +418,8 @@ def semigroup_closure_check(c: IsometryCocycle, x: float,
     x and one walk from each T^k2 x, which gives the same bits as a walk
     per pair, because the scan is prefix-stable.
     """
+    if max_pairs < 1:
+        raise ConfigInvalid(f"max_pairs = {max_pairs} must be >= 1")
     if len(sample) < 2:
         return []
     translations = np.array([iso.translation for _, iso in sample])
@@ -446,14 +448,16 @@ def semigroup_closure_check(c: IsometryCocycle, x: float,
 # -- matrix cocycles ---------------------------------------------------------
 
 class MatrixCocycle:
-    """Invertible-matrix cocycle x -> A(x) over a base map."""
+    """Invertible-matrix cocycle x -> A(x) over a base map.  ``generator``
+    is array-valued, as every section is: it maps an array of k points to
+    the (k, n, n) stack of A there; :meth:`generator` is its one-point view.
+    """
 
-    def __init__(self, base, dim: int, generator, *, generator_batch=None,
+    def __init__(self, base, dim: int, generator, *,
                  bound: float | None = None, oracle_section=None):
         self.base = base
         self.dim = int(dim)
-        self._generator = generator
-        self._generator_batch = generator_batch
+        self._generators = generator
         self.bound = bound
         # Known invariant section, attached by coboundary constructions
         # for oracle comparisons.  It is array-valued: an array of k points
@@ -461,17 +465,13 @@ class MatrixCocycle:
         self.oracle_section = oracle_section
 
     def generator(self, x: float) -> np.ndarray:
-        return np.asarray(self._generator(x), dtype=float)
+        return self.generators_along(np.array([x], dtype=float))[0]
 
     def generators_along(self, xs: np.ndarray) -> np.ndarray:
         """The generators at the points xs as one (k, n, n) stack; a batch
         of any other shape raises DimensionMismatch."""
-        shape = (len(xs), self.dim, self.dim)
-        if self._generator_batch is not None:
-            gens = self._generator_batch(xs)
-        else:
-            gens = [self.generator(x) for x in xs]
-        return _batch(gens, shape, "generators")
+        return _batch(self._generators(xs), (len(xs), self.dim, self.dim),
+                      "generators")
 
 
 @dataclass

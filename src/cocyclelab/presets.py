@@ -117,18 +117,15 @@ def scalar_orthogonal_cocycle(base=None, *, amplitude: float = 0.4,
                               winding: int = 1) -> MatrixCocycle:
     """A(x) = c(x) Q(x): conformal at every point, nontrivial in GL(2)."""
     base = base or golden_rotation()
-    q_single, q_batch = _rotation_family(winding)
+    _, q_batch = _rotation_family(winding)
 
-    def generator(x):
-        return np.exp(amplitude * np.cos(2.0 * np.pi * x)) * q_single(x)
-
-    def generator_batch(xs):
+    def generators(xs):
         xs = np.asarray(xs, dtype=float)
         scal = np.exp(amplitude * np.cos(2.0 * np.pi * xs))
         return scal[:, None, None] * q_batch(xs)
 
     return MatrixCocycle(
-        base, 2, generator, generator_batch=generator_batch,
+        base, 2, generators,
         oracle_section=lambda x: np.tile(np.eye(2), np.shape(x) + (1, 1)),
     )
 
@@ -159,7 +156,6 @@ def coboundary_isometry_cocycle(base, beta: float,
     rho_poly = section_poly.shift(getattr(base, "alpha")) - section_poly.scale(tw)
     cocycle = rotation_translation_cocycle(base, beta, rho_poly)
     cocycle.known_section = section_poly
-    cocycle.known_rho = rho_poly
     return cocycle
 
 
@@ -252,19 +248,25 @@ def shift_compact_section(base=None, truncation: int = 24,
 def parse_alpha(text) -> float:
     if text in ("golden", None):
         return GOLDEN_MEAN
-    return float(text)
+    try:
+        return float(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"alpha {text!r} is not a number") from exc
 
 
 def rho_from_descriptor(desc, rng: np.random.Generator) -> TrigPoly:
     """single-mode | random:<degree> | constant:<value> | JSON text."""
     if desc in (None, "single-mode"):
         return TrigPoly.single_mode(1)
-    if isinstance(desc, str) and desc.startswith("random:"):
-        return TrigPoly.random(int(desc.split(":", 1)[1]), rng)
-    if isinstance(desc, str) and desc.startswith("constant:"):
-        return TrigPoly.constant(complex(desc.split(":", 1)[1]))
-    if isinstance(desc, str) and desc.strip().startswith("{"):
-        return TrigPoly.from_json(desc)
+    try:
+        if isinstance(desc, str) and desc.startswith("random:"):
+            return TrigPoly.random(int(desc.split(":", 1)[1]), rng)
+        if isinstance(desc, str) and desc.startswith("constant:"):
+            return TrigPoly.constant(complex(desc.split(":", 1)[1]))
+        if isinstance(desc, str) and desc.strip().startswith("{"):
+            return TrigPoly.from_json(desc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"malformed trig-poly descriptor {desc!r}: {exc}") from exc
     raise ConfigInvalid(f"unknown trig-poly descriptor {desc!r}")
 
 

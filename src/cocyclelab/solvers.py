@@ -15,6 +15,7 @@ diagnostics for sections.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .cocycles import ShiftCocycle, shift_twisted_sum
 from .errors import (
     ConfigInvalid,
     MeanObstruction,
+    NonFinite,
     NotASolution,
     ScaleTooFine,
     SmallDivisor,
@@ -42,13 +44,12 @@ DEFAULT_GRID = 4096
 class Section:
     """A candidate solution: Fourier series or sampled values.
 
-    ``fiber`` tags what the values are: "complex" scalars, "vector"
-    l-sequences, or "spd" matrices.  Sampled sections remember their
-    sample angles; when those form a rotation orbit (``orbit_alpha``),
-    the equation can be checked exactly along consecutive samples.
+    Sampled values are complex scalars, vectors or SPD matrices, one per
+    sample angle; when those angles form a rotation orbit
+    (``orbit_alpha``), the equation can be checked exactly along
+    consecutive samples.
     """
 
-    fiber: str = "complex"
     poly: TrigPoly | None = None
     thetas: np.ndarray | None = None
     values: np.ndarray | None = None
@@ -60,13 +61,12 @@ class Section:
 
     @classmethod
     def from_trigpoly(cls, poly: TrigPoly) -> "Section":
-        return cls(fiber="complex", poly=poly)
+        return cls(poly=poly)
 
     @classmethod
-    def from_samples(cls, thetas, values, fiber: str = "complex",
+    def from_samples(cls, thetas, values,
                      orbit_alpha: float | None = None) -> "Section":
         return cls(
-            fiber=fiber,
             thetas=np.asarray(thetas, dtype=float),
             values=np.asarray(values),
             orbit_alpha=orbit_alpha,
@@ -117,6 +117,9 @@ class TwistedEquation:
     divisors: dict[int, float] = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise NonFinite(f"alpha = {float(self.alpha)!r} and "
+                            f"beta = {float(self.beta)!r} must be finite")
         self.divisors = {
             n: abs(self.divisor(n)) for n in self.rho.modes()
         }
@@ -153,7 +156,7 @@ def fourier_solve(eq: TwistedEquation,
         if untwisted and n == 0:
             continue
         div = eq.divisor(n)
-        if abs(div) < divisor_floor:
+        if not abs(div) >= divisor_floor:
             offending.append(n)
         else:
             coeffs[n] = r / div
@@ -161,7 +164,7 @@ def fourier_solve(eq: TwistedEquation,
         raise SmallDivisor(sorted(offending), divisor_floor)
     phi = Section.from_trigpoly(TrigPoly(coeffs))
     res = residual(eq, phi, DEFAULT_GRID)
-    if res > SOLVER_RESIDUAL_TOL:
+    if not res <= SOLVER_RESIDUAL_TOL:
         raise NotASolution(
             f"self-check residual {res:.3e} exceeds {SOLVER_RESIDUAL_TOL:g}"
         )
@@ -170,6 +173,8 @@ def fourier_solve(eq: TwistedEquation,
 
 def residual(eq: TwistedEquation, phi: Section, grid: int = DEFAULT_GRID) -> float:
     """Sup norm of phi(theta + alpha) - e^{i beta} phi(theta) - rho(theta)."""
+    if grid < 1:
+        raise ConfigInvalid(f"grid = {grid} must be >= 1")
     if phi.kind == "fourier":
         thetas = np.arange(grid) / grid
         lhs = phi.poly(thetas + eq.alpha) - eq.twist * phi.poly(thetas)
@@ -230,7 +235,7 @@ def cyclotomic_solve(rho: TrigPoly, alpha: float, beta: float, q: int,
     eq = TwistedEquation(alpha, beta, cyclotomic_rhs(rho, alpha, beta, q))
     phi = fourier_solve(eq, divisor_floor)
     res = cyclotomic_verify(phi, rho, alpha, beta, q)
-    if res > SOLUTION_RESIDUAL_TOL:
+    if not res <= SOLUTION_RESIDUAL_TOL:
         raise NotASolution(
             f"cyclotomic residual {res:.3e} exceeds {SOLUTION_RESIDUAL_TOL:g}"
         )
@@ -391,7 +396,7 @@ def uniqueness_gap(phi1: Section, phi2: Section, eq: TwistedEquation,
     """
     for phi in (phi1, phi2):
         res = residual(eq, phi, grid)
-        if res > SOLUTION_RESIDUAL_TOL:
+        if not res <= SOLUTION_RESIDUAL_TOL:
             raise NotASolution(
                 f"section residual {res:.3e} exceeds {SOLUTION_RESIDUAL_TOL:g}"
             )

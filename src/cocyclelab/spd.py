@@ -9,22 +9,24 @@ GL(n, R) and makes Pos(n) a complete, nonpositively curved space.  The
 det = 1 slice Conf(n) is totally geodesic; GL(n, R) acts on it through
 the normalized congruence  g . P = (det g^T g)^{-1/n} g P g^T.
 
-Every eigendecomposition is LAPACK's, through ``numpy.linalg``:
-:func:`sym_eigen` is ``eigh``, the matrix functions log, exp and square
-root take one ``eigh`` for one matrix or a whole stack, and a positivity
-test is one Cholesky factorization.  For n >= 3 a distance scan whitens
-its whole batch by the Cholesky factor L of the reference point and takes
-the eigenvalues of every L^{-1} Q L^{-T} in one stacked ``eigvalsh``.
+Every eigendecomposition is LAPACK's, through ``numpy.linalg``: the
+matrix functions log, exp and square root take one ``eigh`` for one
+matrix or a whole stack, and a positivity test is one Cholesky
+factorization.  For n >= 3 a distance scan whitens its whole batch by the
+Cholesky factor L of the reference point and takes the eigenvalues of
+every L^{-1} Q L^{-T} in one stacked ``eigvalsh``.
 For n = 2 closed forms are faster than a LAPACK call: the eigenvalues
 lam1 >= lam2 of the whitened 2x2 matrix, which give the distance, and by
 Cayley-Hamilton the geodesic, an affine combination of its endpoints;
-and :func:`det` (ad - bc) and :func:`inv` (the adjugate over det) of
-whole stacks, which raise SingularMatrix naming the entry.
+:func:`spd_sqrt`, :func:`det` (ad - bc) and :func:`inv` (the adjugate
+over det) of whole stacks, which raise naming the entry.
 The logarithm and exponential maps at a point, on one Cholesky
 factorization of it (:class:`Whitening`), take a whole stack through one
-stacked ``eigh`` at every n.  The congruence helpers
+stacked ``eigh`` at every n.  The congruence helpers, :func:`spd_sqrt`
 and :func:`spd_distances_from` take a (k, n, n) stack where they take one
 point, check it entry by entry and name the failing entry in errors.
+:func:`sym_eigen` has no caller in the library; it is kept because the
+benchmark's tracer wraps it by name.
 Supported dimensions are 2 <= n <= 8.  Non-finite input raises
 :class:`~cocyclelab.errors.NonFinite`.
 """
@@ -65,26 +67,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def require_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not (MIN_DIM <= a.shape[0] <= MAX_DIM):
-        raise DimensionMismatch(
-            f"dimension {a.shape[0]} outside supported range "
-            f"[{MIN_DIM}, {MAX_DIM}]"
-        )
-    return a
-
-
 def require_symmetric(a: np.ndarray) -> np.ndarray:
-    return _symmetric(require_square(a), "matrix")
-
-
-def require_symmetric_batch(batch: np.ndarray) -> np.ndarray:
-    """A (m, n, n) batch checked symmetric and finite entry by entry, and
-    symmetrized; an error names the entry."""
-    return _symmetric(batch, "batch")
+    """One finite symmetric (n, n) matrix, symmetrized; a stack raises
+    DimensionMismatch."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return _symmetric(a, "matrix")
 
 
 def _require(ok, error, what: str, problem):
@@ -210,31 +199,25 @@ def spd_exp(S: np.ndarray) -> np.ndarray:
 
 
 def spd_sqrt(P: np.ndarray) -> np.ndarray:
-    return _spectral(require_symmetric(P), np.sqrt, "matrix")
-
-
-def spd_sqrt_batch(batch: np.ndarray) -> np.ndarray:
-    """Symmetric positive square roots of every matrix of a (m, n, n) batch.
+    """Symmetric positive square root of one matrix or of each entry of a
+    (m, n, n) stack.
 
     n = 2 is the closed form (P + sqrt(det P) I) / sqrt(tr P + 2 sqrt(det P)),
-    n >= 3 one stacked ``eigh``.  Every entry is checked as by
-    :func:`require_spd`, and an error names the entry's index.
+    n >= 3 one ``eigh``.  Every entry is checked as by :func:`require_spd`,
+    and an error names a stack's failing entry.
     """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 3:
-        raise DimensionMismatch(f"expected a (m, n, n) batch, got {batch.shape}")
-    batch = _symmetric(batch, "batch")
-    if batch.shape[1] == 2:
-        a, b, c = batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1]
-        det = a * c - b * b
-        _require((a > 0.0) & (det > 0.0), NotPositiveDefinite, "batch",
-                 "is not positive definite")
-        s = np.sqrt(det)
-        out = batch.copy()
-        out[:, 0, 0] += s
-        out[:, 1, 1] += s
-        return out / np.sqrt(a + c + 2.0 * s)[:, None, None]
-    return _spectral(batch, np.sqrt, "batch")
+    P = _symmetric(P, "matrix")
+    if P.shape[-1] != 2:
+        return _spectral(P, np.sqrt, "matrix")
+    a, b, c = P[..., 0, 0], P[..., 0, 1], P[..., 1, 1]
+    det = a * c - b * b
+    _require((a > 0.0) & (det > 0.0), NotPositiveDefinite, "matrix",
+             "is not positive definite")
+    s = np.sqrt(det)
+    out = P.copy()
+    out[..., 0, 0] += s
+    out[..., 1, 1] += s
+    return out / np.sqrt(a + c + 2.0 * s)[..., None, None]
 
 
 def spd_distance(P: np.ndarray, Q: np.ndarray) -> float:
@@ -258,7 +241,7 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     if P.shape[0] == 2:
         return _geodesic_2x2(P, Q, t)
     at = Whitening(P)
-    return at.exp(t * at.logs(require_symmetric_batch(Q[np.newaxis]))[0])
+    return at.exp(t * at.logs(_symmetric(Q[np.newaxis], "batch"))[0])
 
 
 def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
@@ -388,15 +371,6 @@ def unit_determinant(P: np.ndarray) -> np.ndarray:
     return _renormalize_det(P)
 
 
-def quasiconformal_distortion(A: np.ndarray) -> float:
-    """Operator-norm condition number ||A|| * ||A^{-1}||; 1 iff conformal."""
-    A = require_square(A)
-    if abs(np.linalg.det(A)) <= SINGULAR_TOL:
-        raise SingularMatrix("|det A| below invertibility tolerance")
-    sv = sym_eigen(symmetrize(A.T @ A)).values
-    return float(np.sqrt(sv[0] / sv[-1]))
-
-
 # -- batched kernels ---------------------------------------------------------
 #
 # The center searches scan distances from one candidate point to every
@@ -490,14 +464,15 @@ class Whitening:
 
     def logs(self, batch: np.ndarray) -> np.ndarray:
         """Tangent vectors log(L^{-1} Q L^{-T}) at P, of norm d(P, Q), of
-        every entry Q of a batch that :func:`require_symmetric_batch`
-        returned."""
+        every entry Q of a (m, n, n) batch already checked symmetric and
+        finite, as :func:`_symmetric` returns it."""
         w = np.linalg.inv(self.L)
         return _spectral(w @ batch @ w.T, np.log, "batch")
 
     def exp(self, S: np.ndarray) -> np.ndarray:
         """L exp(S) L^T of one symmetric (n, n) matrix or of each entry of a
-        (..., n, n) stack, in its shape; as :func:`whitened_exp`."""
+        (..., n, n) stack, in its shape, by one stacked ``eigh``; the
+        inverse of :meth:`logs`.  An error names the flattened index."""
         L = self.L
         S = np.asarray(S, dtype=float)
         if S.ndim < 2 or S.shape[-2:] != L.shape:
@@ -507,17 +482,6 @@ class Whitening:
         out = L @ _spectral(_symmetric(S.reshape(-1, *L.shape), "batch"),
                             np.exp) @ L.T
         return symmetrize(out).reshape(S.shape)
-
-
-def whitened_exp(P: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """L exp(S) L^T with L = chol(P); the inverse of :meth:`Whitening.logs`.
-
-    ``S`` is one symmetric (n, n) matrix or a (..., n, n) stack of them,
-    and the result has its shape.  The whole stack takes one Cholesky
-    factorization of P, one symmetry and finiteness check and one stacked
-    ``eigh``; an error names the entry's index in the flattened stack.
-    """
-    return Whitening(P).exp(S)
 
 
 def spd_distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:

@@ -34,6 +34,11 @@ def random_spd(rng, n=2, spread=0.5):
     return (vecs * np.exp(vals)) @ vecs.T
 
 
+def constant_generators(a):
+    """The array-valued generator map of the constant cocycle x -> a."""
+    return lambda xs: np.tile(a, (len(xs), 1, 1))
+
+
 def reference_spd_distance(P, Q):
     """d(P, Q) from the eigenvalues of the Cholesky-whitened L^{-1} Q L^{-T}."""
     w = np.linalg.inv(np.linalg.cholesky(P))

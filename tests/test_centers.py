@@ -9,8 +9,8 @@ import cocyclelab
 from cocyclelab import centers, spd
 from cocyclelab.centers import (
     OUTER_STEP_CAP,
+    _linearise,
     _tangent_bound,
-    _tangent_certificate,
     EuclideanSpace,
     PointSet,
     SPDSpace,
@@ -96,15 +96,16 @@ class TestSpaces:
             if space.conformal:
                 z, *pts = [spd.unit_determinant(p) for p in [z, *pts]]
             pts = np.array(pts)
-        y = space.log(z, pts)
+        chart = space.chart(z)
+        y = chart.log(space.points(pts))
         assert y.shape == (6, space.dim)
         # Row norms are distances from z, and exp_z inverts log_z.
         dists = space.distances_from(z, pts)
         assert np.max(np.abs(np.linalg.norm(y, axis=1) - dists)) <= 1e-12
         for p, v in zip(pts, y):
-            assert space.distance(space.exp(z, v), p) <= 1e-12
+            assert space.distance(chart.exp(v), p) <= 1e-12
         # exp_z(t log_z p) runs along the geodesic from z to p.
-        mid = space.exp(z, 0.5 * y[0])
+        mid = chart.exp(0.5 * y[0])
         assert space.distance(mid, space.geodesic(z, pts[0], 0.5)) <= 1e-12
         if getattr(space, "conformal", False):
             assert abs(np.linalg.det(mid) - 1.0) <= 1e-12
@@ -302,7 +303,7 @@ class TestCertificate:
             for pts in elongated_sets(rng, dim, 20):
                 c_star, r_star = exact_min_enclosing_ball(pts)
                 for z in (pts[0], pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5):
-                    _, g, radius, bound = _tangent_certificate(space, pts, z)
+                    _, g, radius, bound = linearise_at(space, pts, z)
                     assert np.linalg.norm(z + g - c_star) <= 1e-12
                     assert abs(bound - r_star) <= 1e-12 * max(r_star, 1.0)
                     far = np.linalg.norm(pts - z, axis=1).max()
@@ -318,9 +319,15 @@ def counting_balls(monkeypatch):
     return calls
 
 
+def linearise_at(space, pts, z, ball=None):
+    """The re-linearisation of the centre search at z: ball, step g,
+    covering radius and lower bound."""
+    return _linearise(space.chart(z).log(space.points(pts)), ball)
+
+
 def tangent_bound_at(space, pts, z, ball):
     """The lower bound of ``ball`` = (support, weights) at z."""
-    y = space.log(z, pts)
+    y = space.chart(z).log(space.points(pts))
     return _tangent_bound(y, np.einsum("ij,ij->i", y, y), ball)[1]
 
 
@@ -350,11 +357,10 @@ class TestStaleWeights:
             for _ in range(4):
                 pts = np.array([random_spd(rng, 2, 0.6) for _ in range(m)])
                 z = pair_certificates(S2, pts).mids[0]
-                ball, g, _, _ = _tangent_certificate(S2, pts, z)
+                ball, g, _, _ = linearise_at(S2, pts, z)
                 for _ in range(4):
-                    z = S2.exp(z, g)
-                    fresh_ball, g, radius, fresh = _tangent_certificate(
-                        S2, pts, z)
+                    z = S2.chart(z).exp(g)
+                    fresh_ball, g, radius, fresh = linearise_at(S2, pts, z)
                     w = rng.dirichlet(np.ones(m))
                     for stale_ball in (ball, (np.arange(m), w)):
                         stale = tangent_bound_at(S2, pts, z, stale_ball)
@@ -402,11 +408,11 @@ class TestTangentFactorisation:
         # Every z of the search is factorised once, for its log and its
         # exp, and the point stack is checked once per search.
         factorised, checked = [], []
-        cholesky, check = spd._cholesky, spd.require_symmetric_batch
+        cholesky, symmetric = spd._cholesky, spd._symmetric
         monkeypatch.setattr(spd, "_cholesky", lambda P, what: (
             factorised.append(what) or cholesky(P, what)))
-        monkeypatch.setattr(spd, "require_symmetric_batch", lambda batch: (
-            checked.append(len(batch)) or check(batch)))
+        monkeypatch.setattr(spd, "_symmetric", lambda a, what: (
+            checked.append(np.shape(a)) or symmetric(a, what)))
         moves = 0
         for space in (SPDSpace(2), SPDSpace(3), SPDSpace(2, conformal=True)):
             for m in range(3, 10):
@@ -419,7 +425,7 @@ class TestTangentFactorisation:
                 checked.clear()
                 rep = centers._tangent_center(space, pts, z)
                 assert factorised == ["reference point"] * (rep.iterations + 1)
-                assert checked == [m]
+                assert checked.count(pts.shape) == 1
                 assert_certified(rep)
                 moves += rep.iterations
         assert moves >= 20
@@ -793,7 +799,7 @@ def scalar_ball_battery(space, v0, v0p, r0, eps, samples, rng):
             rows, cols = np.triu_indices(space.n)
             u[rows == cols] -= np.mean(u[rows == cols])
         u = u / np.linalg.norm(u)
-        y = space.exp(mid, cover * rng.random() ** (1.0 / space.dim) * u)
+        y = space.chart(mid).exp(cover * rng.random() ** (1.0 / space.dim) * u)
         if space.distance(y, v0) <= r0 + eps and space.distance(y, v0p) <= r0 + eps:
             accepted += 1
             worst = max(worst, space.distance(y, mid))
@@ -861,10 +867,11 @@ class TestBallIntersection:
     def test_stacked_exp_matches_rows(self, rng, case):
         space, z = case[0], case[2]
         V = 0.7 * rng.standard_normal((6, space.dim))
-        out = space.exp(z, V)
+        chart = space.chart(z)
+        out = chart.exp(V)
         assert out.shape == (6,) + np.shape(z)
         for v, y in zip(V, out):
-            assert np.max(np.abs(space.exp(z, v) - y)) <= 1e-12
+            assert np.max(np.abs(chart.exp(v) - y)) <= 1e-12
         if getattr(space, "conformal", False):
             assert np.max(np.abs(np.linalg.det(out) - 1.0)) <= 1e-12
 

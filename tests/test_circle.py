@@ -12,13 +12,18 @@ from cocyclelab.circle import (
     minimality_probe,
     return_times,
 )
-from cocyclelab.errors import ConfigInvalid
+from cocyclelab.errors import ConfigInvalid, NonFinite
 
 
 class TestRotation:
     def test_single_step_mod_one(self):
         base = RotationBase(0.25, minimal=False)
         assert abs(base.step_n(0.9, 1) - 0.15) <= 1e-15
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_step_n_rejects_non_finite_point(self, x):
+        with pytest.raises(NonFinite):
+            RotationBase(GOLDEN_MEAN).step_n(x, 3)
 
     def test_minimal_flag_rejects_rationals(self):
         with pytest.raises(ConfigInvalid):

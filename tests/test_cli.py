@@ -169,6 +169,44 @@ class TestSolveCommand:
         assert code == 3
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["center", "--input", "{file}", "[[0, 0], [1, 1]]"],
+        ["center", "--input", "{file}", '{"points": [[0, 0], [1]]}'],
+        ["center", "--input", "{file}", '{"points": [["a", "b"], [1, 2]]}'],
+        ["solve", "fourier", "--rho", "{bad"],
+        ["solve", "fourier", "--rho", '{"1": [1]}'],
+        ["solve", "fourier", "--rho", "constant:abc"],
+        ["solve", "fourier", "--rho", "random:x"],
+        ["solve", "fourier", "--alpha", "abc"],
+        ["solve", "fourier", "--grid", "0"],
+        ["demo-counterexample", "--scales", "a,b"],
+        ["recurrence", "--n", "5000", "--pairs", "0"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_is_config_error(self, tmp_path, capsys, argv):
+        if argv[-2] == "{file}":
+            # The point-set file's contents follow its placeholder.
+            path = tmp_path / "points.json"
+            path.write_text(argv[-1])
+            argv = argv[:-2] + [str(path)]
+        code, summary, _ = run_cli(tmp_path, *argv)
+        assert code == 2 and summary is None
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "fourier", "--rho", '{"1": [NaN, 0]}'], 4),
+        (["solve", "cyclotomic", "--beta", "inf"], 3),
+        (["solve", "fourier", "--beta", "nan"], 3),
+        (["solve", "shift", "--x", "nan"], 3),
+        (["solve", "shift", "--x", "inf", "--bilateral"], 3),
+        (["reduce", "--cells", "8", "--steps", "400", "--defect-bound", "nan"], 4),
+    ])
+    def test_non_finite_value_fails(self, tmp_path, argv, code):
+        got, summary, out = run_cli(tmp_path, *argv)
+        assert got == code and summary is None
+        assert not (out / "solution.csv").exists()
+
+
 class TestOtherCommands:
     @pytest.mark.parametrize("command,steps", [
         ("birkhoff", "0"), ("birkhoff", "-3"), ("birkhoff", "1"),

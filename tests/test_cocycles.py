@@ -42,7 +42,11 @@ from cocyclelab.presets import (
 )
 from cocyclelab.trigpoly import TrigPoly
 
-from conftest import sequential_prefix_products, sequential_skew_orbit
+from conftest import (
+    constant_generators,
+    sequential_prefix_products,
+    sequential_skew_orbit,
+)
 
 
 def constant_cocycle(base, dim, translation):
@@ -116,20 +120,22 @@ class TestPrefixProducts:
             prefix_products(gens)
 
     def test_non_finite_generator_rejected(self):
-        def generator(x):
-            return np.full((2, 2), np.nan) if x > 0.5 else np.eye(2)
+        def generators(xs):
+            return np.where((np.asarray(xs) > 0.5)[:, None, None],
+                            np.nan, np.eye(2))
 
-        c = MatrixCocycle(golden_rotation(), 2, generator)
+        c = MatrixCocycle(golden_rotation(), 2, generators)
         with pytest.raises(NonFinite):
             matrix_products(c, 0.1, 100)
 
     def test_overflowing_products_rejected(self):
-        c = MatrixCocycle(golden_rotation(), 2, lambda x: 1e10 * np.eye(2))
+        c = MatrixCocycle(golden_rotation(), 2,
+                          constant_generators(1e10 * np.eye(2)))
         with pytest.raises(NonFinite):
             matrix_products(c, 0.1, 100)
 
     def test_empty_orbit_generators(self):
-        c = MatrixCocycle(golden_rotation(), 3, lambda x: np.eye(3))
+        c = MatrixCocycle(golden_rotation(), 3, constant_generators(np.eye(3)))
         assert c.generators_along(np.array([])).shape == (0, 3, 3)
         rep = matrix_products(c, 0.1, 0)
         assert np.array_equal(rep.product, np.eye(3))
@@ -142,20 +148,27 @@ class TestGeneratorBatchShape:
         def rotations(xs):
             return np.stack([rotation_matrix(2 * np.pi * x) for x in xs])
 
-        good = MatrixCocycle(golden_rotation(), 2, lambda x: np.eye(2),
-                             generator_batch=rotations)
+        good = MatrixCocycle(golden_rotation(), 2, rotations)
         assert np.array_equal(good.generators_along(self.xs),
                               rotations(self.xs))
+        assert np.array_equal(good.generator(0.2), rotations([0.2])[0])
         # Stacked along the last axis: the right size, the wrong order.
         last_axis = MatrixCocycle(
-            golden_rotation(), 2, lambda x: np.eye(2),
-            generator_batch=lambda xs: np.moveaxis(rotations(xs), 0, -1),
+            golden_rotation(), 2,
+            lambda xs: np.moveaxis(rotations(xs), 0, -1),
         )
         with pytest.raises(DimensionMismatch, match="3 points"):
             last_axis.generators_along(self.xs)
-        flat = MatrixCocycle(golden_rotation(), 2, lambda x: np.ones(4))
+        flat = MatrixCocycle(golden_rotation(), 2,
+                             lambda xs: np.ones((len(xs), 4)))
         with pytest.raises(DimensionMismatch):
             flat.generators_along(self.xs)
+
+    def test_one_matrix_for_many_points_rejected(self):
+        # A scalar map handed in as the generator answers one matrix.
+        c = MatrixCocycle(golden_rotation(), 2, lambda xs: np.eye(2))
+        with pytest.raises(DimensionMismatch, match="3 points"):
+            c.generators_along(self.xs)
 
     def test_translation_batch_of_wrong_layout_rejected(self):
         def translations(xs):
@@ -416,6 +429,13 @@ class TestRecurrence:
         for ch in checks:
             assert ch.ok, (ch.k1, ch.k2, ch.deviation, ch.bound)
 
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_closure_check_needs_a_pair(self, pairs):
+        c = constant_cocycle(golden_rotation(), 2, [0.0, 0.0])
+        sample = recurrence_isometries(c, 0.1, 0.05, 2000)
+        with pytest.raises(ConfigInvalid):
+            semigroup_closure_check(c, 0.1, sample, max_pairs=pairs)
+
     @pytest.mark.parametrize("beta, pairs", [(0.9, 4), (0.0, 6)])
     def test_closure_check_matches_walk_per_pair(self, rng, beta, pairs):
         # The check reads its products off one walk from x and one per k2;
@@ -499,14 +519,14 @@ class TestRecurrence:
 
 class TestMatrixProducts:
     def test_zero_steps(self):
-        c = MatrixCocycle(golden_rotation(), 2, lambda x: np.eye(2))
+        c = MatrixCocycle(golden_rotation(), 2, constant_generators(np.eye(2)))
         rep = matrix_products(c, 0.1, 0)
         assert np.array_equal(rep.product, np.eye(2))
         assert rep.max_norm == 1.0 and rep.max_inv_norm == 1.0
 
     def test_constant_orthogonal_stays_orthogonal(self):
         q = rotation_matrix(0.37)
-        c = MatrixCocycle(golden_rotation(), 2, lambda x: q)
+        c = MatrixCocycle(golden_rotation(), 2, constant_generators(q))
         rep = matrix_products(c, 0.1, 5000)
         assert abs(rep.max_norm - 1.0) <= 1e-9
         assert abs(rep.max_inv_norm - 1.0) <= 1e-9

@@ -36,6 +36,7 @@ from cocyclelab.reduction import (
 from cocyclelab.solvers import Section
 
 from conftest import (
+    constant_generators,
     reference_invariance_residual,
     reference_oracle_distances,
     sequential_congruence_orbit,
@@ -43,10 +44,7 @@ from conftest import (
 
 
 def identity_cocycle(base):
-    return MatrixCocycle(
-        base, 2, lambda x: np.eye(2),
-        generator_batch=lambda xs: np.tile(np.eye(2), (len(xs), 1, 1)),
-    )
+    return MatrixCocycle(base, 2, constant_generators(np.eye(2)))
 
 
 class TestConstructCoboundary:
@@ -160,7 +158,7 @@ def coboundary_3x3(scalar_gen=None):
 
 
 def constant_cocycle(a):
-    return MatrixCocycle(golden_rotation(), len(a), lambda x: a)
+    return MatrixCocycle(golden_rotation(), len(a), constant_generators(a))
 
 
 class TestSampleFibers:
@@ -374,7 +372,7 @@ def reference_defects(c, phi, conformal):
             a_tilde = spd.conf_normalizer(a) * a_tilde
             defects.append(np.linalg.norm(a_tilde @ a_tilde.T - np.eye(c.dim)))
             distortion = max(
-                distortion, abs(spd.quasiconformal_distortion(a_tilde) - 1.0))
+                distortion, abs(np.linalg.cond(a_tilde, 2) - 1.0))
         else:
             defects.append(np.linalg.norm(a_tilde.T @ a_tilde - np.eye(c.dim)))
     return np.array(defects), distortion
@@ -418,7 +416,7 @@ class TestPerCellReferences:
         with pytest.raises(DimensionMismatch, match="512 points"):
             reduce(c, lambda x: np.tile(np.eye(3), (len(x), 1, 1)))
         section = Section.from_samples(
-            [0.25, 0.75], np.tile(np.eye(2), (2, 1, 1)), fiber="spd")
+            [0.25, 0.75], np.tile(np.eye(2), (2, 1, 1)))
         with pytest.raises(DimensionMismatch):
             oracle_section_distance(section, lambda x: np.eye(2))
 
@@ -445,7 +443,6 @@ class TestBatchedConjugation:
             thetas = (np.arange(96) + 0.5) / 96
             phi = Section.from_samples(
                 thetas, np.array([c.oracle_section(x) for x in thetas]),
-                fiber="spd",
             )
         want, distortion = reference_defects(c, phi, conformal)
         if conformal:
@@ -460,9 +457,7 @@ class TestReduceToOrthogonal:
     def test_identity_everything(self):
         c = identity_cocycle(golden_rotation())
         thetas = (np.arange(16) + 0.5) / 16
-        phi = Section.from_samples(
-            thetas, np.tile(np.eye(2), (16, 1, 1)), fiber="spd"
-        )
+        phi = Section.from_samples(thetas, np.tile(np.eye(2), (16, 1, 1)))
         res = reduce_to_orthogonal(c, phi)
         assert res.defect <= 1e-14
 

@@ -10,6 +10,7 @@ from cocyclelab.circle import GOLDEN_MEAN
 from cocyclelab.errors import (
     ConfigInvalid,
     MeanObstruction,
+    NonFinite,
     NotASolution,
     ScaleTooFine,
     SmallDivisor,
@@ -22,6 +23,7 @@ from cocyclelab.presets import (
     shift_geometric,
     shift_single_mode,
 )
+from cocyclelab import solvers
 from cocyclelab.cocycles import ShiftCocycle
 from cocyclelab.solvers import (
     Section,
@@ -294,6 +296,47 @@ class TestUniqueness:
         phi = fourier_solve(eq)
         rep = uniqueness_gap(phi, phi, eq)
         assert not rep.rationally_independent
+
+
+class TestNonFiniteChecks:
+    """Every self-check is written so that NaN fails it."""
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (np.nan, 1.0), (ALPHA, np.inf), (ALPHA, np.nan),
+    ])
+    def test_non_finite_angles_rejected(self, alpha, beta):
+        with pytest.raises(NonFinite):
+            TwistedEquation(alpha, beta, TrigPoly.single_mode(1))
+
+    def test_nan_residual_fails_fourier_self_check(self):
+        eq = TwistedEquation(ALPHA, 1.0, TrigPoly({1: complex(np.nan, 0.0)}))
+        with pytest.raises(NotASolution, match="nan"):
+            fourier_solve(eq)
+
+    def test_nan_divisor_fails_floor(self):
+        eq = TwistedEquation(ALPHA, 1.0, TrigPoly.single_mode(1))
+        eq.alpha = np.nan
+        with pytest.raises(SmallDivisor):
+            fourier_solve(eq)
+
+    def test_nan_residual_fails_cyclotomic_check(self, monkeypatch):
+        monkeypatch.setattr(solvers, "cyclotomic_verify",
+                            lambda *args, **kwargs: np.nan)
+        with pytest.raises(NotASolution, match="cyclotomic residual nan"):
+            cyclotomic_solve(TrigPoly.single_mode(1), ALPHA, 1.0, 2)
+
+    def test_nan_residual_fails_uniqueness_check(self):
+        eq = TwistedEquation(ALPHA, 1.0, TrigPoly.single_mode(1))
+        phi = fourier_solve(eq)
+        junk = Section.from_trigpoly(TrigPoly({1: complex(np.nan, 0.0)}))
+        with pytest.raises(NotASolution, match="nan"):
+            uniqueness_gap(phi, junk, eq)
+
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_residual_grid_below_one_rejected(self, grid):
+        eq = TwistedEquation(ALPHA, 1.0, TrigPoly.single_mode(1))
+        with pytest.raises(ConfigInvalid):
+            residual(eq, fourier_solve(eq), grid)
 
 
 class TestOscillation:

@@ -109,13 +109,14 @@ class TestWhitenedExp:
         L = np.linalg.cholesky(P)
         g = rng.standard_normal((2, 3, n, n))
         S = 0.5 * (g + g.swapaxes(-1, -2))
-        out = spd.whitened_exp(P, S)
+        at = spd.Whitening(P)
+        out = at.exp(S)
         assert out.shape == S.shape
         for k in np.ndindex(2, 3):
             want = L @ spd.spd_exp(S[k]) @ L.T
             assert np.max(np.abs(out[k] - want)) <= 1e-12 * np.linalg.norm(want)
             assert spd.symmetry_defect(out[k]) == 0.0
-            single = spd.whitened_exp(P, S[k])
+            single = at.exp(S[k])
             assert np.max(np.abs(single - out[k])) <= 1e-14 * np.linalg.norm(want)
 
     def test_rejects_bad_stack(self, rng):
@@ -123,39 +124,48 @@ class TestWhitenedExp:
         S = np.array([spd.symmetrize(rng.standard_normal((3, 3)))
                       for _ in range(4)])
         S[2, 0, 1] += 1e-6
+        at = spd.Whitening(P)
         with pytest.raises(NotSymmetric, match="batch entry 2"):
-            spd.whitened_exp(P, S)
+            at.exp(S)
         S[2, 0, 1] = np.nan
         with pytest.raises(NonFinite, match="batch entry 2"):
-            spd.whitened_exp(P, S)
+            at.exp(S)
         with pytest.raises(DimensionMismatch):
-            spd.whitened_exp(P, S[:, :2, :2])
+            at.exp(S[:, :2, :2])
         with pytest.raises(DimensionMismatch):
-            spd.whitened_exp(P, np.zeros(3))
+            at.exp(np.zeros(3))
 
 
 class TestSqrtBatch:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_scalar_root(self, rng, n):
+        # One matrix's root is its entry of the stack's, bit for bit.
         batch = np.array([random_spd(rng, n, spread=1.5) for _ in range(9)])
-        roots = spd.spd_sqrt_batch(batch)
+        roots = spd.spd_sqrt(batch)
         for P, R in zip(batch, roots):
-            assert np.max(np.abs(R - spd.spd_sqrt(P))) <= 1e-12
+            assert spd.spd_sqrt(P).tobytes() == R.tobytes()
             assert spd.symmetry_defect(R) == 0.0
             assert np.max(np.abs(R @ R - P)) <= 1e-12 * np.linalg.norm(P)
+            if n == 2:
+                # The closed form against the eigendecomposition.
+                lam, v = np.linalg.eigh(P)
+                want = (v * np.sqrt(lam)) @ v.T
+                assert np.max(np.abs(R - want)) <= 1e-14 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rejects_bad_entry(self, rng, n):
         batch = np.array([random_spd(rng, n) for _ in range(5)])
         batch[3] = -batch[3]
-        with pytest.raises(NotPositiveDefinite, match="batch entry 3"):
-            spd.spd_sqrt_batch(batch)
+        with pytest.raises(NotPositiveDefinite, match="matrix entry 3"):
+            spd.spd_sqrt(batch)
+        with pytest.raises(NotPositiveDefinite, match="matrix is"):
+            spd.spd_sqrt(batch[3])
         batch[3] = -batch[3]
         batch[3, 0, 1] += 1e-6
-        with pytest.raises(NotSymmetric, match="batch entry 3"):
-            spd.spd_sqrt_batch(batch)
+        with pytest.raises(NotSymmetric, match="matrix entry 3"):
+            spd.spd_sqrt(batch)
         with pytest.raises(DimensionMismatch):
-            spd.spd_sqrt_batch(batch[0])
+            spd.spd_sqrt(batch[None])
 
 
 class TestDistance:
@@ -495,31 +505,6 @@ class TestNormalizerDistortion:
             lam = spd.conf_normalizer(A)
             assert abs(abs(np.linalg.det(lam * A)) - 1.0) <= 1e-9
 
-    def test_distortion_orthogonal_is_one(self):
-        q = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
-        assert abs(spd.quasiconformal_distortion(q) - 1.0) <= 1e-12
-
-    def test_distortion_diagonal(self):
-        # Singular values 2 and 1/2.
-        assert abs(spd.quasiconformal_distortion(np.diag([2.0, 0.5])) - 4.0) <= 1e-12
-
-    def test_distortion_scale_invariant(self, rng):
-        A = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        assert abs(
-            spd.quasiconformal_distortion(A)
-            - spd.quasiconformal_distortion(-2.5 * A)
-        ) <= 1e-9
-
-    def test_distortion_one_iff_conformal(self, rng):
-        theta = 0.8
-        q = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        assert spd.quasiconformal_distortion(3.7 * q) <= 1.0 + 1e-9
-        assert spd.quasiconformal_distortion(np.diag([1.2, 1.0])) > 1.0 + 1e-9
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            spd.quasiconformal_distortion(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 class TestDetInv:
@@ -588,7 +573,6 @@ class TestNonFinite:
             lambda: spd.spd_geodesic(P, bad, 0.5),
             lambda: spd.spd_geodesic(bad, P, 0.5),
             lambda: spd.spd_sqrt(bad),
-            lambda: spd.spd_sqrt_batch(batch),
             lambda: spd.require_spd(bad),
             lambda: spd.gl_action(P, bad),
             lambda: spd.gl_action(bad, P),
@@ -610,6 +594,7 @@ class TestNonFinite:
         bad_units = units.copy()
         bad_units[2] = bad
         stack_calls = [
+            lambda: spd.spd_sqrt(batch),
             lambda: spd.gl_action(g, batch),
             lambda: spd.gl_action(bad_g, units),
             lambda: spd.conf_action(g, bad_units),
@@ -643,7 +628,7 @@ class TestNonFinite:
             lambda X: spd.spd_distances_from(P, np.array([P, X])),
             lambda X: spd.spd_distances_from(X, np.array([P])),
             lambda X: spd.pairwise_spd_distances(np.array([P, X, P])),
-            lambda X: spd.spd_sqrt_batch(np.array([P, X])),
+            lambda X: spd.spd_sqrt(np.array([P, X])),
             lambda X: spd.spd_geodesic(P, X, 0.5),
             lambda X: spd.spd_geodesic(X, P, 0.5),
         ]
