@@ -1,7 +1,8 @@
 """Centers of bounded point sets in a CAT(0) space.
 
 Two notions are implemented over an abstract space contract: distance,
-geodesic, distance scans, ``points(batch)``, which checks a batch once,
+geodesic (of one pair, or of each pair of two paired stacks), distance
+scans, ``points(batch)``, which checks a batch once,
 and ``chart(z)``, whose ``log`` and ``exp`` map such a batch and tangent
 vectors between the space and isometric tangent coordinates at z:
 
@@ -132,6 +133,8 @@ class SPDSpace:
         return spd.spd_distance(p, q)
 
     def geodesic(self, p, q, t: float):
+        """The point at t on the geodesic p -> q, or on each geodesic of two
+        paired (k, n, n) stacks: one :func:`spd.spd_geodesic` call."""
         out = spd.spd_geodesic(p, q, t)
         # Geodesics between det-1 endpoints stay det-1; renormalize drift.
         if self.conformal:
@@ -323,7 +326,8 @@ def pair_certificates(space, points: np.ndarray,
     then a, then c, and segmented maxima (first index on ties, as
     ``np.argmax``) pick a, b and the radius.  Passes take whole segments,
     at most ``spd.PAIR_CHUNK`` points each unless one segment is longer.
-    The midpoint is one ``space.geodesic`` call per segment.
+    The midpoints of a pass are one ``space.geodesic`` call on the
+    paired stacks of a and b.
     """
     points = np.asarray(points, dtype=float)
     bounds = (np.array([0, len(points)]) if bounds is None
@@ -345,7 +349,7 @@ def pair_certificates(space, points: np.ndarray,
 def _certify(space, points: np.ndarray, bounds: np.ndarray):
     """One pass of :func:`pair_certificates`: (first, second, half, mids,
     radius) of the segments of ``points`` cut at ``bounds``, which start
-    at 0."""
+    at 0, with one ``space.geodesic`` call for all the midpoints."""
     starts = bounds[:-1]
     # seg[j] is the segment of point j; with one segment no index arrays
     # are built and every reference is one point.
@@ -368,9 +372,7 @@ def _certify(space, points: np.ndarray, bounds: np.ndarray):
     a = first_argmax(space.distances_from(spread(points, starts), points))
     from_a = space.distances_from(spread(points, a), points)
     b = first_argmax(from_a)
-    mids = np.empty((len(starts),) + points.shape[1:])
-    for k, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
-        mids[k] = space.geodesic(points[i], points[j], 0.5)
+    mids = space.geodesic(points[a], points[b], 0.5)
     radius = np.maximum.reduceat(
         space.distances_from(spread(mids), points), starts)
     return a - starts, b - starts, 0.5 * from_a[b], mids, radius
@@ -544,8 +546,7 @@ def _midpoints(B: PointSet, rel_tol: float) -> tuple[PointSet, float]:
     dists = space.pairwise(pts)
     diam = float(np.max(dists))
     keep = dists >= (1.0 - rel_tol) * diam
-    mids = [space.geodesic(pts[i], pts[j], 0.5)
-            for i, j in zip(iu[keep], ju[keep])]
+    mids = space.geodesic(pts[iu[keep]], pts[ju[keep]], 0.5)
     unique: list[np.ndarray] = []
     merge_tol = 1e-12 * max(1.0, diam)
     for p in mids:

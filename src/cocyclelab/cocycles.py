@@ -96,17 +96,23 @@ class FiniteIsometry:
 
 
 def _require_orthogonal(linears: np.ndarray, what: str, names=None) -> None:
-    """Raise NotOrthogonal unless every matrix Q of a (k, l, l) stack has
-    ||Q^T Q - I||_F <= ORTHOGONALITY_TOL; the error names the first failing
-    entry as ``what`` or, with ``names``, as ``what`` names[i]."""
+    """Raise NonFinite if a matrix Q of a (k, l, l) stack has a non-finite
+    entry, and NotOrthogonal unless every Q has ||Q^T Q - I||_F <=
+    ORTHOGONALITY_TOL; the error names the first failing entry as ``what``
+    or, with ``names``, as ``what`` names[i]."""
+    def name(i: int) -> str:
+        return what if names is None else f"{what} {names[i]}"
+
+    finite = np.isfinite(linears).all(axis=(-2, -1))
+    if not finite.all():
+        raise NonFinite(f"{name(int(np.argmin(finite)))} has non-finite entries")
     defects = np.linalg.norm(
         np.swapaxes(linears, -1, -2) @ linears - np.eye(linears.shape[-1]),
         axis=(-2, -1))
     if np.any(defects > ORTHOGONALITY_TOL):
         i = int(np.argmax(defects > ORTHOGONALITY_TOL))
-        name = what if names is None else f"{what} {names[i]}"
         raise NotOrthogonal(
-            f"{name} orthogonality defect {defects[i]:.3e} > "
+            f"{name(i)} orthogonality defect {defects[i]:.3e} > "
             f"{ORTHOGONALITY_TOL:g}"
         )
 

@@ -41,11 +41,10 @@ import numpy as np
 from . import spd
 from .centers import PairCertificates, SPDSpace, pair_certificates
 from .circle import is_dense
-from .cocycles import MatrixCocycle, _batch, prefix_products
+from .cocycles import MatrixCocycle, _batch, _require_orthogonal, prefix_products
 from .errors import (
     ConfigInvalid,
     EmptyCell,
-    NotOrthogonal,
     SingularMatrix,
 )
 from .solvers import Section
@@ -61,7 +60,7 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
                          scalar_gen=None) -> MatrixCocycle:
     """Cocycle A(x) = B(T x) Q(x) B(x)^{-1} with known invariant section.
 
-    ``b_gen`` maps x to an invertible matrix, ``q_gen`` to an orthogonal
+    ``b_gen`` maps x to an invertible matrix, ``q_gen`` to a finite orthogonal
     one (checked on a sample grid).  ``b_batch`` and ``q_batch``, when
     given, map an array of k points to the (k, n, n) stack of the same
     matrices; without them the scalar maps are stacked point by point
@@ -89,14 +88,7 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
         return np.array([single(x) for x in xs], dtype=float)
 
     sample = np.arange(ORTHOGONALITY_SAMPLE) / ORTHOGONALITY_SAMPLE
-    qs = stack(q_batch, q_gen, sample)
-    defects = np.linalg.norm(qs.transpose(0, 2, 1) @ qs - np.eye(dim),
-                             axis=(1, 2))
-    if np.any(defects > 1e-10):
-        k = int(np.argmax(defects > 1e-10))
-        raise NotOrthogonal(
-            f"q_gen({sample[k]}) orthogonality defect {defects[k]:.3e} > 1e-10"
-        )
+    _require_orthogonal(stack(q_batch, q_gen, sample), "q_gen at x =", sample)
 
     def generators(xs):
         xs = np.asarray(xs, dtype=float)

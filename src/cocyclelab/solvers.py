@@ -426,11 +426,13 @@ def oscillation_profile(phi: Section, x: float, scales) -> dict[float, float]:
 
     For scale s this is the largest ||phi(y) - phi(z)|| over sample pairs
     y, z within s of x.  Scales below four sample spacings are refused
-    (ScaleTooFine).
+    (ScaleTooFine), and non-finite ones (ConfigInvalid).
     """
     if phi.kind != "grid":
         raise ConfigInvalid("oscillation needs a sampled section")
     scales = sorted(float(s) for s in np.atleast_1d(scales))
+    if not np.all(np.isfinite(scales)):
+        raise ConfigInvalid(f"scales {scales} must be finite")
     thetas = phi.thetas
     spacing = float(np.min(np.diff(np.sort(thetas)))) if len(thetas) > 1 else 1.0
     if scales[0] < 4.0 * spacing:

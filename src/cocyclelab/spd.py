@@ -19,12 +19,13 @@ For n = 2 closed forms are faster than a LAPACK call: the eigenvalues
 lam1 >= lam2 of the whitened 2x2 matrix, which give the distance, and by
 Cayley-Hamilton the geodesic, an affine combination of its endpoints;
 :func:`spd_sqrt`, :func:`det` (ad - bc) and :func:`inv` (the adjugate
-over det) of whole stacks, which raise naming the entry.
+over det), all elementwise over stacks.
 The logarithm and exponential maps at a point, on one Cholesky
 factorization of it (:class:`Whitening`), take a whole stack through one
 stacked ``eigh`` at every n.  The congruence helpers, :func:`spd_sqrt`
 and :func:`spd_distances_from` take a (k, n, n) stack where they take one
-point, check it entry by entry and name the failing entry in errors.
+point, and :func:`spd_geodesic` and :class:`Whitening` paired stacks;
+they check it entry by entry and name the failing entry in errors.
 :func:`sym_eigen` has no caller in the library; it is kept because the
 benchmark's tracer wraps it by name.
 Supported dimensions are 2 <= n <= 8.  Non-finite input raises
@@ -33,7 +34,6 @@ Supported dimensions are 2 <= n <= 8.  Non-finite input raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +52,8 @@ UNIT_DET_TOL = 1e-10
 SINGULAR_TOL = 1e-12
 MIN_DIM = 2
 MAX_DIM = 8
-# Pairs per slice of the 2x2 pairwise kernel.  The slice's temporaries stay
-# in cache: on 300 points this ran ~1.5x faster than one pass over all
+# Pairs per slice of the pairwise kernel.  The slice's temporaries stay in
+# cache: on 300 2x2 points this ran ~1.5x faster than one pass over all
 # pairs and cut peak memory from 7.6 MB to 1.7 MB.
 PAIR_CHUNK = 4096
 
@@ -114,8 +114,9 @@ def _symmetric(a, what: str) -> np.ndarray:
     """:func:`require_symmetric` for one matrix or every entry of a stack."""
     a = _matrices(a, what)
     flipped = np.swapaxes(a, -1, -2)
-    defect = np.max(np.abs(a - flipped), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    # The .max method: np.max's dispatch costs more than a 2x2 reduction.
+    defect = np.abs(a - flipped).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     _require(defect <= SYMMETRY_TOL * scale, NotSymmetric, what,
              lambda k: f"has symmetry defect {np.ravel(defect)[k]:.3e} "
                        f"exceeding {SYMMETRY_TOL:g}")
@@ -233,50 +234,43 @@ def spd_distance(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
-    """Point P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} on the geodesic P -> Q."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.shape != Q.shape:
-        raise DimensionMismatch(f"shapes {P.shape} and {Q.shape} differ")
-    if P.shape[0] == 2:
-        return _geodesic_2x2(P, Q, t)
-    at = Whitening(P)
-    return at.exp(t * at.logs(_symmetric(Q[np.newaxis], "batch"))[0])
+    """Point P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} on the geodesic P -> Q,
+    of one pair or of each pair of two paired (k, n, n) stacks.
 
-
-def _geodesic_2x2(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
-    """P #_t Q for 2x2 P and Q, off-diagonals read as the mean of the two;
-    an endpoint whose two differ beyond SYMMETRY_TOL raises NotSymmetric.
-
-    With P = L L^T and M = L^{-1} Q L^{-T} of eigenvalues lam1 >= lam2,
-    Cayley-Hamilton gives M^t = lam2^t I + c (M - lam2 I) with
-    c = (lam1^t - lam2^t) / (lam1 - lam2), and L (M - lam2 I) L^T is
+    Both endpoints are checked as by :func:`require_spd`; an error names
+    "geodesic endpoint entry k" of a stack, or at n >= 3 positivity the
+    :class:`Whitening`'s entry.  n >= 3 is one paired
+    :class:`Whitening`: P #_t Q = L exp(t log M) L^T.  For
+    n = 2, with P = L L^T and M = L^{-1} Q L^{-T} of eigenvalues
+    lam1 >= lam2, Cayley-Hamilton gives M^t = lam2^t I + c (M - lam2 I)
+    with c = (lam1^t - lam2^t) / (lam1 - lam2), and L (M - lam2 I) L^T is
     Q - lam2 P, so P #_t Q = (lam2^t - c lam2) P + c Q.  c is evaluated as
     lam1^(t-1) expm1(-t l) / expm1(-l) with l = log(lam1 / lam2), which
     neither cancels for close eigenvalues nor overflows for distant ones,
     and t = 0 and t = 1 return P and Q exactly.
     """
-    a, b, c = P[0, 0], 0.5 * (P[0, 1] + P[1, 0]), P[1, 1]
-    qa, qb, qc = Q[0, 0], 0.5 * (Q[0, 1] + Q[1, 0]), Q[1, 1]
-    if not math.isfinite(a + b + c + qa + qb + qc):
-        raise NonFinite("geodesic endpoint has non-finite entries")
-    for X in (P, Q):
-        # _symmetric's test, on Python floats.
-        (x00, x01), (x10, x11) = X.tolist()
-        gap = abs(x01 - x10)
-        if gap > SYMMETRY_TOL * max(1.0, abs(x00), abs(x01), abs(x10), abs(x11)):
-            raise NotSymmetric(f"geodesic endpoint has symmetry defect "
-                               f"{gap:.3e} exceeding {SYMMETRY_TOL:g}")
-    if a <= 0.0 or a * c - b * b <= 0.0:
-        raise NotPositiveDefinite("geodesic endpoint is not positive definite")
-    lam1, lam2 = _whitened_eigenvalues_2x2(a, b, c, qa, qb, qc,
-                                           "geodesic endpoint")
-    ell = math.log(lam1 / lam2)
-    ratio = math.expm1(-t * ell) / math.expm1(-ell) if ell > 0.0 else t
-    k = lam1 ** (t - 1.0) * ratio
-    w = lam2 ** t - k * lam2
-    off = w * b + k * qb
-    return np.array([[w * a + k * qa, off], [off, w * c + k * qc]])
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if P.shape != Q.shape:
+        raise DimensionMismatch(f"shapes {P.shape} and {Q.shape} differ")
+    P = _symmetric(P, "geodesic endpoint")
+    Q = _symmetric(Q, "geodesic endpoint")
+    if P.shape[-1] != 2:
+        at = Whitening(P)
+        return at.exp(t * at.logs(Q))
+    # NumPy scalars for one pair, as in _distances_from.
+    a, b, c = P.T[0, 0], P.T[1, 0], P.T[1, 1]
+    _require_positive((a > 0.0) & (a * c - b * b > 0.0), "geodesic endpoint")
+    lam1, lam2 = _whitened_eigenvalues_2x2(
+        a, b, c, Q.T[0, 0], Q.T[1, 0], Q.T[1, 1], "geodesic endpoint")
+    ell = np.log(lam1 / lam2)
+    # The ratio is t where l = 0 (P and Q proportional).  np.power, not
+    # **, which is C pow on NumPy scalars: one pair matches its stack.
+    k = np.power(lam1, t - 1.0) * np.divide(
+        np.expm1(-t * ell), np.expm1(-ell),
+        out=np.full(np.shape(ell), t, dtype=float), where=ell > 0.0)
+    w = np.power(lam2, t) - k * lam2
+    return w[..., None, None] * P + k[..., None, None] * Q
 
 
 def det(A: np.ndarray):
@@ -423,17 +417,13 @@ def _distance_2x2(a, b, c, qa, qb, qc) -> np.ndarray:
     return np.sqrt(l1 * l1 + l2 * l2)
 
 
-def _whitened_distances(L: np.ndarray, batch: np.ndarray,
-                        first: int = 0) -> np.ndarray:
-    """Distances from L L^T to every entry of a checked symmetric batch,
-    whose entry k is called ``first + k`` in errors.  ``L`` is one factor
-    or a stack of them paired with the batch."""
-    w = np.linalg.inv(L)
+def _whitened_distances(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Distances from P = L L^T to every entry of a checked symmetric batch,
+    given w = L^{-1}: one inverse factor, or a stack of them paired with
+    the batch.  An error names the failing batch entry."""
     lam = np.linalg.eigvalsh(w @ batch @ np.swapaxes(w, -1, -2))
-    positive = lam[:, 0] > 0.0
-    if not np.all(positive):
-        k = first + int(np.argmin(positive))
-        raise NotPositiveDefinite(f"batch entry {k} is not positive definite")
+    _require(lam[:, 0] > 0.0, NotPositiveDefinite, "batch",
+             "is not positive definite")
     logs = np.log(lam)
     return np.sqrt(np.sum(logs * logs, axis=1))
 
@@ -450,37 +440,39 @@ def _distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
                           & np.isfinite(a + b + c), "reference point", a, b, c)
         return _distance_2x2(a, b, c, batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1])
     L = _cholesky(_symmetric(P, "reference point"), "reference point")
-    return _whitened_distances(L, _symmetric(batch, "batch"))
+    return _whitened_distances(np.linalg.inv(L), _symmetric(batch, "batch"))
 
 
 class Whitening:
-    """A point P = L L^T of Pos(n), checked and Cholesky-factorized once,
-    with the whitened logarithm and exponential at P as methods, so a
-    caller that takes both at one point factorizes it once, and one that
-    takes logs of one batch at many points checks the batch once."""
+    """A point P = L L^T of Pos(n), or a (k, n, n) stack of them paired
+    with the methods' stacks, checked and Cholesky-factorized once, with
+    the whitened logarithm and exponential at P as methods, so a caller
+    that takes both at one point factorizes it once, and one that takes
+    logs of one batch at many points checks the batch once."""
 
     def __init__(self, P: np.ndarray):
-        self.L = _cholesky(require_symmetric(P), "reference point")
+        self.L = _cholesky(_symmetric(P, "reference point"), "reference point")
 
     def logs(self, batch: np.ndarray) -> np.ndarray:
         """Tangent vectors log(L^{-1} Q L^{-T}) at P, of norm d(P, Q), of
         every entry Q of a (m, n, n) batch already checked symmetric and
         finite, as :func:`_symmetric` returns it."""
         w = np.linalg.inv(self.L)
-        return _spectral(w @ batch @ w.T, np.log, "batch")
+        return _spectral(w @ batch @ np.swapaxes(w, -1, -2), np.log, "batch")
 
     def exp(self, S: np.ndarray) -> np.ndarray:
         """L exp(S) L^T of one symmetric (n, n) matrix or of each entry of a
         (..., n, n) stack, in its shape, by one stacked ``eigh``; the
-        inverse of :meth:`logs`.  An error names the flattened index."""
+        inverse of :meth:`logs`; at a stack of points, of its shape.  An
+        error names the flattened index."""
         L = self.L
         S = np.asarray(S, dtype=float)
-        if S.ndim < 2 or S.shape[-2:] != L.shape:
+        if S.shape[-2:] != L.shape[-2:] or (L.ndim == 3 and S.shape != L.shape):
             raise DimensionMismatch(
                 f"tangent shape {S.shape} incompatible with point {L.shape}"
             )
-        out = L @ _spectral(_symmetric(S.reshape(-1, *L.shape), "batch"),
-                            np.exp) @ L.T
+        out = L @ _spectral(_symmetric(S.reshape(-1, *L.shape[-2:]), "batch"),
+                            np.exp) @ np.swapaxes(L, -1, -2)
         return symmetrize(out).reshape(S.shape)
 
 
@@ -502,30 +494,29 @@ def spd_distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
 
 
 def pairwise_spd_distances(batch: np.ndarray) -> np.ndarray:
-    """Condensed upper-triangle distances of a batch; empty for m < 2."""
+    """Condensed upper-triangle distances of a batch, empty for m < 2, in
+    slices of PAIR_CHUNK pairs: the closed form for n = 2, else a paired
+    ``eigvalsh`` of W_i Q_j W_i^T on the inverse Cholesky factors W of
+    the batch, factorized as one stack.  Every entry is checked once."""
     batch = np.asarray(batch, dtype=float)
     m = batch.shape[0]
     if m < 2:
         return np.zeros(0)
     if batch.ndim != 3 or batch.shape[1] != batch.shape[2]:
         raise DimensionMismatch(f"expected a (m, n, n) batch, got {batch.shape}")
-    if batch.shape[1] == 2:
-        a = batch[:, 0, 0]
-        b = batch[:, 0, 1]
-        c = batch[:, 1, 1]
+    n = batch.shape[1]
+    if n == 2:
+        a, b, c = batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1]
         _require_positive((a > 0.0) & (a * c - b * b > 0.0)
                           & np.isfinite(a + b + c), "batch", a, b, c)
-        iu, ju = np.triu_indices(m, k=1)
-        out = np.empty(len(iu))
-        for lo in range(0, len(iu), PAIR_CHUNK):
-            i = iu[lo:lo + PAIR_CHUNK]
-            j = ju[lo:lo + PAIR_CHUNK]
-            out[lo:lo + PAIR_CHUNK] = _distance_2x2(a[i], b[i], c[i], a[j], b[j], c[j])
-        return out
-    batch = _symmetric(batch, "batch")
-    return np.concatenate([
-        _whitened_distances(
-            _cholesky(batch[i], f"batch entry {i}"), batch[i + 1:], first=i + 1
-        )
-        for i in range(m - 1)
-    ])
+    else:
+        batch = _symmetric(batch, "batch")
+        w = np.linalg.inv(_cholesky(batch, "batch"))
+    iu, ju = np.triu_indices(m, k=1)
+    out = np.empty(len(iu))
+    for lo in range(0, len(iu), PAIR_CHUNK):
+        i, j = iu[lo:lo + PAIR_CHUNK], ju[lo:lo + PAIR_CHUNK]
+        out[lo:lo + PAIR_CHUNK] = (
+            _distance_2x2(a[i], b[i], c[i], a[j], b[j], c[j]) if n == 2
+            else _whitened_distances(w[i], batch[j]))
+    return out

@@ -181,6 +181,7 @@ class TestMalformedInput:
         ["solve", "fourier", "--alpha", "abc"],
         ["solve", "fourier", "--grid", "0"],
         ["demo-counterexample", "--scales", "a,b"],
+        ["demo-counterexample", "--scales", "nan"],
         ["recurrence", "--n", "5000", "--pairs", "0"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_is_config_error(self, tmp_path, capsys, argv):
@@ -200,6 +201,7 @@ class TestMalformedInput:
         (["solve", "shift", "--x", "nan"], 3),
         (["solve", "shift", "--x", "inf", "--bilateral"], 3),
         (["reduce", "--cells", "8", "--steps", "400", "--defect-bound", "nan"], 4),
+        (["birkhoff", "--beta", "nan"], 3),
     ])
     def test_non_finite_value_fails(self, tmp_path, argv, code):
         got, summary, out = run_cli(tmp_path, *argv)

@@ -268,6 +268,16 @@ class TestFiniteIsometry:
         with pytest.raises(NotOrthogonal):
             FiniteIsometry(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_linear_part_rejected(self, value):
+        bad = rotation_matrix(0.5)
+        bad[0, 1] = value
+        with pytest.raises(NonFinite, match="linear part has non-finite"):
+            FiniteIsometry(bad, np.zeros(2))
+        with pytest.raises(NonFinite, match="constant linear part"):
+            IsometryCocycle(golden_rotation(), 2, constant_linear=bad,
+                            translation_batch_fn=lambda xs: np.zeros((len(xs), 2)))
+
     def test_left_invariant_metric(self, rng):
         i1 = FiniteIsometry(rotation_matrix(0.4), rng.random(2))
         i2 = FiniteIsometry(rotation_matrix(1.3), rng.random(2))

@@ -4,7 +4,7 @@ orthogonal and conformal conjugation."""
 import numpy as np
 import pytest
 
-from cocyclelab import presets, spd
+from cocyclelab import centers, presets, spd
 from cocyclelab.centers import PointSet, SPDSpace, chebyshev_center
 from cocyclelab.circle import ParabolicBase
 from cocyclelab.cocycles import MatrixCocycle, matrix_products
@@ -12,6 +12,7 @@ from cocyclelab.errors import (
     ConfigInvalid,
     DimensionMismatch,
     EmptyCell,
+    NonFinite,
     NotOrthogonal,
     NotPositiveDefinite,
     NotUnitDeterminant,
@@ -58,10 +59,20 @@ class TestConstructCoboundary:
 
     def test_non_orthogonal_q_rejected(self):
         base = golden_rotation()
-        with pytest.raises(NotOrthogonal):
+        with pytest.raises(NotOrthogonal, match=r"q_gen at x = 0\.0 "):
             construct_coboundary(
                 lambda x: np.eye(2), lambda x: np.diag([1.0, 1.1]), base
             )
+
+    def test_non_finite_q_rejected(self):
+        # NaN fails no orthogonality tolerance test, so it is refused first.
+        base = golden_rotation()
+
+        def q_gen(x):
+            return np.full((2, 2), np.nan) if x == 0.5 else np.eye(2)
+
+        with pytest.raises(NonFinite, match=r"q_gen at x = 0\.5 "):
+            construct_coboundary(lambda x: np.eye(2), q_gen, base)
 
     def test_products_bounded_by_conjugacy(self):
         # ||A(k, x)|| <= e^{2 ||S0||} for B = exp(sin(2 pi x) S0).
@@ -325,6 +336,30 @@ class TestSectionFromCenters:
             monkeypatch.undo()
             scans[cells] = len(calls)
         assert scans[64] == scans[128] < 64
+
+    def test_one_geodesic_call_per_pass(self, monkeypatch):
+        # Each pass of the certificate takes all its midpoints in one
+        # stacked geodesic call, whatever the number of cells.
+        c = coboundary_cocycle()
+        v0 = c.oracle_section(0.2)
+        real_certify, real_geodesic = centers._certify, SPDSpace.geodesic
+        for cells in (64, 128):
+            passes, geodesics = [], []
+
+            def certify(*args):
+                passes.append(1)
+                return real_certify(*args)
+
+            def geodesic(*args):
+                geodesics.append(1)
+                return real_geodesic(*args)
+
+            monkeypatch.setattr(centers, "_certify", certify)
+            monkeypatch.setattr(SPDSpace, "geodesic", geodesic)
+            section_from_centers(sample_fibers(c, 0.2, v0, 6400, cells))
+            monkeypatch.undo()
+            # 6400 points take two passes of at most PAIR_CHUNK points.
+            assert len(geodesics) == len(passes) == 2
 
     def test_centers_commute_with_congruence(self, rng):
         # Recomputing after a fixed g in GL(2) conjugates the section.

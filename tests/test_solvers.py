@@ -339,6 +339,14 @@ class TestNonFiniteChecks:
             residual(eq, fourier_solve(eq), grid)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        thetas = np.arange(256) / 256
+        sec = Section.from_samples(thetas, np.exp(2j * np.pi * thetas))
+        with pytest.raises(ConfigInvalid, match="must be finite"):
+            oscillation_profile(sec, 0.3, [0.05, bad])
+
+
 class TestOscillation:
     def test_smooth_section_linear_decay(self):
         thetas = np.arange(4096) / 4096

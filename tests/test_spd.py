@@ -135,6 +135,25 @@ class TestWhitenedExp:
         with pytest.raises(DimensionMismatch):
             at.exp(np.zeros(3))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_paired_round_trip(self, rng, n):
+        P = np.array([random_spd(rng, n, spread=1.0) for _ in range(6)])
+        Q = np.array([random_spd(rng, n, spread=1.0) for _ in range(6)])
+        at = spd.Whitening(P)
+        S = at.logs(spd.symmetrize(Q))
+        norms = np.sqrt(np.sum(S * S, axis=(1, 2)))
+        want = [reference_spd_distance(p, q) for p, q in zip(P, Q)]
+        assert np.max(np.abs(norms - want)) <= 1e-12
+        back = at.exp(S)
+        assert np.max(np.abs(back - Q)) <= 1e-12 * np.abs(Q).max()
+        for k in range(len(P)):
+            one = spd.Whitening(P[k])
+            assert np.max(np.abs(one.exp(one.logs(Q[k])) - back[k])) <= 1e-13
+        with pytest.raises(DimensionMismatch):
+            at.exp(S[:5])
+        with pytest.raises(NotPositiveDefinite, match="reference point entry 2"):
+            spd.Whitening(np.array([P[0], P[1], -P[2]]))
+
 
 class TestSqrtBatch:
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -233,6 +252,14 @@ class TestDistance:
 
     def test_pairwise_2x2_across_slices(self, rng):
         batch = np.array([random_spd(rng, 2) for _ in range(100)])
+        got = spd.pairwise_spd_distances(batch)
+        assert len(got) > spd.PAIR_CHUNK
+        iu, ju = np.triu_indices(len(batch), k=1)
+        want = [reference_spd_distance(batch[i], batch[j]) for i, j in zip(iu, ju)]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_pairwise_3x3_across_slices(self, rng):
+        batch = np.array([random_spd(rng, 3) for _ in range(92)])
         got = spd.pairwise_spd_distances(batch)
         assert len(got) > spd.PAIR_CHUNK
         iu, ju = np.triu_indices(len(batch), k=1)
@@ -378,21 +405,79 @@ class TestGeodesic:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
     def test_matches_high_precision_reference(self):
-        # Generic pairs, near-scalar Q = sP + 1e-9 E and near-coincident
-        # Q = P + 1e-9 E, where eigenvalues of P^{-1} Q nearly coincide.
-        rng = np.random.default_rng(20261018)
-        pairs = []
-        for _ in range(40):
-            P = random_spd(rng, 2, spread=rng.uniform(0.1, 3.0))
-            E = spd.symmetrize(rng.standard_normal((2, 2)))
-            pairs.append((P, random_spd(rng, 2, spread=rng.uniform(0.1, 3.0))))
-            pairs.append((P, rng.uniform(0.3, 3.0) * P + 1e-9 * E))
-            pairs.append((P, P + 1e-9 * E))
-        for P, Q in pairs:
+        for P, Q in _reference_pairs():
             for t in (1e-3, 0.3, 0.5, 0.97):
                 want = reference_geodesic_2x2(P, Q, t)
                 err = np.max(np.abs(spd.spd_geodesic(P, Q, t) - want))
                 assert err <= 1e-14 * max(np.abs(want).max(), 1.0), (P, Q, t)
+
+    def test_stack_matches_high_precision_reference(self):
+        P, Q = (np.array(ends) for ends in zip(*_reference_pairs()))
+        for t in (1e-3, 0.3, 0.5, 0.97):
+            got = spd.spd_geodesic(P, Q, t)
+            for k in range(len(P)):
+                want = reference_geodesic_2x2(P[k], Q[k], t)
+                err = np.max(np.abs(got[k] - want))
+                assert err <= 1e-14 * max(np.abs(want).max(), 1.0), (k, t)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_matches_one_pair(self, rng, n):
+        # Coincident and scalar-multiple pairs take the l = 0 branch of the
+        # 2x2 closed form inside a stack.
+        P = np.array([random_spd(rng, n, spread=rng.uniform(0.1, 3.0))
+                      for _ in range(12)])
+        Q = np.array([random_spd(rng, n, spread=rng.uniform(0.1, 3.0))
+                      for _ in range(12)])
+        Q[3] = P[3]
+        Q[7] = 2.5 * P[7]
+        for t in (1e-3, 0.3, 0.5, 0.97):
+            got = spd.spd_geodesic(P, Q, t)
+            assert got.shape == P.shape
+            for k in range(len(P)):
+                one = spd.spd_geodesic(P[k], Q[k], t)
+                if n == 2:
+                    assert np.array_equal(got[k], one)
+                else:
+                    assert np.max(np.abs(got[k] - one)) <= 1e-15 * np.abs(one).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_endpoints_exact(self, rng, n):
+        P = np.array([random_spd(rng, n, spread=rng.uniform(0.1, 3.0))
+                      for _ in range(10)])
+        Q = np.array([random_spd(rng, n, spread=rng.uniform(0.1, 3.0))
+                      for _ in range(10)])
+        P, Q = spd.symmetrize(P), spd.symmetrize(Q)
+        if n == 2:
+            assert np.array_equal(spd.spd_geodesic(P, Q, 0.0), P)
+            assert np.array_equal(spd.spd_geodesic(P, Q, 1.0), Q)
+        else:
+            scale = max(np.abs(P).max(), np.abs(Q).max())
+            assert np.max(np.abs(spd.spd_geodesic(P, Q, 0.0) - P)) <= 1e-13 * scale
+            assert np.max(np.abs(spd.spd_geodesic(P, Q, 1.0) - Q)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_names_bad_endpoint(self, rng, n):
+        P = np.array([random_spd(rng, n) for _ in range(4)])
+        Q = np.array([random_spd(rng, n) for _ in range(4)])
+        skewed = Q.copy()
+        skewed[2, 0, 1] += 1e-3
+        non_finite = Q.copy()
+        non_finite[2] = _with_entry(Q[2], np.nan)
+        indefinite = Q.copy()
+        indefinite[2] = -Q[2]
+        own = ("geodesic endpoint",) * 2
+        # At n >= 3 positivity is the Whitening's test, which names the
+        # factorized point and the whitened batch.
+        positivity = own if n == 2 else ("reference point", "batch")
+        for bad, error, (first, second) in (
+                (skewed, NotSymmetric, own), (non_finite, NonFinite, own),
+                (indefinite, NotPositiveDefinite, positivity)):
+            with pytest.raises(error, match=f"{first} entry 2 "):
+                spd.spd_geodesic(bad, P, 0.5)
+            with pytest.raises(error, match=f"{second} entry 2 "):
+                spd.spd_geodesic(P, bad, 0.5)
+        with pytest.raises(DimensionMismatch):
+            spd.spd_geodesic(P, Q[:3], 0.5)
 
     def test_unit_determinant_midpoint(self, rng):
         # On det-1 pairs P # Q = (P + Q) / sqrt(det(P + Q)).
@@ -402,6 +487,20 @@ class TestGeodesic:
             want = (P + Q) / np.sqrt(np.linalg.det(P + Q))
             mid = spd.spd_geodesic(P, Q, 0.5)
             assert np.max(np.abs(mid - want)) <= 1e-14 * np.abs(want).max()
+
+
+def _reference_pairs():
+    """Generic pairs, near-scalar Q = sP + 1e-9 E and near-coincident
+    Q = P + 1e-9 E, where eigenvalues of P^{-1} Q nearly coincide."""
+    rng = np.random.default_rng(20261018)
+    pairs = []
+    for _ in range(40):
+        P = random_spd(rng, 2, spread=rng.uniform(0.1, 3.0))
+        E = spd.symmetrize(rng.standard_normal((2, 2)))
+        pairs.append((P, random_spd(rng, 2, spread=rng.uniform(0.1, 3.0))))
+        pairs.append((P, rng.uniform(0.3, 3.0) * P + 1e-9 * E))
+        pairs.append((P, P + 1e-9 * E))
+    return pairs
 
 
 class TestActions:
@@ -593,7 +692,10 @@ class TestNonFinite:
         bad_g[2] = _with_entry(g[2], value)
         bad_units = units.copy()
         bad_units[2] = bad
+        ends = np.array([random_spd(rng, n) for _ in range(4)])
         stack_calls = [
+            lambda: spd.spd_geodesic(ends, batch, 0.5),
+            lambda: spd.spd_geodesic(batch, ends, 0.5),
             lambda: spd.spd_sqrt(batch),
             lambda: spd.gl_action(g, batch),
             lambda: spd.gl_action(bad_g, units),
