@@ -15,9 +15,13 @@ demo-counterexample  bounded orbits without a continuous solution over the
 recurrence           recurrence-isometry sampling and semigroup closure
 
 Exit codes: 0 ok, 2 invalid configuration, 3 numeric failure,
-4 invariant violation.  COCYCLE_SEED overrides --seed.  Summaries are
-deterministic for a fixed config and seed; wall-clock timings live under
-the volatile "timing" key.
+4 invariant violation.  COCYCLE_SEED overrides --seed; a seed that is not
+a non-negative integer, from either, exits 2.
+
+This module is the one writer of artefacts: summary.json, through one
+JSON writer, and every CSV, through one column writer, are deterministic
+for a fixed config and seed; the run's wall-clock time goes only into
+timing.json.
 """
 
 from __future__ import annotations
@@ -81,7 +85,6 @@ from .solvers import (
     fourier_solve,
     oscillation_profile,
     residual,
-    section_to_csv,
     shift_solve_bilateral,
     shift_solve_unilateral,
 )
@@ -117,19 +120,29 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows):
+def _write_table(path: Path, columns: dict):
+    """One CSV: the column names, then row i of every column.  Columns hold
+    Python values (``.tolist()``), so csv writes each float as its repr."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
 
 
 def _seed_from(args) -> int:
-    env = os.environ.get("COCYCLE_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    """COCYCLE_SEED if set, else --seed, as a non-negative integer: the
+    seeds NumPy's generators take."""
+    name, raw = "--seed", args.seed
+    if "COCYCLE_SEED" in os.environ:
+        name, raw = "COCYCLE_SEED", os.environ["COCYCLE_SEED"]
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise E.ConfigInvalid(f"{name} {raw!r} is not a non-negative integer")
+    return seed
 
 
 def _load_point_set(path: str) -> PointSet:
@@ -183,25 +196,22 @@ def cmd_center(args) -> dict:
         summary["midpoint_shrink"] = {
             "ratio": shrink.ratio, "passed": shrink.passed,
         }
-    rows = [
-        (i, repr(float(d)))
-        for i, d in enumerate(ps.space.distances_from(report.center, ps.points))
-    ]
-    _write_csv(out / "center_distances.csv", ["index", "distance"], rows)
+    distances = ps.space.distances_from(report.center, ps.points)
+    _write_table(out / "center_distances.csv", {
+        "index": range(len(distances)), "distance": distances.tolist(),
+    })
     return summary
 
 
 def cmd_lemmas(args) -> dict:
     if min(args.sets, args.spd_sets) < 0 or args.sets + args.spd_sets < 1:
         raise E.ConfigInvalid("--sets and --spd-sets must be >= 0, not both 0")
-    rng = np.random.default_rng(_seed_from(args))
+    rng = np.random.default_rng(args.seed)
     eps_cycle = [1e-3, 1e-2, 1e-1]
     e2 = EuclideanSpace(2)
     s2 = SPDSpace(2)
 
-    continuity_rows = []
-    worst_margin = np.inf
-    all_pass = True
+    cases = []  # (space, index, eps, report)
     for i in range(args.sets):
         m = int(rng.integers(4, 16))
         pts = rng.random((m, 2)) * rng.uniform(0.5, 2.0)
@@ -210,11 +220,7 @@ def cmd_lemmas(args) -> dict:
         rad = eps * np.sqrt(rng.random(m))
         pts_e = pts + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
         rep = check_center_continuity(PointSet(e2, pts), PointSet(e2, pts_e))
-        all_pass &= rep.passed
-        worst_margin = min(worst_margin, rep.rhs + 1e-7 - rep.lhs)
-        continuity_rows.append(
-            ("euclidean", i, eps, repr(rep.lhs), repr(rep.rhs), rep.passed)
-        )
+        cases.append(("euclidean", i, eps, rep))
     for i in range(args.spd_sets):
         m = int(rng.integers(4, 9))
         pts = np.array([
@@ -225,11 +231,9 @@ def cmd_lemmas(args) -> dict:
             _spd_jitter(rng, p, eps * rng.random()) for p in pts
         ])
         rep = check_center_continuity(PointSet(s2, pts), PointSet(s2, pts_e))
-        all_pass &= rep.passed
-        worst_margin = min(worst_margin, rep.rhs + 1e-7 - rep.lhs)
-        continuity_rows.append(
-            ("pos2", i, eps, repr(rep.lhs), repr(rep.rhs), rep.passed)
-        )
+        cases.append(("pos2", i, eps, rep))
+    spaces, indices, epsilons, reps = zip(*cases)
+    all_pass = all(rep.passed for rep in reps)
 
     shrink_pass = True
     worst_ratio = 0.0
@@ -258,16 +262,18 @@ def cmd_lemmas(args) -> dict:
             "passed": rep.passed,
         })
 
-    out = Path(args.out)
-    _write_csv(out / "continuity.csv",
-               ["space", "index", "eps", "lhs", "rhs", "passed"],
-               continuity_rows)
+    _write_table(Path(args.out) / "continuity.csv", {
+        "space": spaces, "index": indices, "eps": epsilons,
+        "lhs": [float(rep.lhs) for rep in reps],
+        "rhs": [float(rep.rhs) for rep in reps],
+        "passed": [rep.passed for rep in reps],
+    })
     summary = {
         "command": "lemmas",
         "continuity": {
-            "cases": len(continuity_rows),
-            "all_pass": bool(all_pass),
-            "worst_margin": worst_margin,
+            "cases": len(reps),
+            "all_pass": all_pass,
+            "worst_margin": min(rep.rhs + 1e-7 - rep.lhs for rep in reps),
         },
         "diameter_shrink": {
             "random_all_pass": bool(shrink_pass),
@@ -307,45 +313,9 @@ def _tetrahedron(side: float = 1.0) -> np.ndarray:
 
 
 def cmd_solve(args) -> dict:
-    rng = np.random.default_rng(_seed_from(args))
     out = Path(args.out)
-    if args.solver == "fourier":
-        alpha = parse_alpha(args.alpha)
-        rho = rho_from_descriptor(args.rho, rng)
-        eq = TwistedEquation(alpha, args.beta, rho)
-        phi = fourier_solve(eq, args.floor)
-        res = residual(eq, phi, args.grid)
-        section_to_csv(phi, out / "solution.csv", args.grid)
-        return {
-            "command": "solve-fourier",
-            "alpha": alpha,
-            "beta": args.beta,
-            "rho_modes": len(rho.coeffs),
-            "residual": res,
-            "divisor_min": min(eq.divisors.values(), default=None),
-        }
-    if args.solver == "cyclotomic":
-        alpha = parse_alpha(args.alpha)
-        rho = rho_from_descriptor(args.rho, rng)
-        phi = cyclotomic_solve(rho, alpha, args.beta, args.q, args.floor)
-        res = cyclotomic_verify(phi, rho, alpha, args.beta, args.q, args.grid)
-        section_to_csv(phi, out / "solution.csv", args.grid)
-        return {
-            "command": "solve-cyclotomic",
-            "alpha": alpha,
-            "beta": args.beta,
-            "q": args.q,
-            "residual": res,
-        }
     if args.solver == "shift":
-        preset = {
-            "single-mode": shift_single_mode,
-            "geometric": shift_geometric,
-            "compact": shift_compact_section,
-        }.get(args.preset)
-        if preset is None:
-            raise E.ConfigInvalid(f"unknown shift preset {args.preset!r}")
-        cocycle = preset(truncation=args.truncation)
+        cocycle = SHIFT_PRESETS[args.preset](args)
         if args.bilateral:
             cocycle = ShiftCocycle(
                 base=cocycle.base, rho_coords=cocycle.rho_coords,
@@ -354,11 +324,11 @@ def cmd_solve(args) -> dict:
             sol = shift_solve_bilateral(cocycle, args.x, args.tail)
         else:
             sol = shift_solve_unilateral(cocycle, args.x)
-        rows = [
-            (sol.offset + i, repr(float(z.real)), repr(float(z.imag)))
-            for i, z in enumerate(sol.coords)
-        ]
-        _write_csv(out / "shift_coords.csv", ["index", "re", "im"], rows)
+        _write_table(out / "shift_coords.csv", {
+            "index": range(sol.offset, sol.offset + len(sol.coords)),
+            "re": sol.coords.real.tolist(),
+            "im": sol.coords.imag.tolist(),
+        })
         return {
             "command": "solve-shift",
             "preset": args.preset,
@@ -369,32 +339,39 @@ def cmd_solve(args) -> dict:
             "invariance_residual": sol.invariance_residual,
             "flags": sol.flags,
         }
-    raise E.ConfigInvalid(f"unknown solver {args.solver!r}")
+    alpha = parse_alpha(args.alpha)
+    rho = rho_from_descriptor(args.rho, np.random.default_rng(args.seed))
+    summary = {"command": f"solve-{args.solver}", "alpha": alpha,
+               "beta": args.beta}
+    if args.solver == "fourier":
+        eq = TwistedEquation(alpha, args.beta, rho)
+        phi = fourier_solve(eq, args.floor)
+        summary["rho_modes"] = len(rho.coeffs)
+        summary["residual"] = residual(eq, phi, args.grid)
+        summary["divisor_min"] = min(eq.divisors.values(), default=None)
+    else:
+        phi = cyclotomic_solve(rho, alpha, args.beta, args.q, args.floor)
+        summary["q"] = args.q
+        summary["residual"] = cyclotomic_verify(
+            phi, rho, alpha, args.beta, args.q, args.grid)
+    thetas = np.arange(args.grid) / args.grid
+    values = phi(thetas)
+    _write_table(out / "solution.csv", {
+        "theta": thetas.tolist(),
+        "re": values.real.tolist(),
+        "im": values.imag.tolist(),
+    })
+    return summary
 
 
 def cmd_birkhoff(args) -> dict:
-    rng = np.random.default_rng(_seed_from(args))
-    base = golden_rotation()
-    if args.preset == "rotation-translation":
-        cocycle = rotation_translation_cocycle(
-            base, args.beta, rho_from_descriptor(args.rho, rng)
-        )
-        v0 = np.zeros(2)
-    elif args.preset == "coboundary":
-        cocycle = coboundary_isometry_cocycle(
-            base, args.beta, TrigPoly.random(4, rng)
-        )
-        v0 = np.zeros(2)
-    elif args.preset == "counterexample":
-        cocycle = jump_cascade().cocycle
-        v0 = np.zeros(1)
-    else:
-        raise E.ConfigInvalid(f"unknown birkhoff preset {args.preset!r}")
+    cocycle = BIRKHOFF_PRESETS[args.preset](args, np.random.default_rng(args.seed))
     # The probe starts at v0 = 0, so its norms are the twisted Birkhoff sums.
-    probe = boundedness_probe(cocycle, args.x0, v0, args.steps)
+    probe = boundedness_probe(cocycle, args.x0, np.zeros(cocycle.dim), args.steps)
     ks = np.unique(np.geomspace(1, args.steps, 64).astype(int))
-    rows = [(int(k), repr(float(probe.norms[k]))) for k in ks]
-    _write_csv(Path(args.out) / "birkhoff.csv", ["k", "norm"], rows)
+    _write_table(Path(args.out) / "birkhoff.csv", {
+        "k": ks.tolist(), "norm": probe.norms[ks].tolist(),
+    })
     return {
         "command": "birkhoff",
         "preset": args.preset,
@@ -406,18 +383,8 @@ def cmd_birkhoff(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    presets = {
-        "coboundary": coboundary_cocycle,
-        "conformal-coboundary": conformal_coboundary_cocycle,
-        "scalar-orthogonal": scalar_orthogonal_cocycle,
-    }
-    if args.preset not in presets:
-        raise E.ConfigInvalid(f"unknown reduce preset {args.preset!r}")
-    cocycle = presets[args.preset]()
-    conformal = args.conformal or args.preset in (
-        "conformal-coboundary", "scalar-orthogonal"
-    )
-    t0 = time.perf_counter()
+    cocycle, det_normalized = REDUCE_PRESETS[args.preset]()
+    conformal = args.conformal or det_normalized
     summary: dict = {
         "command": "reduce",
         "preset": args.preset,
@@ -454,7 +421,6 @@ def cmd_reduce(args) -> dict:
         summary["invariance_residual"] = got.invariance_residual
     if result.distortion_max_deviation is not None:
         summary["distortion_max_deviation"] = result.distortion_max_deviation
-    # One column per field; csv writes each float with str(), its repr.
     columns = {
         "cell": range(len(result.per_cell_defect)),
         "theta": result.section.thetas.tolist(),
@@ -466,10 +432,7 @@ def cmd_reduce(args) -> dict:
     if got is not None:
         columns["gap"] = got.center_gaps.tolist()
         columns["support"] = [" ".join(map(str, s)) for s in got.center_supports]
-    _write_csv(Path(args.out) / "reduction_cells.csv", list(columns),
-               zip(*columns.values()))
-    summary_timing = {"runtime_seconds": time.perf_counter() - t0}
-    summary["timing"] = summary_timing
+    _write_table(Path(args.out) / "reduction_cells.csv", columns)
     if not result.defect <= args.defect_bound:
         raise E.NotASolution(
             f"defect {result.defect:.3e} above bound {args.defect_bound:g}"
@@ -509,27 +472,16 @@ def cmd_demo_counterexample(args) -> dict:
 
 
 def cmd_recurrence(args) -> dict:
-    rng = np.random.default_rng(_seed_from(args))
-    base = golden_rotation()
-    if args.preset == "rotation-valued":
-        table = TrigPoly.random(2, rng, 0.2)
-        cocycle = rotation_translation_cocycle(base, args.beta, table)
-    elif args.preset == "translation":
-        cocycle = rotation_translation_cocycle(
-            base, 0.0, TrigPoly.random(2, rng, 0.2)
-        )
-    else:
-        raise E.ConfigInvalid(f"unknown recurrence preset {args.preset!r}")
+    cocycle = RECURRENCE_PRESETS[args.preset](args, np.random.default_rng(args.seed))
     sample = recurrence_isometries(cocycle, args.x, args.delta, args.n)
     checks = semigroup_closure_check(
         cocycle, args.x, sample, max_pairs=args.pairs
     )
-    rows = [
-        (int(k), repr(float(np.linalg.norm(iso.translation))))
-        for k, iso in sample
-    ]
-    _write_csv(Path(args.out) / "recurrence.csv",
-               ["k", "translation_norm"], rows)
+    _write_table(Path(args.out) / "recurrence.csv", {
+        "k": [k for k, _ in sample],
+        "translation_norm": [float(np.linalg.norm(iso.translation))
+                             for _, iso in sample],
+    })
     return {
         "command": "recurrence",
         "returns": len(sample),
@@ -537,6 +489,42 @@ def cmd_recurrence(args) -> dict:
         "all_ok": bool(all(c.ok for c in checks)),
         "max_deviation": max((c.deviation for c in checks), default=0.0),
     }
+
+
+# -- presets ------------------------------------------------------------------
+# One table per subcommand; the parser's choices are its keys.  Each entry
+# looks its preset function up when called, so a name replaced in this
+# module (a tracer, a test's monkeypatch) is the one that runs.
+
+# name -> () -> (cocycle, whether the preset needs the det-normalized pipeline)
+REDUCE_PRESETS = {
+    "coboundary": lambda: (coboundary_cocycle(), False),
+    "conformal-coboundary": lambda: (conformal_coboundary_cocycle(), True),
+    "scalar-orthogonal": lambda: (scalar_orthogonal_cocycle(), True),
+}
+
+# name -> (args, rng) -> isometry cocycle, here and in RECURRENCE_PRESETS
+BIRKHOFF_PRESETS = {
+    "rotation-translation": lambda args, rng: rotation_translation_cocycle(
+        golden_rotation(), args.beta, rho_from_descriptor(args.rho, rng)),
+    "coboundary": lambda args, rng: coboundary_isometry_cocycle(
+        golden_rotation(), args.beta, TrigPoly.random(4, rng)),
+    "counterexample": lambda args, rng: jump_cascade().cocycle,
+}
+
+RECURRENCE_PRESETS = {
+    "rotation-valued": lambda args, rng: rotation_translation_cocycle(
+        golden_rotation(), args.beta, TrigPoly.random(2, rng, 0.2)),
+    "translation": lambda args, rng: rotation_translation_cocycle(
+        golden_rotation(), 0.0, TrigPoly.random(2, rng, 0.2)),
+}
+
+# name -> args -> shift cocycle of the requested truncation
+SHIFT_PRESETS = {
+    "single-mode": lambda args: shift_single_mode(truncation=args.truncation),
+    "geometric": lambda args: shift_geometric(truncation=args.truncation),
+    "compact": lambda args: shift_compact_section(truncation=args.truncation),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--floor", type=float, default=1e-8)
     p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--preset", default="geometric",
-                   help="shift data: single-mode | geometric | compact")
+    p.add_argument("--preset", default="geometric", choices=list(SHIFT_PRESETS),
+                   help="shift data")
     p.add_argument("--bilateral", action="store_true")
     p.add_argument("--truncation", type=int, default=24)
     p.add_argument("--tail", type=int, default=64)
@@ -582,8 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("birkhoff", help="twisted sums and boundedness probe")
     p.add_argument("--preset", default="rotation-translation",
-                   choices=["rotation-translation", "coboundary",
-                            "counterexample"])
+                   choices=list(BIRKHOFF_PRESETS))
     p.add_argument("--beta", type=float, default=0.7)
     p.add_argument("--rho", default="single-mode")
     p.add_argument("--steps", type=int, default=100000)
@@ -592,8 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduction pipelines")
     p.add_argument("--preset", default="coboundary",
-                   choices=["coboundary", "conformal-coboundary",
-                            "scalar-orthogonal"])
+                   choices=list(REDUCE_PRESETS))
     p.add_argument("--cells", type=int, default=512)
     p.add_argument("--steps", type=int, default=200000)
     p.add_argument("--x0", type=float, default=0.2)
@@ -620,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recurrence", help="recurrence-isometry sampling")
     p.add_argument("--preset", default="rotation-valued",
-                   choices=["rotation-valued", "translation"])
+                   choices=list(RECURRENCE_PRESETS))
     p.add_argument("--beta", type=float, default=0.9)
     p.add_argument("--delta", type=float, default=0.02)
     p.add_argument("--n", type=int, default=30000)
@@ -640,6 +626,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     t0 = time.perf_counter()
     try:
+        args.seed = _seed_from(args)
         summary = args.func(args)
     except E.ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -650,9 +637,8 @@ def main(argv=None) -> int:
     except INVARIANT_ERRORS as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    summary.setdefault("seed", _seed_from(args))
-    timing = summary.pop("timing", {})
-    timing.setdefault("runtime_seconds", time.perf_counter() - t0)
+    timing = {"runtime_seconds": time.perf_counter() - t0}
+    summary["seed"] = args.seed
     out = Path(args.out)
     _write_json(out / "summary.json", summary)
     _write_json(out / "timing.json", timing)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .circle import GOLDEN_MEAN, ParabolicBase, RotationBase, base_from_descriptor
 from .cocycles import IsometryCocycle, MatrixCocycle, ShiftCocycle
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, NonFinite
 from .reduction import construct_coboundary
 from .trigpoly import TrigPoly
 
@@ -20,6 +20,8 @@ def golden_rotation() -> RotationBase:
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
+    if not np.isfinite(angle):
+        raise NonFinite(f"rotation angle {angle!r} is not finite")
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
 
@@ -152,7 +154,7 @@ def coboundary_isometry_cocycle(base, beta: float,
                                 section_poly: TrigPoly) -> IsometryCocycle:
     """Cocycle whose translation part is rho = phi o T - Psi phi for the
     known bounded section phi; its skew orbits stay bounded."""
-    tw = complex(np.cos(beta), np.sin(beta))
+    tw = complex(*rotation_matrix(beta)[:, 0])
     rho_poly = section_poly.shift(getattr(base, "alpha")) - section_poly.scale(tw)
     cocycle = rotation_translation_cocycle(base, beta, rho_poly)
     cocycle.known_section = section_poly

@@ -9,7 +9,8 @@ solved mode by mode in Fourier space: phi_n = rho_n / (e^{2 pi i n alpha}
 with the offending list rather than being mollified.  On top of this
 sit the q-th-root (cyclotomic) reduction, the explicit coordinate
 formulas for shift cocycles, and the uniqueness / oscillation
-diagnostics for sections.
+diagnostics for sections.  The module does no I/O: the CLI writes the
+artefacts.
 """
 
 from __future__ import annotations
@@ -76,33 +77,6 @@ class Section:
         if self.poly is None:
             raise ConfigInvalid("sampled sections evaluate only at their samples")
         return self.poly(theta)
-
-
-def section_to_csv(section: Section, path, grid: int = DEFAULT_GRID):
-    """Write (theta, re, im, ...) rows for plotting."""
-    import csv
-    from pathlib import Path
-
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    if section.kind == "fourier":
-        thetas = np.arange(grid) / grid
-        values = section.poly(thetas)
-    else:
-        thetas = section.thetas
-        values = section.values
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if np.iscomplexobj(values) or values.ndim == 1:
-            writer.writerow(["theta", "re", "im"])
-            for t, v in zip(thetas, values):
-                v = complex(v)
-                writer.writerow([repr(float(t)), repr(v.real), repr(v.imag)])
-        else:
-            width = int(np.prod(values.shape[1:]))
-            writer.writerow(["theta"] + [f"v{i}" for i in range(width)])
-            for t, v in zip(thetas, values):
-                writer.writerow([repr(float(t))]
-                                + [repr(float(c)) for c in np.ravel(v)])
 
 
 # -- the twisted equation ----------------------------------------------------

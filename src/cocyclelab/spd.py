@@ -237,10 +237,10 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     """Point P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} on the geodesic P -> Q,
     of one pair or of each pair of two paired (k, n, n) stacks.
 
-    Both endpoints are checked as by :func:`require_spd`; an error names
-    "geodesic endpoint entry k" of a stack, or at n >= 3 positivity the
-    :class:`Whitening`'s entry.  n >= 3 is one paired
-    :class:`Whitening`: P #_t Q = L exp(t log M) L^T.  For
+    Both endpoints are checked once, as by :func:`require_spd`; an error
+    names "geodesic endpoint entry k" of a stack.  A non-finite t raises
+    NonFinite.  n >= 3 is P #_t Q = L exp(t log M) L^T, one stacked
+    ``eigh`` for the log and one for the exp.  For
     n = 2, with P = L L^T and M = L^{-1} Q L^{-T} of eigenvalues
     lam1 >= lam2, Cayley-Hamilton gives M^t = lam2^t I + c (M - lam2 I)
     with c = (lam1^t - lam2^t) / (lam1 - lam2), and L (M - lam2 I) L^T is
@@ -253,11 +253,17 @@ def spd_geodesic(P: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if P.shape != Q.shape:
         raise DimensionMismatch(f"shapes {P.shape} and {Q.shape} differ")
+    if not np.isfinite(t):
+        raise NonFinite(f"geodesic parameter t = {t!r} is not finite")
     P = _symmetric(P, "geodesic endpoint")
     Q = _symmetric(Q, "geodesic endpoint")
     if P.shape[-1] != 2:
-        at = Whitening(P)
-        return at.exp(t * at.logs(Q))
+        L = _cholesky(P, "geodesic endpoint")
+        w = np.linalg.inv(L)
+        logs = _spectral(w @ Q @ np.swapaxes(w, -1, -2), np.log,
+                         "geodesic endpoint")
+        return symmetrize(L @ _spectral(t * logs, np.exp)
+                          @ np.swapaxes(L, -1, -2))
     # NumPy scalars for one pair, as in _distances_from.
     a, b, c = P.T[0, 0], P.T[1, 0], P.T[1, 1]
     _require_positive((a > 0.0) & (a * c - b * b > 0.0), "geodesic endpoint")

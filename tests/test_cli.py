@@ -1,11 +1,16 @@
 """CLI surface: subcommands, artifacts, exit codes, determinism."""
 
+import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cocyclelab
 from cocyclelab import cli, spd
 from cocyclelab.cli import main
 from cocyclelab.cocycles import twisted_birkhoff
@@ -15,10 +20,12 @@ from cocyclelab.presets import (
     conformal_coboundary_cocycle,
     golden_rotation,
     jump_cascade,
+    parse_alpha,
     rotation_translation_cocycle,
     scalar_orthogonal_cocycle,
 )
 from cocyclelab.reduction import sample_fibers, section_from_centers
+from cocyclelab.solvers import TwistedEquation, fourier_solve
 from cocyclelab.trigpoly import TrigPoly
 
 from conftest import reference_oracle_distances
@@ -183,6 +190,8 @@ class TestMalformedInput:
         ["demo-counterexample", "--scales", "a,b"],
         ["demo-counterexample", "--scales", "nan"],
         ["recurrence", "--n", "5000", "--pairs", "0"],
+        ["--seed", "-5", "recurrence", "--n", "2000"],
+        ["COCYCLE_SEED=abc", "recurrence", "--n", "2000"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_is_config_error(self, tmp_path, capsys, argv):
         if argv[-2] == "{file}":
@@ -190,9 +199,17 @@ class TestMalformedInput:
             path = tmp_path / "points.json"
             path.write_text(argv[-1])
             argv = argv[:-2] + [str(path)]
-        code, summary, _ = run_cli(tmp_path, *argv)
+        source, env_seed = argv[0], None
+        if source.startswith("COCYCLE_SEED="):
+            env_seed = source.partition("=")[2]
+            argv = argv[1:]
+        code, summary, _ = run_cli(tmp_path, *argv, env_seed=env_seed)
         assert code == 2 and summary is None
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        if "SEED" in source.upper():
+            # A bad seed is named by where it came from.
+            assert source.partition("=")[0] in err
 
     @pytest.mark.parametrize("argv, code", [
         (["solve", "fourier", "--rho", '{"1": [NaN, 0]}'], 4),
@@ -202,6 +219,8 @@ class TestMalformedInput:
         (["solve", "shift", "--x", "inf", "--bilateral"], 3),
         (["reduce", "--cells", "8", "--steps", "400", "--defect-bound", "nan"], 4),
         (["birkhoff", "--beta", "nan"], 3),
+        (["birkhoff", "--beta", "inf"], 3),
+        (["recurrence", "--beta", "inf", "--n", "2000"], 3),
     ])
     def test_non_finite_value_fails(self, tmp_path, argv, code):
         got, summary, out = run_cli(tmp_path, *argv)
@@ -397,7 +416,74 @@ class TestOtherCommands:
         assert (out / "continuity.csv").exists()
 
 
+# One small run of every subcommand; "{points}" is a point-set file.
+ARTEFACT_RUNS = [
+    ["center", "--input", "{points}"],
+    ["lemmas", "--sets", "4", "--spd-sets", "1", "--samples", "200"],
+    ["solve", "fourier"],
+    ["solve", "cyclotomic", "--q", "3", "--rho", "random:4"],
+    ["solve", "shift"],
+    ["solve", "shift", "--bilateral"],
+    ["birkhoff", "--preset", "rotation-translation", "--steps", "500"],
+    ["birkhoff", "--preset", "coboundary", "--steps", "500"],
+    ["birkhoff", "--preset", "counterexample", "--steps", "500"],
+    ["reduce", "--cells", "16", "--steps", "800"],
+    ["recurrence", "--n", "2000"],
+    ["demo-counterexample", "--steps", "2000"],
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv", ARTEFACT_RUNS, ids=" ".join)
+    def test_artefacts_byte_identical(self, tmp_path, tetra_file, argv):
+        argv = [str(tetra_file) if a == "{points}" else a for a in argv]
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["--out", str(out), "--seed", "5"] + argv) == 0
+            # The one volatile artefact.
+            (out / "timing.json").unlink()
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert "summary.json" in names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        for table in (name for name in names if name.endswith(".csv")):
+            with open(a / table, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1
+            assert all(len(row) == len(rows[0]) for row in rows)
+            # The repr of a NumPy 2 scalar is "np.float64(...)".
+            assert not any("np." in cell for row in rows for cell in row)
+
+    def test_fourier_solution_csv_round_trips(self, tmp_path):
+        code, _, out = run_cli(tmp_path, "solve", "fourier", "--beta", "0.7",
+                               "--grid", "4099")
+        assert code == 0
+        with open(out / "solution.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["theta", "re", "im"]
+        got = np.array(rows[1:], dtype=float)
+        thetas = np.arange(4099) / 4099
+        eq = TwistedEquation(parse_alpha("golden"), 0.7, TrigPoly.single_mode(1))
+        want = fourier_solve(eq).poly(thetas)
+        assert np.array_equal(got[:, 0], thetas)
+        assert np.array_equal(got[:, 1], want.real)
+        assert np.array_equal(got[:, 2], want.imag)
+
+    def test_module_run_writes_nothing_to_stderr(self, tmp_path):
+        # A process outside pytest's warning filter: any warning shows.
+        env = {k: v for k, v in os.environ.items() if k != "COCYCLE_SEED"}
+        src = str(Path(cocyclelab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + env.get("PYTHONPATH", "").split(os.pathsep))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cocyclelab.cli", "--out", str(tmp_path),
+             "recurrence", "--n", "2000"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["command"] == "recurrence"
+
     def test_byte_identical_summaries(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

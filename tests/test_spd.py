@@ -466,18 +466,22 @@ class TestGeodesic:
         indefinite = Q.copy()
         indefinite[2] = -Q[2]
         own = ("geodesic endpoint",) * 2
-        # At n >= 3 positivity is the Whitening's test, which names the
-        # factorized point and the whitened batch.
-        positivity = own if n == 2 else ("reference point", "batch")
         for bad, error, (first, second) in (
                 (skewed, NotSymmetric, own), (non_finite, NonFinite, own),
-                (indefinite, NotPositiveDefinite, positivity)):
+                (indefinite, NotPositiveDefinite, own)):
             with pytest.raises(error, match=f"{first} entry 2 "):
                 spd.spd_geodesic(bad, P, 0.5)
             with pytest.raises(error, match=f"{second} entry 2 "):
                 spd.spd_geodesic(P, bad, 0.5)
         with pytest.raises(DimensionMismatch):
             spd.spd_geodesic(P, Q[:3], 0.5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_t_rejected(self, rng, n, t):
+        P, Q = random_spd(rng, n), random_spd(rng, n)
+        with pytest.raises(NonFinite, match="geodesic parameter"):
+            spd.spd_geodesic(P, Q, t)
 
     def test_unit_determinant_midpoint(self, rng):
         # On det-1 pairs P # Q = (P + Q) / sqrt(det(P + Q)).
