@@ -26,6 +26,9 @@ solved, and the same weights, kept at the next z, still bound r*.  So a
 move is certified first with the last ball's weights, and a new ball is
 solved only when that stale bound falls short.
 
+Pos(n) is one space, :class:`SPDSpace`, with :class:`spd.Whitening` as
+its chart; det-1 sets need no other (see :class:`SPDSpace`).
+
 The quantitative checks — center continuity d(ctr B, ctr B_eps)^2 <=
 8 eps r_B, the sqrt(2) diameter shrink of midpoint sets, and the radius
 drop of intersecting balls — live here as report-producing operations.
@@ -113,33 +116,23 @@ class _EuclideanChart:
 
 
 class SPDSpace:
-    """Pos(n) (or its det-1 slice) with the affine-invariant metric."""
+    """Pos(n) with the affine-invariant metric; also the space of sets on
+    the det-1 slice Conf(n), which is closed, convex and totally geodesic:
+    by the Bruhat-Tits centre lemma the centre of a bounded set lies in
+    every closed convex set that contains it, so the geodesics and centres
+    of det-1 points stay on the slice up to rounding."""
 
-    def __init__(self, n: int, conformal: bool = False):
+    def __init__(self, n: int):
         self.n = int(n)
-        self.conformal = bool(conformal)
-        self.name = f"{'conf' if conformal else 'pos'}:{self.n}"
+        self.dim = self.n * (self.n + 1) // 2
+        self.name = f"pos:{self.n}"
         self.curvature_bound = 0.5  # sectional curvatures lie in [-1/2, 0]
-        # Tangent coordinates: the upper triangle, off-diagonal entries
-        # scaled by sqrt 2, so that Euclidean norms are Frobenius norms.
-        self._rows, self._cols = np.triu_indices(self.n)
-        self._scale = np.where(self._rows == self._cols, 1.0, np.sqrt(2.0))
-
-    @property
-    def dim(self) -> int:
-        return self.n * (self.n + 1) // 2
 
     def distance(self, p, q) -> float:
         return spd.spd_distance(p, q)
 
     def geodesic(self, p, q, t: float):
-        """The point at t on the geodesic p -> q, or on each geodesic of two
-        paired (k, n, n) stacks: one :func:`spd.spd_geodesic` call."""
-        out = spd.spd_geodesic(p, q, t)
-        # Geodesics between det-1 endpoints stay det-1; renormalize drift.
-        if self.conformal:
-            out = spd._renormalize_det(out)
-        return out
+        return spd.spd_geodesic(p, q, t)
 
     def distances_from(self, p, batch: np.ndarray) -> np.ndarray:
         return spd.spd_distances_from(p, batch)
@@ -148,38 +141,11 @@ class SPDSpace:
         return spd.pairwise_spd_distances(batch)
 
     def points(self, batch: np.ndarray) -> np.ndarray:
-        """The batch checked and symmetrized once, for :meth:`chart` logs;
-        an error names the entry."""
+        """The batch checked once, for :meth:`chart` logs."""
         return spd._symmetric(batch, "batch")
 
-    def chart(self, z) -> "_SPDChart":
-        """log and exp at z on one Cholesky factorization of z."""
-        return _SPDChart(self, z)
-
-
-class _SPDChart:
-    """log_z and exp_z of an :class:`SPDSpace` on one
-    :class:`spd.Whitening` of z."""
-
-    def __init__(self, space: SPDSpace, z):
-        self.space = space
-        self.at = spd.Whitening(z)
-
-    def log(self, pts: np.ndarray) -> np.ndarray:
-        """Tangent coordinates of a batch :meth:`SPDSpace.points` checked."""
-        s = self.space
-        return self.at.logs(pts)[:, s._rows, s._cols] * s._scale
-
-    def exp(self, v: np.ndarray) -> np.ndarray:
-        """exp_z of one tangent vector (dim,) or of a (m, dim) stack of
-        them, (n, n) or (m, n, n): one :meth:`spd.Whitening.exp` call."""
-        s = self.space
-        v = np.asarray(v, dtype=float)
-        S = np.empty(v.shape[:-1] + (s.n, s.n))
-        S[..., s._cols, s._rows] = S[..., s._rows, s._cols] = v / s._scale
-        out = self.at.exp(S)
-        # The slice is totally geodesic; renormalize drift.
-        return spd._renormalize_det(out) if s.conformal else out
+    def chart(self, z) -> spd.Whitening:
+        return spd.Whitening(z)
 
 
 def space_selftest(space, sample_points: np.ndarray, rng: np.random.Generator,
@@ -702,10 +668,6 @@ def _sample_in_ball(space, center, radius: float, samples: int,
     for k in range(samples):
         u[k] = rng.standard_normal(space.dim)
         t[k] = rng.random()
-    if getattr(space, "conformal", False):
-        # Traceless, so that the vectors are tangent to the det-1 slice.
-        diag = space._rows == space._cols
-        u[:, diag] -= u[:, diag].mean(axis=1, keepdims=True)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     r = radius * t ** (1.0 / space.dim)
     return space.chart(center).exp(r[:, None] * u)

@@ -147,17 +147,24 @@ def is_dense(xs: np.ndarray, delta: float) -> bool:
     return max_gap <= 2.0 * delta
 
 
+def _require_probe(x: float, n: int, delta: float):
+    """Raise unless 1 <= n <= 1e7, 0 < delta < inf and x is finite."""
+    if not (1 <= n <= 10 ** 7 and 0.0 < delta < np.inf):
+        raise ConfigInvalid(f"n = {n} and delta = {delta!r}: a probe needs "
+                            f"1 <= n <= 1e7 and 0 < delta < inf")
+    if not np.isfinite(x):
+        raise NonFinite(f"base point x = {x!r} is not finite")
+
+
 def minimality_probe(base, x0: float, n: int, delta: float) -> bool:
     """True iff the first ``n`` forward iterates are delta-dense in [0, 1)."""
-    if n > 10 ** 7:
-        raise ConfigInvalid("n exceeds the 1e7 probe bound")
+    _require_probe(x0, n, delta)
     return is_dense(base.orbit(x0, n), delta)
 
 
 def return_times(base, x: float, delta: float, n: int) -> np.ndarray:
     """All 1 <= k <= n with d(T^k x, x) < delta, ascending."""
-    if n > 10 ** 7:
-        raise ConfigInvalid("n exceeds the 1e7 probe bound")
+    _require_probe(x, n, delta)
     xs = base.orbit(x, n + 1)
     close = circle_distance(xs, x) < delta
     ks = np.nonzero(close)[0]

@@ -315,9 +315,12 @@ def orbit_products(c, x: float, k: int) -> np.ndarray:
 
 def iterate_skew(c: IsometryCocycle, x: float, v: np.ndarray, k: int):
     """k-th image of (x, v) under the skew action; returns (T^k x, I(k,x) v)."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise NonFinite(f"fibre point v = {v.tolist()} is not finite")
     last = orbit_products(c, x, k)[-1]
     l = c.dim
-    v = last[:l, :l] @ np.asarray(v, dtype=float) + last[:l, l]
+    v = last[:l, :l] @ v + last[:l, l]
     return c.base.step_n(x, k), v
 
 
@@ -353,13 +356,16 @@ def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
     The slope is the least-squares slope of the running maximum against
     log k, 1 <= k <= n, in closed form — a growth diagnostic only, not a
     boundedness verdict.  A slope needs two points: n < 2 raises
-    ConfigInvalid.
+    ConfigInvalid, a non-finite v0 NonFinite.
     """
     if n < 2:
         raise ConfigInvalid(f"n = {n}: the growth slope needs n >= 2 steps")
+    v0 = np.asarray(v0, dtype=float)
+    if not np.isfinite(v0).all():
+        raise NonFinite(f"fibre point v0 = {v0.tolist()} is not finite")
     prods = orbit_products(c, x0, n)
     l = c.dim
-    traj = prods[:, :l, :l] @ np.asarray(v0, dtype=float) + prods[:, :l, l]
+    traj = prods[:, :l, :l] @ v0 + prods[:, :l, l]
     del prods
     norms = np.linalg.norm(traj, axis=1)
     running = np.maximum.accumulate(norms)
@@ -556,6 +562,8 @@ def shift_twisted_sum(c: ShiftCocycle, y: float, n: int):
     coordinate; exact up to rounding, no truncation of the result.
     Returns (offset, coords) with coords[i] the coordinate offset + i.
     """
+    if n < 0:
+        raise ConfigInvalid(f"n = {n} must be >= 0")
     lo = -c.support_level if c.bilateral else 0
     hi = c.support_level + max(n, 1)
     coords = np.zeros(hi - lo, dtype=complex)

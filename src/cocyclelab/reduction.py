@@ -212,8 +212,7 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
         raise EmptyCell(f"cell {int(np.argmin(counts))} of {cells} "
                         f"received no samples")
     points = points[order]
-    certificates = pair_certificates(SPDSpace(n, conformal=conformal),
-                                     points, bounds)
+    certificates = pair_certificates(SPDSpace(n), points, bounds)
     return FiberBuckets(
         cocycle=c, conformal=conformal, cells=cells, steps=steps, x0=x0,
         cell_points=[points[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
@@ -250,8 +249,11 @@ def section_from_centers(fb: FiberBuckets, *,
     """
     c = fb.cocycle
     reports = [fb.certificates.center(i) for i in range(fb.cells)]
-    # SPDSpace(conformal=True) keeps every centre on the det-1 slice.
     values = np.array([r.center for r in reports])
+    if fb.conformal:
+        # Centres of det-1 sets lie on the closed convex det-1 slice; one
+        # stacked rescaling removes the rounding.
+        values = spd._renormalize_det(values)
 
     thetas = fb.cell_centers()
     act = spd.conf_action if fb.conformal else spd.gl_action

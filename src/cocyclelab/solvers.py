@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import circle_distance
+from .circle import RotationBase, circle_distance
 from .cocycles import ShiftCocycle, shift_twisted_sum
 from .errors import (
     ConfigInvalid,
@@ -116,9 +116,11 @@ def fourier_solve(eq: TwistedEquation,
 
     Raises SmallDivisor listing every mode whose divisor falls below the
     floor, and MeanObstruction for the untwisted equation with nonzero
-    mean.  The returned section passes the substitution residual at
-    1e-10 on the default grid.
+    mean, and ConfigInvalid unless 0 <= floor < inf.  The returned section
+    passes the substitution residual at 1e-10 on the default grid.
     """
+    if not 0.0 <= divisor_floor < np.inf:
+        raise ConfigInvalid(f"divisor floor {divisor_floor!r} is not in [0, inf)")
     untwisted = eq.untwisted
     if untwisted and abs(eq.rho.coeffs.get(0, 0.0)) > 0.0:
         raise MeanObstruction(
@@ -170,11 +172,7 @@ def orbit_reconstruction(eq: TwistedEquation, x0: float, steps: int,
     along theta = x0, x0 + alpha, ...; an orbit-sampled section that
     satisfies the equation along consecutive samples by construction.
     """
-    thetas = np.mod(
-        np.longdouble(x0)
-        + np.arange(steps, dtype=np.longdouble) * np.longdouble(eq.alpha),
-        1.0,
-    ).astype(float)
+    thetas = RotationBase(eq.alpha, minimal=False).orbit(x0, steps)
     values = np.empty(steps, dtype=complex)
     v = complex(phi0)
     tw = eq.twist
@@ -303,10 +301,12 @@ def shift_solve_bilateral(c: ShiftCocycle, x: float, tail: int) -> ShiftSolution
     I(tail + 1, T^{-(tail+1)} x) 0, cut or padded with zeros to the window.
     Once tail >= truncation + support the window is exact and the
     invariance residual drops to rounding level; the residual is reported
-    alongside the coordinates.
+    alongside the coordinates.  A negative tail raises ConfigInvalid.
     """
     if not c.bilateral:
         raise ConfigInvalid("cocycle carries one-sided data")
+    if tail < 0:
+        raise ConfigInvalid(f"tail = {tail} must be >= 0")
     c.require_truncation()
     L = c.truncation
     coords, coords_next = np.zeros((2, 2 * L + 1), dtype=complex)

@@ -20,12 +20,12 @@ lam1 >= lam2 of the whitened 2x2 matrix, which give the distance, and by
 Cayley-Hamilton the geodesic, an affine combination of its endpoints;
 :func:`spd_sqrt`, :func:`det` (ad - bc) and :func:`inv` (the adjugate
 over det), all elementwise over stacks.
-The logarithm and exponential maps at a point, on one Cholesky
-factorization of it (:class:`Whitening`), take a whole stack through one
-stacked ``eigh`` at every n.  The congruence helpers, :func:`spd_sqrt`
-and :func:`spd_distances_from` take a (k, n, n) stack where they take one
-point, and :func:`spd_geodesic` and :class:`Whitening` paired stacks;
-they check it entry by entry and name the failing entry in errors.
+:class:`Whitening` is the one chart: at one point, factorized once, its
+log and exp map whole stacks to and from isometric tangent coordinates
+through one stacked ``eigh`` at every n.  The congruence helpers,
+:func:`spd_sqrt` and :func:`spd_distances_from` take a (k, n, n) stack
+where they take one point, and :func:`spd_geodesic` paired stacks; they
+check it entry by entry and name the failing entry in errors.
 :func:`sym_eigen` has no caller in the library; it is kept because the
 benchmark's tracer wraps it by name.
 Supported dimensions are 2 <= n <= 8.  Non-finite input raises
@@ -449,37 +449,43 @@ def _distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return _whitened_distances(np.linalg.inv(L), _symmetric(batch, "batch"))
 
 
+# Tangent coordinates of Sym(n): the upper triangle row by row, off-diagonal
+# entries scaled by sqrt 2, so that Euclidean norms are Frobenius norms.
+_TANGENT = {n: (r, c, np.where(r == c, 1.0, np.sqrt(2.0)))
+            for n in range(MIN_DIM, MAX_DIM + 1) for r, c in [np.triu_indices(n)]}
+
+
 class Whitening:
-    """A point P = L L^T of Pos(n), or a (k, n, n) stack of them paired
-    with the methods' stacks, checked and Cholesky-factorized once, with
-    the whitened logarithm and exponential at P as methods, so a caller
-    that takes both at one point factorizes it once, and one that takes
-    logs of one batch at many points checks the batch once."""
+    """The chart at one point P = L L^T of Pos(n), checked and
+    Cholesky-factorized once for both of its maps."""
 
     def __init__(self, P: np.ndarray):
-        self.L = _cholesky(_symmetric(P, "reference point"), "reference point")
+        self.L = _cholesky(require_symmetric(P), "reference point")
 
-    def logs(self, batch: np.ndarray) -> np.ndarray:
-        """Tangent vectors log(L^{-1} Q L^{-T}) at P, of norm d(P, Q), of
-        every entry Q of a (m, n, n) batch already checked symmetric and
-        finite, as :func:`_symmetric` returns it."""
+    def log(self, batch: np.ndarray) -> np.ndarray:
+        """Tangent coordinates (m, dim) of log(L^{-1} Q L^{-T}), of norm
+        d(P, Q), for every Q of a (m, n, n) batch :func:`_symmetric` checked."""
+        rows, cols, scale = _TANGENT[len(self.L)]
         w = np.linalg.inv(self.L)
-        return _spectral(w @ batch @ np.swapaxes(w, -1, -2), np.log, "batch")
+        return _spectral(w @ batch @ w.T, np.log, "batch")[:, rows, cols] * scale
 
-    def exp(self, S: np.ndarray) -> np.ndarray:
-        """L exp(S) L^T of one symmetric (n, n) matrix or of each entry of a
-        (..., n, n) stack, in its shape, by one stacked ``eigh``; the
-        inverse of :meth:`logs`; at a stack of points, of its shape.  An
-        error names the flattened index."""
-        L = self.L
-        S = np.asarray(S, dtype=float)
-        if S.shape[-2:] != L.shape[-2:] or (L.ndim == 3 and S.shape != L.shape):
+    def exp(self, v: np.ndarray) -> np.ndarray:
+        """L exp(S) L^T for the symmetric S of one tangent vector (dim,) or
+        of each of a (..., dim) stack, by one stacked ``eigh``; inverts
+        :meth:`log`.  S is built symmetric: only finiteness is checked."""
+        n = len(self.L)
+        rows, cols, scale = _TANGENT[n]
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1:] != rows.shape:
             raise DimensionMismatch(
-                f"tangent shape {S.shape} incompatible with point {L.shape}"
-            )
-        out = L @ _spectral(_symmetric(S.reshape(-1, *L.shape[-2:]), "batch"),
-                            np.exp) @ np.swapaxes(L, -1, -2)
-        return symmetrize(out).reshape(S.shape)
+                f"tangent shape {v.shape} incompatible with point {self.L.shape}")
+        flat = v.reshape(-1, len(rows))
+        _require(np.isfinite(flat).all(axis=1), NonFinite, "tangent vector",
+                 "has non-finite entries")
+        S = np.empty((len(flat), n, n))
+        S[:, cols, rows] = S[:, rows, cols] = flat / scale
+        out = self.L @ _spectral(S, np.exp) @ self.L.T
+        return symmetrize(out).reshape(v.shape[:-1] + (n, n))
 
 
 def spd_distances_from(P: np.ndarray, batch: np.ndarray) -> np.ndarray:

@@ -85,16 +85,13 @@ class TestSpaces:
         rep = space_selftest(S2, pts, rng, triples=120)
         assert rep["pass"], rep
 
-    @pytest.mark.parametrize("space", [
-        E2, E3, S2, SPDSpace(3), SPDSpace(2, conformal=True),
-    ], ids=lambda s: s.name)
+    @pytest.mark.parametrize("space", [E2, E3, S2, SPDSpace(3)],
+                             ids=lambda s: s.name)
     def test_log_exp_isometric_and_inverse(self, rng, space):
         if isinstance(space, EuclideanSpace):
             z, pts = rng.random(space.dim), rng.random((6, space.dim))
         else:
             z, *pts = [random_spd(rng, space.n, 0.8) for _ in range(7)]
-            if space.conformal:
-                z, *pts = [spd.unit_determinant(p) for p in [z, *pts]]
             pts = np.array(pts)
         chart = space.chart(z)
         y = chart.log(space.points(pts))
@@ -107,8 +104,6 @@ class TestSpaces:
         # exp_z(t log_z p) runs along the geodesic from z to p.
         mid = chart.exp(0.5 * y[0])
         assert space.distance(mid, space.geodesic(z, pts[0], 0.5)) <= 1e-12
-        if getattr(space, "conformal", False):
-            assert abs(np.linalg.det(mid) - 1.0) <= 1e-12
 
 
 class TestRadiusAndDiameter:
@@ -414,12 +409,10 @@ class TestTangentFactorisation:
         monkeypatch.setattr(spd, "_symmetric", lambda a, what: (
             checked.append(np.shape(a)) or symmetric(a, what)))
         moves = 0
-        for space in (SPDSpace(2), SPDSpace(3), SPDSpace(2, conformal=True)):
+        for space in (SPDSpace(2), SPDSpace(3)):
             for m in range(3, 10):
                 pts = np.array([random_spd(rng, space.n, 0.6)
                                 for _ in range(m)])
-                if space.conformal:
-                    pts = spd.unit_determinant(pts)
                 z = pair_certificates(space, pts).mids[0]
                 factorised.clear()
                 checked.clear()
@@ -450,7 +443,7 @@ def ragged_segments(rng, space, sizes):
                         + noise * spd.symmetrize(rng.standard_normal((n, n))))
             for _ in range(m)
         ])
-        yield spd.unit_determinant(pts) if space.conformal else pts
+        yield pts
 
 
 def assert_same_report(got, want):
@@ -479,7 +472,7 @@ def assert_matches_one_segment_calls(space, segments):
 
 class TestPairCertificates:
     @pytest.mark.parametrize("space", [
-        EuclideanSpace(3), SPDSpace(2), SPDSpace(2, conformal=True), SPDSpace(3),
+        EuclideanSpace(3), SPDSpace(2), SPDSpace(3),
     ], ids=lambda space: space.name)
     def test_segmented_equals_one_segment_calls(self, rng, space):
         sizes = (3, 300, 1, 2, 300, 1, 3)
@@ -603,7 +596,9 @@ class TestCertifiedBattery:
             assert abs(a.radius - b.radius) <= 1e-9
 
     def test_conformal_sets_stay_on_slice(self, rng):
-        space = SPDSpace(2, conformal=True)
+        # The det-1 slice is closed and convex, so the centre of det-1
+        # points lies on it: no renormalization is needed.
+        space = SPDSpace(2)
         for m in range(3, 9):
             pts = np.array([spd.unit_determinant(random_spd(rng, 2, 0.7))
                             for _ in range(m)])
@@ -786,18 +781,14 @@ class TestCenterContinuity:
 
 def scalar_ball_battery(space, v0, v0p, r0, eps, samples, rng):
     """Reference for check_ball_intersection_radius: one sample at a time,
-    through scalar exp and distance, with its own traceless projection on
-    the det-1 slice.  Returns (accepted, max distance to the midpoint)."""
+    through scalar exp and distance.  Returns (accepted, max distance to
+    the midpoint)."""
     eps0 = space.distance(v0, v0p)
     mid = space.geodesic(v0, v0p, 0.5)
     cover = r0 + eps + 0.5 * eps0
     accepted, worst = 0, 0.0
     for _ in range(samples):
         u = rng.standard_normal(space.dim)
-        if getattr(space, "conformal", False):
-            # Tangent coordinates list the upper triangle row by row.
-            rows, cols = np.triu_indices(space.n)
-            u[rows == cols] -= np.mean(u[rows == cols])
         u = u / np.linalg.norm(u)
         y = space.chart(mid).exp(cover * rng.random() ** (1.0 / space.dim) * u)
         if space.distance(y, v0) <= r0 + eps and space.distance(y, v0p) <= r0 + eps:
@@ -809,13 +800,11 @@ def scalar_ball_battery(space, v0, v0p, r0, eps, samples, rng):
 def ball_cases():
     """(space, v0, v0', r0, eps) at d(v0, v0') = 0.4 or 0.5, r0 = 1 and
     eps just under d^2 / 16."""
-    half = np.diag([0.5, -0.5]) / np.sqrt(2.0)
     return [
         (E2, np.zeros(2), np.array([0.4, 0.0]), 1.0, 0.01),
         (S2, np.eye(2), spd.spd_exp(0.5 * np.eye(2) / np.sqrt(2.0)), 1.0, 0.015),
         (SPDSpace(3), np.eye(3), spd.spd_exp(0.5 * np.eye(3) / np.sqrt(3.0)),
          1.0, 0.015),
-        (SPDSpace(2, conformal=True), np.eye(2), spd.spd_exp(half), 1.0, 0.015),
     ]
 
 
@@ -872,8 +861,6 @@ class TestBallIntersection:
         assert out.shape == (6,) + np.shape(z)
         for v, y in zip(V, out):
             assert np.max(np.abs(chart.exp(v) - y)) <= 1e-12
-        if getattr(space, "conformal", False):
-            assert np.max(np.abs(np.linalg.det(out) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_samples_below_one_rejected(self, rng, samples):

@@ -133,6 +133,25 @@ class TestProbes:
         base = ParabolicBase()
         assert len(return_times(base, 0.3, 0.01, 10 ** 4)) == 0
 
+    @pytest.mark.parametrize("probe", [minimality_probe, return_times])
+    @pytest.mark.parametrize("n, delta", [
+        (0, 0.1), (-3, 0.1), (100, 0.0), (100, -1.0), (100, np.nan),
+        (100, np.inf),
+    ])
+    def test_vacuous_probe_rejected(self, probe, n, delta):
+        # A probe with no steps or no admissible radius would pass vacuously.
+        base = RotationBase(GOLDEN_MEAN)
+        args = (0.3, n, delta) if probe is minimality_probe else (0.3, delta, n)
+        with pytest.raises(ConfigInvalid):
+            probe(base, *args)
+
+    @pytest.mark.parametrize("probe", [minimality_probe, return_times])
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, probe, x):
+        args = (x, 100, 0.1) if probe is minimality_probe else (x, 0.1, 100)
+        with pytest.raises(NonFinite):
+            probe(RotationBase(GOLDEN_MEAN), *args)
+
 
 def test_descriptors_round_trip():
     base = base_from_descriptor({"type": "rotation", "alpha": "golden"})

@@ -12,6 +12,7 @@ import pytest
 
 import cocyclelab
 from cocyclelab import cli, spd
+from cocyclelab import errors as E
 from cocyclelab.cli import main
 from cocyclelab.cocycles import twisted_birkhoff
 from cocyclelab.presets import (
@@ -190,6 +191,11 @@ class TestMalformedInput:
         ["demo-counterexample", "--scales", "a,b"],
         ["demo-counterexample", "--scales", "nan"],
         ["recurrence", "--n", "5000", "--pairs", "0"],
+        ["recurrence", "--delta", "nan"],
+        ["recurrence", "--delta", "-1"],
+        ["recurrence", "--n", "-3"],
+        ["solve", "shift", "--bilateral", "--tail", "-2"],
+        ["solve", "fourier", "--floor", "nan"],
         ["--seed", "-5", "recurrence", "--n", "2000"],
         ["COCYCLE_SEED=abc", "recurrence", "--n", "2000"],
     ], ids=lambda argv: " ".join(argv[:3]))
@@ -221,11 +227,32 @@ class TestMalformedInput:
         (["birkhoff", "--beta", "nan"], 3),
         (["birkhoff", "--beta", "inf"], 3),
         (["recurrence", "--beta", "inf", "--n", "2000"], 3),
+        (["recurrence", "--x", "nan"], 3),
+        (["demo-counterexample", "--v0", "nan"], 3),
     ])
     def test_non_finite_value_fails(self, tmp_path, argv, code):
         got, summary, out = run_cli(tmp_path, *argv)
         assert got == code and summary is None
         assert not (out / "solution.csv").exists()
+
+    def test_every_error_has_one_exit_code(self):
+        # An error outside both tuples would escape main as a traceback
+        # with exit 1; one inside both would have no single exit code.
+        errors, todo = set(), [E.CocycleLabError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                errors.add(sub)
+                todo.append(sub)
+        defined = {obj for obj in vars(E).values() if isinstance(obj, type)
+                   and issubclass(obj, E.CocycleLabError)}
+        assert defined - {E.CocycleLabError} <= errors
+        for error in errors:
+            numeric = issubclass(error, cli.NUMERIC_ERRORS)
+            invariant = issubclass(error, cli.INVARIANT_ERRORS)
+            if issubclass(error, E.ConfigInvalid):
+                assert not (numeric or invariant), error
+            else:
+                assert numeric != invariant, error
 
 
 class TestOtherCommands:

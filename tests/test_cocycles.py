@@ -420,6 +420,16 @@ class TestBoundednessProbe:
         with pytest.raises(ConfigInvalid):
             boundedness_probe(c, 0.1, np.zeros(2), n)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, value):
+        # A NaN norm would otherwise reach argmax and report argmax_k 0.
+        c = constant_cocycle(golden_rotation(), 2, [1.0, 0.0])
+        v0 = np.array([0.5, value])
+        with pytest.raises(NonFinite):
+            boundedness_probe(c, 0.1, v0, 100)
+        with pytest.raises(NonFinite):
+            iterate_skew(c, 0.1, v0, 100)
+
 
 class TestRecurrence:
     def test_trivial_cocycle_returns_identity(self):
@@ -645,6 +655,12 @@ class TestShiftCocycle:
             for n in (1, 3, 10, 25):
                 _, coords = shift_twisted_sum(c, float(y), n)
                 assert np.linalg.norm(coords) <= 2.0 * c_bound + 1e-6
+
+    def test_negative_steps_rejected(self):
+        c = ShiftCocycle(base=golden_rotation(),
+                         rho_coords={0: TrigPoly.constant(1.0)}, truncation=4)
+        with pytest.raises(ConfigInvalid):
+            shift_twisted_sum(c, 0.3, -1)
 
     def test_negative_index_rejected_for_one_sided(self):
         with pytest.raises(ConfigInvalid):

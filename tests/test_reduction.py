@@ -302,19 +302,21 @@ class TestSectionFromCenters:
     def test_off_graph_reports_match_chebyshev_center(self):
         # From v0 = I the fibres are off the graph of phi*: some cells fail
         # the pair certificate and take the tangent-ball search, from the
-        # stored midpoint, exactly as chebyshev_center does.
+        # stored midpoint, exactly as chebyshev_center does.  The det-1
+        # centres are rescaled onto the slice once, as one stack.
         c = conformal_coboundary_cocycle()
         fb = sample_fibers(c, 0.2, np.eye(2), 1600, 16, conformal=True)
         got = section_from_centers(fb)
-        space = SPDSpace(2, conformal=True)
-        moved = 0
-        for i, pts in enumerate(fb.cell_points):
-            want = chebyshev_center(PointSet(space, pts))
-            assert np.array_equal(got.section.values[i], want.center)
+        wants = [chebyshev_center(PointSet(SPDSpace(2), pts))
+                 for pts in fb.cell_points]
+        centres = np.array([want.center for want in wants])
+        assert np.abs(np.linalg.det(centres) - 1.0).max() <= 1e-12
+        assert np.array_equal(got.section.values,
+                              spd._renormalize_det(centres))
+        for i, want in enumerate(wants):
             assert got.center_gaps[i] == want.radius - want.lower_bound
             assert got.center_supports[i] == want.support
-            moved += want.iterations > 0
-        assert moved > 0
+        assert any(want.iterations > 0 for want in wants)
 
     def test_scans_do_not_grow_with_cells(self, monkeypatch):
         # Diameters and centres share one certificate of three segmented

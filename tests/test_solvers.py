@@ -82,6 +82,12 @@ class TestFourierSolve:
             fourier_solve(eq)
         assert err.value.modes == [5]
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -1e-8])
+    def test_floor_must_be_finite_and_non_negative(self, floor):
+        eq = TwistedEquation(ALPHA, 1.0, TrigPoly.single_mode(1))
+        with pytest.raises(ConfigInvalid):
+            fourier_solve(eq, floor)
+
     def test_divisor_ledger_recorded(self, rng):
         rho = TrigPoly.random(4, rng)
         eq = TwistedEquation(ALPHA, 1.0, rho)
@@ -241,6 +247,17 @@ class TestShiftSolvers:
             want = 1.0 if 0 <= n <= tail else 0.0
             assert abs(sol.coords[n + 6] - want) <= 1e-12
         assert sol.invariance_residual <= 1e-12
+
+    @pytest.mark.parametrize("tail", [-1, -2])
+    def test_bilateral_negative_tail_rejected(self, tail):
+        c = ShiftCocycle(
+            base=golden_rotation(),
+            rho_coords={0: TrigPoly.constant(1.0)},
+            bilateral=True,
+            truncation=6,
+        )
+        with pytest.raises(ConfigInvalid):
+            shift_solve_bilateral(c, 0.3, tail)
 
     def test_bilateral_residual_vanishes_with_tail(self, rng):
         coords = {j: TrigPoly.random(1, rng, 0.5) for j in range(-2, 3)}

@@ -102,57 +102,73 @@ class TestExpLog:
             spd.spd_log(np.diag([1.0, -0.5]))
 
 
+def tangent_matrix(v, n):
+    """The symmetric matrix of tangent coordinates v: the upper triangle
+    row by row, off-diagonal entries scaled by sqrt 2."""
+    rows, cols = np.triu_indices(n)
+    S = np.zeros((n, n))
+    S[rows, cols] = v / np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return S + np.triu(S, 1).T
+
+
 class TestWhitenedExp:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_stack_matches_per_matrix_reference(self, rng, n):
         P = random_spd(rng, n, spread=1.0)
         L = np.linalg.cholesky(P)
-        g = rng.standard_normal((2, 3, n, n))
-        S = 0.5 * (g + g.swapaxes(-1, -2))
+        v = rng.standard_normal((2, 3, n * (n + 1) // 2))
         at = spd.Whitening(P)
-        out = at.exp(S)
-        assert out.shape == S.shape
+        out = at.exp(v)
+        assert out.shape == (2, 3, n, n)
         for k in np.ndindex(2, 3):
-            want = L @ spd.spd_exp(S[k]) @ L.T
+            S = tangent_matrix(v[k], n)
+            # Tangent coordinates are isometric: |v| is the Frobenius norm.
+            assert abs(np.linalg.norm(v[k]) - np.linalg.norm(S)) <= 1e-13
+            want = L @ spd.spd_exp(S) @ L.T
             assert np.max(np.abs(out[k] - want)) <= 1e-12 * np.linalg.norm(want)
             assert spd.symmetry_defect(out[k]) == 0.0
-            single = at.exp(S[k])
+            single = at.exp(v[k])
             assert np.max(np.abs(single - out[k])) <= 1e-14 * np.linalg.norm(want)
 
     def test_rejects_bad_stack(self, rng):
         P = random_spd(rng, 3)
-        S = np.array([spd.symmetrize(rng.standard_normal((3, 3)))
-                      for _ in range(4)])
-        S[2, 0, 1] += 1e-6
+        v = rng.standard_normal((4, 6))
         at = spd.Whitening(P)
-        with pytest.raises(NotSymmetric, match="batch entry 2"):
-            at.exp(S)
-        S[2, 0, 1] = np.nan
-        with pytest.raises(NonFinite, match="batch entry 2"):
-            at.exp(S)
+        v[2, 1] = np.nan
+        with pytest.raises(NonFinite, match="tangent vector entry 2"):
+            at.exp(v)
+        v[2, 1] = np.inf
+        with pytest.raises(NonFinite, match="tangent vector entry 2"):
+            at.exp(v)
         with pytest.raises(DimensionMismatch):
-            at.exp(S[:, :2, :2])
+            at.exp(v[:, :3])
         with pytest.raises(DimensionMismatch):
-            at.exp(np.zeros(3))
+            at.exp(np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            at.exp(0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_paired_round_trip(self, rng, n):
+        # Pairs (P_k, Q_k), one chart at each P_k: |log Q_k| = d(P_k, Q_k)
+        # and exp inverts log, as for a whole batch at one point.
         P = np.array([random_spd(rng, n, spread=1.0) for _ in range(6)])
         Q = np.array([random_spd(rng, n, spread=1.0) for _ in range(6)])
-        at = spd.Whitening(P)
-        S = at.logs(spd.symmetrize(Q))
-        norms = np.sqrt(np.sum(S * S, axis=(1, 2)))
-        want = [reference_spd_distance(p, q) for p, q in zip(P, Q)]
-        assert np.max(np.abs(norms - want)) <= 1e-12
-        back = at.exp(S)
-        assert np.max(np.abs(back - Q)) <= 1e-12 * np.abs(Q).max()
-        for k in range(len(P)):
-            one = spd.Whitening(P[k])
-            assert np.max(np.abs(one.exp(one.logs(Q[k])) - back[k])) <= 1e-13
+        for p, q in zip(P, Q):
+            at = spd.Whitening(p)
+            v = at.log(spd.symmetrize(q)[None])
+            assert v.shape == (1, n * (n + 1) // 2)
+            assert abs(np.linalg.norm(v) - reference_spd_distance(p, q)) <= 1e-12
+            assert np.max(np.abs(at.exp(v[0]) - q)) <= 1e-12 * np.abs(q).max()
+        at = spd.Whitening(P[0])
+        v = at.log(spd.symmetrize(Q))
+        want = [reference_spd_distance(P[0], q) for q in Q]
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - want)) <= 1e-12
+        assert np.max(np.abs(at.exp(v) - Q)) <= 1e-12 * np.abs(Q).max()
+        # One point only: a stack of points is not a chart.
         with pytest.raises(DimensionMismatch):
-            at.exp(S[:5])
-        with pytest.raises(NotPositiveDefinite, match="reference point entry 2"):
-            spd.Whitening(np.array([P[0], P[1], -P[2]]))
+            spd.Whitening(P)
+        with pytest.raises(NotPositiveDefinite, match="reference point"):
+            spd.Whitening(-P[2])
 
 
 class TestSqrtBatch:
