@@ -14,7 +14,7 @@ vectors between the space and isometric tangent coordinates at z:
 
 Both the Chebyshev center and the diameter start from the two-point
 certificate of :func:`pair_certificates`, which certifies the segments of
-one stack together, many fibres at once or a single set.
+one stack together, many fibres or sets at once or a single set.
 
 Where it fails, the centre search re-linearises at z and bounds the
 optimal radius from below by weights w on the points: r*^2 >= F_w(c*)
@@ -24,18 +24,24 @@ this uses the choice of w beyond sum w_i = 1, w >= 0: the weights of the
 tangent enclosing ball make the bound largest at the z where they were
 solved, and the same weights, kept at the next z, still bound r*.  So a
 move is certified first with the last ball's weights, and a new ball is
-solved only when that stale bound falls short.
+solved only when that stale bound falls short.  Every failing segment of a
+stack searches at once, in lockstep (:meth:`PairCertificates.centers`):
+one chart at the stack of current centres per move, one segmented
+re-linearisation, and enclosing balls solved as stacks of one subset size.
+A segment leaves when it certifies, with the report its own search gives.
 
 Pos(n) is one space, :class:`SPDSpace`, with :class:`spd.Whitening` as
 its chart; det-1 sets need no other (see :class:`SPDSpace`).
 
 The quantitative checks — center continuity d(ctr B, ctr B_eps)^2 <=
-8 eps r_B, the sqrt(2) diameter shrink of midpoint sets, and the radius
-drop of intersecting balls — live here as report-producing operations.
+8 eps r_B, over many pairs of sets in one call, the sqrt(2) diameter
+shrink of midpoint sets, and the radius drop of intersecting balls — live
+here as report-producing operations.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -45,6 +51,7 @@ import numpy as np
 from . import spd
 from .errors import (
     ConfigInvalid,
+    DimensionMismatch,
     EmptySet,
     NoConvergence,
     NonFinite,
@@ -103,13 +110,14 @@ class EuclideanSpace:
 
 
 class _EuclideanChart:
-    """log_z and exp_z of R^d."""
+    """log_z and exp_z of R^d, at one z or at each of a stack, as
+    :class:`spd.Whitening`."""
 
     def __init__(self, z):
         self.z = np.asarray(z, float)
 
-    def log(self, pts: np.ndarray) -> np.ndarray:
-        return pts - self.z
+    def log(self, pts: np.ndarray, seg: np.ndarray | None = None) -> np.ndarray:
+        return pts - (self.z if seg is None else self.z[seg])
 
     def exp(self, v: np.ndarray) -> np.ndarray:
         return self.z + v
@@ -267,19 +275,33 @@ class PairCertificates:
     def diameters(self) -> np.ndarray:
         return np.array([self.diameter(i) for i in range(len(self.half))])
 
-    def center(self, i: int) -> CenterReport:
-        """The certified Chebyshev centre of segment i, as
-        :func:`chebyshev_center` returns it: the midpoint where the
-        certificate holds, else the tangent-ball search from the midpoint."""
-        pts = self.segment(i)
-        if len(pts) == 1:
-            return CenterReport(pts[0].copy(), 0.0, 0, 0.0, (0,))
-        half, radius = float(self.half[i]), float(self.radius[i])
-        if _covers(half, radius):
-            # min(): rounding can put the computed radius a few ulps below half.
-            return CenterReport(self.mids[i], radius, 0, min(half, radius),
-                                (int(self.first[i]), int(self.second[i])))
-        return _tangent_center(self.space, pts, self.mids[i])
+    def centers(self) -> list[CenterReport]:
+        """The certified Chebyshev centre of every segment, as
+        :func:`chebyshev_center` returns it: a singleton's point, the
+        midpoint where the certificate holds, and for all other segments
+        one lockstep tangent-ball search from their midpoints."""
+        sizes = np.diff(self.bounds)
+        half, radius = self.half.tolist(), self.radius.tolist()
+        pairs = zip(self.first.tolist(), self.second.tolist())
+        covered = _covers(self.half, self.radius).tolist()
+        reports = [None] * len(sizes)
+        for i, (m, pair) in enumerate(zip(sizes.tolist(), pairs)):
+            if m == 1:
+                reports[i] = CenterReport(self.points[self.bounds[i]].copy(),
+                                          0.0, 0, 0.0, (0,))
+            elif covered[i]:
+                # min(): rounding can put the computed radius a few ulps
+                # below half.
+                reports[i] = CenterReport(self.mids[i], radius[i], 0,
+                                          min(half[i], radius[i]), pair)
+        search = np.array([rep is None for rep in reports])
+        if search.any():
+            found = _tangent_centers(
+                self.space, self.points[np.repeat(search, sizes)],
+                sizes[search], self.mids[search])
+            for i, rep in zip(np.flatnonzero(search).tolist(), found):
+                reports[i] = rep
+        return reports
 
 
 def pair_certificates(space, points: np.ndarray,
@@ -329,28 +351,41 @@ def _certify(space, points: np.ndarray, bounds: np.ndarray):
             return stack[0 if idx is None else idx[0]]
         return (stack if idx is None else stack[idx])[seg]
 
-    def first_argmax(d):
-        if seg is None:
-            return d.argmax(keepdims=True)
-        hits = np.flatnonzero(d == np.maximum.reduceat(d, starts)[seg])
-        return hits[np.searchsorted(hits, starts)]
-
-    a = first_argmax(space.distances_from(spread(points, starts), points))
+    a = _first_argmax(space.distances_from(spread(points, starts), points),
+                      starts, seg)
     from_a = space.distances_from(spread(points, a), points)
-    b = first_argmax(from_a)
+    b = _first_argmax(from_a, starts, seg)
     mids = space.geodesic(points[a], points[b], 0.5)
     radius = np.maximum.reduceat(
         space.distances_from(spread(mids), points), starts)
     return a - starts, b - starts, 0.5 * from_a[b], mids, radius
 
 
-def _covers(half: float, mid_radius: float) -> bool:
-    """Whether the two-point certificate holds, up to CERTIFICATE_SLACK."""
-    return mid_radius - half <= CERTIFICATE_SLACK * max(half, 1.0)
+def _first_argmax(d: np.ndarray, starts: np.ndarray, seg) -> np.ndarray:
+    """Index into ``d`` of the largest entry of each segment, the first on
+    ties, as ``np.argmax``; ``seg[j]`` is the segment of entry j, or None
+    for one segment."""
+    if seg is None:
+        return d.argmax(keepdims=True)
+    hits = np.flatnonzero(d == np.maximum.reduceat(d, starts)[seg])
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _layout(sizes: np.ndarray):
+    """(starts, seg) of consecutive segments of these sizes: the first row
+    of each, and the segment of every row."""
+    return np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _covers(half, mid_radius):
+    """Whether the two-point certificate holds, up to CERTIFICATE_SLACK;
+    elementwise on arrays."""
+    return mid_radius - half <= CERTIFICATE_SLACK * np.maximum(half, 1.0)
 
 
 def chebyshev_center(B: PointSet) -> CenterReport:
-    """Chebyshev centre, returned only with a certificate of optimality.
+    """Chebyshev centre, returned only with a certificate of optimality:
+    the one-segment case of :meth:`PairCertificates.centers`.
 
     First the two-point certificate of :func:`pair_certificates`: a =
     farthest point from ``points[0]``, b = farthest from a; their midpoint c
@@ -365,15 +400,22 @@ def chebyshev_center(B: PointSet) -> CenterReport:
     where they fall short: one ball per search in R^d.  Full steps, exact
     in R^d, until one fails to halve the one before; then damped steps.
     After OUTER_STEP_CAP moves without a certificate, NoConvergence is
-    raised: no centre is returned uncertified.
+    raised: no centre is returned uncertified.  Many sets of one space
+    are certified faster together, as the segments of one
+    :func:`pair_certificates` stack.
     """
-    if len(B) == 1:
-        return CenterReport(B.points[0].copy(), 0.0, 0, 0.0, (0,))
-    return pair_certificates(B.space, B.points).center(0)
+    return pair_certificates(B.space, B.points).centers()[0]
 
 
-def _tangent_center(space, pts: np.ndarray, z) -> CenterReport:
-    """The tangent-ball search of :func:`chebyshev_center` from z.
+def _tangent_centers(space, pts: np.ndarray, sizes: np.ndarray,
+                     z: np.ndarray) -> list[CenterReport]:
+    """The tangent-ball search of :func:`chebyshev_center` on every segment
+    of ``pts`` (consecutive, of the given sizes) from the stack ``z`` of
+    starting points, in lockstep: each move takes one chart at the stack of
+    the active z, one log of their points, one segmented
+    :func:`_linearise` and one paired exp.  A segment leaves as soon as it
+    certifies; its damping, step sizes and OUTER_STEP_CAP are its own, so
+    its report is the one a search of that segment alone gives.
 
     Each new z is certified first with the weights of the ball solved at
     the move before, and the enclosing ball is solved again only where
@@ -384,101 +426,206 @@ def _tangent_center(space, pts: np.ndarray, z) -> CenterReport:
     of a ball per move.  Only ``lower_bound`` and ``support`` may differ,
     by rounding or on cospherical sets.
 
-    The points are checked once per search and every z is factorized
-    once, in one ``space.chart`` for both its log and its exp."""
+    The points are checked once, and every z is factorised once, in one
+    stacked ``space.chart`` for both its log and its exp."""
     pts = space.points(pts)
-    damped, last, ball = False, np.inf, None
+    reports = [None] * len(sizes)
+    searching = np.ones(len(sizes), bool)
+    damped, last = np.zeros(len(sizes), bool), np.full(len(sizes), np.inf)
+    ball, kappa = None, np.sqrt(space.curvature_bound)
     for step in itertools.count():
+        todo = np.flatnonzero(searching)
+        starts, seg = _layout(sizes[todo])
         chart = space.chart(z)
-        ball, g, radius, bound = _linearise(chart.log(pts), ball)
-        if _tangent_covers(radius, bound):
-            return CenterReport(z, radius, step, min(bound, radius),
-                                tuple(sorted(ball[0])))
+        y = chart.log(pts[np.repeat(searching, sizes)], seg)
+        ball, g, gg, radius, bound = _linearise(y, starts, ball)
+        done = _tangent_covers(radius, bound)
+        for i in np.flatnonzero(done):
+            reports[todo[i]] = CenterReport(
+                z[i], float(radius[i]), step, float(min(bound[i], radius[i])),
+                tuple(sorted(ball[i][0].tolist())))
+        if done.all():
+            return reports
+        left = ~done
         if step == OUTER_STEP_CAP:
-            raise NoConvergence(f"gap {radius - bound:.3e} after {step} moves")
-        size = float(np.linalg.norm(g))
+            i = int(np.argmax(left))
+            raise NoConvergence(
+                f"gap {radius[i] - bound[i]:.3e} after {step} moves")
+        size = np.sqrt(gg)
         damped |= size > 0.5 * last
         last = size
-        x = radius * np.sqrt(space.curvature_bound)
-        if damped and x > 0.0:
+        x = radius * kappa
+        shrink = np.flatnonzero(damped & (x > 0.0))
+        if len(shrink):
             # 2 / (1 + zeta), zeta = x coth x: with curvatures in [-kappa, 0]
             # the Hessian of d(., p)^2 / 2 at distance r has eigenvalues in
             # [1, zeta], so every error shrinks by (zeta - 1) / (zeta + 1).
-            g = g * (2.0 * np.tanh(x) / (np.tanh(x) + x))
-        z = chart.exp(g)
+            t = np.tanh(x[shrink])
+            g[shrink] = g[shrink] * (2.0 * t / (t + x[shrink]))[:, None]
+        z = chart.exp(g)[left]
+        searching[todo[done]] = False
+        damped, last = damped[left], last[left]
+        ball = [b for b, stays in zip(ball, left) if stays]
 
 
-def _tangent_covers(radius: float, bound: float) -> bool:
-    """Whether a lower bound certifies the covering radius from z."""
-    return radius - bound <= CERTIFICATE_SLACK * max(radius, 1.0)
+def _tangent_covers(radius, bound):
+    """Whether a lower bound certifies the covering radius from z;
+    elementwise on arrays."""
+    return radius - bound <= CERTIFICATE_SLACK * np.maximum(radius, 1.0)
 
 
-def _linearise(y: np.ndarray, ball):
-    """One re-linearisation at z, from the tangent vectors y = log_z(p):
-    the ball (support, weights), its step g and lower bound from
-    :func:`_tangent_bound`, and the covering radius from z.
+def _linearise(y: np.ndarray, starts: np.ndarray, ball):
+    """One re-linearisation of every segment at its z, from the tangent
+    vectors y = log_z(p) of the consecutive segments that start at
+    ``starts``: the balls, their steps g with |g|^2, the covering radii
+    from z and the lower bounds of :func:`_tangent_bound`.
 
-    A ``ball`` from an earlier z is tried first and kept if its bound
-    certifies; otherwise, and without one, the minimum enclosing ball of
-    the y_i gives the weights, the largest bound at z and the step."""
+    Balls from an earlier z are tried first and kept where their bound
+    certifies; elsewhere, and without them, the minimum enclosing balls of
+    the y_i give the weights, the largest bound at z and the step."""
     dist2 = np.einsum("ij,ij->i", y, y)
-    radius = float(np.sqrt(dist2.max()))
-    if ball is not None:
-        g, bound = _tangent_bound(y, dist2, ball)
-        if _tangent_covers(radius, bound):
-            return ball, g, radius, bound
-    ball = _tangent_ball(y)
-    g, bound = _tangent_bound(y, dist2, ball)
-    return ball, g, radius, bound
+    radius = np.sqrt(np.maximum.reduceat(dist2, starts))
+    n = len(starts)
+    if ball is None:
+        ball, stale = [None] * n, np.ones(n, bool)
+        g, gg, bound = np.empty((n, y.shape[1])), np.empty(n), np.empty(n)
+    else:
+        g, gg, bound = _tangent_bound(y, dist2, starts, ball)
+        stale, ball = ~_tangent_covers(radius, bound), list(ball)
+    if stale.any():
+        sizes = np.diff(np.append(starts, len(y)))
+        fresh = _tangent_balls(y[np.repeat(stale, sizes)], sizes[stale])
+        for s, b in zip(np.flatnonzero(stale).tolist(), fresh):
+            ball[s] = b
+        g[stale], gg[stale], bound[stale] = _tangent_bound(
+            y, dist2, starts[stale], fresh)
+    return ball, g, gg, radius, bound
 
 
-def _tangent_bound(y: np.ndarray, dist2: np.ndarray, ball):
-    """The step g = sum w_i y_i and the lower bound sqrt(F_w(z) - |g|^2)
-    <= r* of probability weights w on the rows ``support`` of the tangent
-    vectors y = log_z(p), whose squared norms are ``dist2``; ``ball`` is
-    (support, w).  It holds for any probability weights (module
-    docstring); those of the minimum enclosing ball of the y_i make it
-    largest."""
-    support, w = ball
-    g = w @ y[support]
-    return g, float(np.sqrt(max(w @ dist2[support] - g @ g, 0.0)))
+def _tangent_bound(y: np.ndarray, dist2: np.ndarray, starts: np.ndarray, ball):
+    """The steps g = sum w_i y_i, |g|^2 and the lower bounds
+    sqrt(F_w(z) - |g|^2) <= r* of probability weights w on rows of the
+    tangent vectors y = log_z(p), whose squared norms are ``dist2``.
+
+    ``ball[s]`` is (support, weights) of the segment that starts at
+    ``starts[s]``, the support as indices within it.  Balls of one size
+    are stacked, so each sum runs over its own length, as for one ball.
+    The bound holds for any probability weights (module docstring); those
+    of the minimum enclosing ball of the y_i make it largest."""
+    k = [len(w) for _, w in ball]
+    g, F = np.empty((len(ball), y.shape[1])), np.empty(len(ball))
+    for size in set(k):
+        same = np.flatnonzero(np.equal(k, size))
+        rows = starts[same, None] + np.array([ball[s][0] for s in same])
+        w = np.array([ball[s][1] for s in same])[:, None]
+        g[same] = (w @ y[rows])[:, 0]
+        F[same] = (w @ dist2[rows][..., None])[:, 0, 0]
+    gg = (g[:, None] @ g[..., None])[:, 0, 0]
+    return g, gg, np.sqrt(np.maximum(F - gg, 0.0))
 
 
-def _tangent_ball(y: np.ndarray):
-    """Support rows and weights of the minimum enclosing ball of y's rows.
+@functools.cache
+def _subsets(k: int):
+    """The subsets of k support positions, largest first and in
+    ``itertools.combinations`` order within a size, as (size, positions)
+    with one row of positions per subset."""
+    return [(q, np.array(list(itertools.combinations(range(k), q))))
+            for q in range(k, 0, -1)]
+
+
+def _tangent_balls(y: np.ndarray, sizes: np.ndarray) -> list:
+    """(support rows, weights) of the minimum enclosing ball of the rows of
+    each segment of y (consecutive, of the given sizes), in lockstep.
 
     Active set: add the farthest row j the ball leaves uncovered.  j lies on
     the new ball (Welzl 1991), which is the first circumball of j and a subset
     of the support, largest first, with weights >= 0 that covers the support
-    (KKT).  Stops when y is covered or, by rounding on a cospherical set, the
-    radius stops increasing."""
-    support, w = [int(np.argmax(np.einsum("ij,ij->i", y, y)))], np.ones(1)
-    c, r = y[support[0]], 0.0
+    (KKT).  A segment stops when y is covered or, by rounding on a
+    cospherical set, the radius stops increasing.  Each round takes the
+    growing segments by support size, and solves the circumballs of one
+    subset size of all of them as one stack, until each has its ball."""
+    starts, seg = _layout(sizes)
+    first = _first_argmax(np.einsum("ij,ij->i", y, y), starts, seg)
+    balls = [(np.array([i]), np.ones(1)) for i in (first - starts).tolist()]
+    c, r = y[first], np.zeros(len(sizes))
+    grow = np.arange(len(sizes))
     while True:
-        far = np.linalg.norm(y - c, axis=1)
-        j = int(np.argmax(far))
-        if far[j] <= r + SUPPORT_TOL * max(r, 1.0):
-            return support, w
-        for rest in (s for k in range(len(support), 0, -1)
-                     for s in itertools.combinations(support, k)):
-            a = y[list(rest)] - y[j]
-            gram = a @ a.T
-            try:
-                lam = np.linalg.solve(gram, 0.5 * np.diagonal(gram))
-            except np.linalg.LinAlgError:  # affinely dependent rows
-                continue
-            weights = np.concatenate([[1.0 - lam.sum()], lam])
-            centre = y[j] + lam @ a
-            radius = float(np.linalg.norm(y[j] - centre))
-            if (radius > r and weights.min() >= -SUPPORT_TOL
-                    and np.linalg.norm(y[support] - centre, axis=1).max()
-                    <= radius + SUPPORT_TOL * max(radius, 1.0)):
-                break
-        else:
-            return support, w
-        keep = weights > SUPPORT_TOL
-        support = [i for i, kept in zip([j, *rest], keep) if kept]
-        w, c, r = weights[keep] / weights[keep].sum(), centre, radius
+        far = np.linalg.norm(y - c[seg], axis=1)
+        j = _first_argmax(far, starts, seg)
+        grow = grow[far[j[grow]] > r[grow] + SUPPORT_TOL * np.maximum(r[grow], 1.0)]
+        if not len(grow):
+            return balls
+        k = [len(balls[s][0]) for s in grow]
+        grow = np.concatenate([
+            _move_balls(y, starts, j, balls, c, r, grow[np.equal(k, size)])
+            for size in set(k)])
+
+
+def _move_balls(y, starts, far, balls, c, r, segs) -> np.ndarray:
+    """Move the balls of the segments ``segs``, whose supports have one
+    size, to the first circumball of their far row and a subset of their
+    support that :func:`_tangent_balls` accepts: ``balls``, the centres c
+    and the radii r in place.  Returns the segments that moved."""
+    support = np.array([balls[s][0] for s in segs])
+    base, yj = starts[segs, None], y[far[segs]]
+    held = y[base + support]
+    todo, moved = np.arange(len(segs)), []
+    for q, positions in _subsets(support.shape[1]):
+        rest = support[todo][:, positions]
+        a = y[base[todo, :, None] + rest] - yj[todo, None, None]
+        gram = a @ np.swapaxes(a, -1, -2)
+        lam, solved = _solve_stack(gram.reshape(-1, q, q), 0.5 * np.diagonal(
+            gram, axis1=-2, axis2=-1).reshape(-1, q))
+        lam, solved = lam.reshape(rest.shape), solved.reshape(rest.shape[:2])
+        weights = np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
+        centre = yj[todo, None] + (lam[..., None, :] @ a)[..., 0, :]
+        gap = yj[todo, None] - centre
+        radius = np.sqrt((gap[..., None, :] @ gap[..., None])[..., 0, 0])
+        spread = np.linalg.norm(held[todo, None] - centre[:, :, None], axis=-1)
+        ok = (solved & (radius > r[segs[todo], None])
+              & (weights.min(axis=-1) >= -SUPPORT_TOL)
+              & (spread.max(axis=-1) <= radius + SUPPORT_TOL * np.maximum(radius, 1.0)))
+        hit = np.flatnonzero(ok.any(axis=1))
+        pick = ok[hit].argmax(axis=1)
+        done = segs[todo[hit]]
+        # The members [j, *subset] of weight > SUPPORT_TOL, in order, and
+        # their weights renormalised, moved to the front of each row.
+        keep = weights[hit, pick] > SUPPORT_TOL
+        order = np.argsort(~keep, axis=1, kind="stable")
+        members = np.take_along_axis(np.concatenate(
+            [(far[done] - starts[done])[:, None], rest[hit, pick]], axis=1),
+            order, axis=1)
+        w = np.take_along_axis(weights[hit, pick], order, axis=1)
+        kept = keep.sum(axis=1)
+        for size in set(kept.tolist()):
+            same = kept == size
+            w[same, :size] /= w[same, :size].sum(axis=1, keepdims=True)
+        for s, m, v, size in zip(done.tolist(), members, w, kept.tolist()):
+            balls[s] = (m[:size], v[:size])
+        c[done], r[done] = centre[hit, pick], radius[hit, pick]
+        moved.append(done)
+        todo = np.delete(todo, hit)
+        if not len(todo):
+            break
+    return np.concatenate(moved)
+
+
+def _solve_stack(gram: np.ndarray, rhs: np.ndarray):
+    """Solutions lam of gram lam = rhs for a stack, and which exist: one
+    stacked solve; where LAPACK finds a matrix of the stack singular
+    (affinely dependent rows), one solve per matrix of this stack."""
+    try:
+        return np.linalg.solve(gram, rhs[..., None])[..., 0], np.ones(len(gram), bool)
+    except np.linalg.LinAlgError:
+        pass
+    lam, solved = np.zeros_like(rhs), np.zeros(len(gram), bool)
+    for i, (m, b) in enumerate(zip(gram, rhs)):
+        try:
+            lam[i] = np.linalg.solve(m, b[:, None])[:, 0]
+            solved[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return lam, solved
 
 
 def diameter(B: PointSet) -> float:
@@ -565,14 +712,26 @@ def check_diameter_shrink(B: PointSet) -> ShrinkReport:
     )
 
 
-def hausdorff_distance(A: PointSet, B: PointSet) -> float:
-    """max-min over the |A| x |B| distances, from one paired scan: every
-    point of A repeated |B| times against B tiled |A| times."""
-    m, k = len(A), len(B)
-    tiles = (m,) + (1,) * (B.points.ndim - 1)
-    cross = A.space.distances_from(np.repeat(A.points, k, axis=0),
-                                   np.tile(B.points, tiles)).reshape(m, k)
-    return float(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
+def hausdorff_distances(pairs) -> np.ndarray:
+    """The Hausdorff distance of each pair (A, B) of point sets of one
+    space: max-min over its |A| x |B| distances.  One paired scan takes
+    every pair, each point of A repeated |B| times against B tiled |A|
+    times; segmented minima over the rows and the columns of each pair's
+    block, and maxima over its blocks, give the distances."""
+    space = pairs[0][0].space
+    m, k = np.array([[len(A), len(B)] for A, B in pairs]).T
+    first, pair = _layout(m * k)
+    t, m_t, k_t = np.arange(len(pair)) - first[pair], m[pair], k[pair]
+    cross = space.distances_from(
+        np.concatenate([A.points for A, _ in pairs])[(np.cumsum(m) - m)[pair] + t // k_t],
+        np.concatenate([B.points for _, B in pairs])[(np.cumsum(k) - k)[pair] + t % k_t])
+    # The rows of each block start where t % k = 0; read column by column,
+    # its columns start where t % m = 0.
+    rows = np.minimum.reduceat(cross, np.flatnonzero(t % k_t == 0))
+    cols = np.minimum.reduceat(cross[first[pair] + t % m_t * k_t + t // m_t],
+                               np.flatnonzero(t % m_t == 0))
+    return np.maximum(np.maximum.reduceat(rows, np.cumsum(m) - m),
+                      np.maximum.reduceat(cols, np.cumsum(k) - k))
 
 
 @dataclass
@@ -586,27 +745,40 @@ class ContinuityReport:
     radius_gap_ok: bool
 
 
-def check_center_continuity(B: PointSet, B_eps: PointSet) -> ContinuityReport:
-    """Center displacement against the 8*eps*r_B continuity bound.
+def check_center_continuity(pairs) -> list[ContinuityReport]:
+    """Centre displacement against the 8*eps*r_B continuity bound, for
+    each pair (B, B_eps) of point sets of one space.
 
     eps is the Hausdorff distance between the sets.  Also verifies the
-    elementary radius estimate |r_B - r_{B_eps}| <= eps.
+    elementary radius estimate |r_B - r_{B_eps}| <= eps.  The centres of
+    all the sets are one :meth:`PairCertificates.centers` call and the
+    eps one :func:`hausdorff_distances` scan; one pair is a list of one.
     """
-    eps = hausdorff_distance(B, B_eps)
-    rep = chebyshev_center(B)
-    rep_eps = chebyshev_center(B_eps)
-    lhs = B.space.distance(rep.center, rep_eps.center) ** 2
-    rhs = 8.0 * eps * rep.radius
-    gap = abs(rep.radius - rep_eps.radius)
-    return ContinuityReport(
-        lhs=lhs,
-        rhs=rhs,
-        eps=eps,
-        radius=rep.radius,
-        radius_gap=gap,
-        passed=lhs <= rhs + COVERING_SLACK,
-        radius_gap_ok=gap <= eps + COVERING_SLACK,
-    )
+    if not pairs:
+        raise EmptySet("no pairs of point sets")
+    space = pairs[0][0].space
+    sets = [ps for pair in pairs for ps in pair]
+    if any(ps.space.name != space.name for ps in sets):
+        raise DimensionMismatch("the point sets lie in different spaces")
+    bounds = np.cumsum([0] + [len(ps) for ps in sets])
+    reps = pair_certificates(space, np.concatenate([ps.points for ps in sets]),
+                             bounds).centers()
+    out = []
+    for eps, rep, rep_eps in zip(hausdorff_distances(pairs).tolist(),
+                                 reps[::2], reps[1::2]):
+        lhs = space.distance(rep.center, rep_eps.center) ** 2
+        rhs = 8.0 * eps * rep.radius
+        gap = abs(rep.radius - rep_eps.radius)
+        out.append(ContinuityReport(
+            lhs=lhs,
+            rhs=rhs,
+            eps=eps,
+            radius=rep.radius,
+            radius_gap=gap,
+            passed=lhs <= rhs + COVERING_SLACK,
+            radius_gap_ok=gap <= eps + COVERING_SLACK,
+        ))
+    return out
 
 
 @dataclass

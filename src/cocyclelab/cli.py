@@ -49,7 +49,7 @@ from .centers import (
     chebyshev_center,
     diameter,
 )
-from .circle import minimality_probe
+from .circle import is_dense
 from .cocycles import (
     ShiftCocycle,
     boundedness_probe,
@@ -211,7 +211,9 @@ def cmd_lemmas(args) -> dict:
     e2 = EuclideanSpace(2)
     s2 = SPDSpace(2)
 
-    cases = []  # (space, index, eps, report)
+    # Every set is drawn first, in the order of one set at a time; then
+    # each space's continuity checks are one call.
+    e2_pairs, s2_draws, epsilons = [], [], []
     for i in range(args.sets):
         m = int(rng.integers(4, 16))
         pts = rng.random((m, 2)) * rng.uniform(0.5, 2.0)
@@ -219,20 +221,29 @@ def cmd_lemmas(args) -> dict:
         ang = rng.random(m) * 2 * np.pi
         rad = eps * np.sqrt(rng.random(m))
         pts_e = pts + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        rep = check_center_continuity(PointSet(e2, pts), PointSet(e2, pts_e))
-        cases.append(("euclidean", i, eps, rep))
+        e2_pairs.append((PointSet(e2, pts), PointSet(e2, pts_e)))
+        epsilons.append(eps)
     for i in range(args.spd_sets):
         m = int(rng.integers(4, 9))
-        pts = np.array([
-            spd.spd_exp(0.35 * _random_sym(rng, 2)) for _ in range(m)
-        ])
+        logs = 0.35 * _random_sym(rng, m)
         eps = eps_cycle[i % 3]
-        pts_e = np.array([
-            _spd_jitter(rng, p, eps * rng.random()) for p in pts
-        ])
-        rep = check_center_continuity(PointSet(s2, pts), PointSet(s2, pts_e))
-        cases.append(("pos2", i, eps, rep))
-    spaces, indices, epsilons, reps = zip(*cases)
+        # Per point: the jitter's size, then its direction.
+        sizes, directions = zip(*[(eps * rng.random(), _random_sym(rng, 1)[0])
+                                  for _ in range(m)])
+        s2_draws.append((logs, sizes, directions))
+        epsilons.append(eps)
+    s2_pairs = []
+    if s2_draws:
+        logs, sizes, directions = (np.concatenate(part) for part in zip(*s2_draws))
+        pts = spd.spd_exp(logs)
+        pts_e = _spd_jitter(pts, sizes, directions)
+        cuts = np.cumsum([len(draw[0]) for draw in s2_draws])[:-1]
+        s2_pairs = [(PointSet(s2, a), PointSet(s2, b)) for a, b in
+                    zip(np.split(pts, cuts), np.split(pts_e, cuts))]
+    reps = [rep for pairs in (e2_pairs, s2_pairs) if pairs
+            for rep in check_center_continuity(pairs)]
+    spaces = ["euclidean"] * args.sets + ["pos2"] * args.spd_sets
+    indices = [*range(args.sets), *range(args.spd_sets)]
     all_pass = all(rep.passed for rep in reps)
 
     shrink_pass = True
@@ -288,17 +299,23 @@ def cmd_lemmas(args) -> dict:
     return summary
 
 
-def _random_sym(rng, n):
-    g = rng.standard_normal((n, n))
-    return (g + g.T) / 2.0
+def _random_sym(rng, count: int) -> np.ndarray:
+    """``count`` symmetric 2x2 matrices (G + G^T) / 2 of standard normal G,
+    drawn as one at a time would draw them."""
+    g = rng.standard_normal((count, 2, 2))
+    return (g + np.swapaxes(g, 1, 2)) / 2.0
 
 
-def _spd_jitter(rng, p, size):
-    s = _random_sym(rng, p.shape[0])
-    norm = np.linalg.norm(s)
-    if norm > 0:
-        s *= size / norm
-    root = spd.spd_sqrt(p)
+def _spd_jitter(pts: np.ndarray, sizes, directions) -> np.ndarray:
+    """p^{1/2} exp(s) p^{1/2} for every point p of a stack, s its symmetric
+    direction scaled to Frobenius norm ``size``: a point at distance
+    ``size`` from p.  One stacked root, exponential and congruence."""
+    s = np.asarray(directions)
+    flat = s.reshape(len(s), -1)
+    norm = np.sqrt((flat[:, None] @ flat[..., None])[:, 0, 0])
+    scale = np.divide(sizes, norm, out=np.ones(len(s)), where=norm > 0)
+    s = s * scale[:, None, None]
+    root = spd.spd_sqrt(pts)
     return spd.symmetrize(root @ spd.spd_exp(s) @ root)
 
 
@@ -443,6 +460,8 @@ def cmd_reduce(args) -> dict:
 def cmd_demo_counterexample(args) -> dict:
     jc = jump_cascade()
     v0 = np.array([args.v0])
+    if args.grid < 1:
+        raise E.ConfigInvalid(f"--grid {args.grid} must be >= 1")
     probe = boundedness_probe(jc.cocycle, args.x0, v0, args.steps)
     bound = abs(args.v0) + 2.0 * jc.sup_psi
     thetas = np.arange(args.grid) / args.grid
@@ -452,7 +471,8 @@ def cmd_demo_counterexample(args) -> dict:
     except ValueError as exc:
         raise E.ConfigInvalid(f"--scales {args.scales!r}: {exc}") from exc
     profile = oscillation_profile(section, jc.base.fixed_point, scales)
-    minimal = minimality_probe(jc.base, args.x0, min(args.steps, 10 ** 5), 0.2)
+    # The probe's own base orbit, whose first 1e5 points test minimality.
+    minimal = is_dense(probe.orbit[:10 ** 5], 0.2)
     summary = {
         "command": "demo-counterexample",
         "steps": args.steps,

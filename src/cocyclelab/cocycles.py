@@ -306,11 +306,16 @@ def _scan(gens: np.ndarray) -> np.ndarray:
     return buf[:k + 1]
 
 
-def orbit_products(c, x: float, k: int) -> np.ndarray:
-    """Prefix products A(j, x), j = 0..k, of a cocycle's generators."""
+def _base_orbit(c, x: float, k: int) -> np.ndarray:
+    """The first k points of the base orbit of x, k <= ITERATION_CAP."""
     if k > ITERATION_CAP:
         raise ConfigInvalid(f"iteration count {k} exceeds {ITERATION_CAP}")
-    return prefix_products(c.generators_along(c.base.orbit(x, k)))
+    return c.base.orbit(x, k)
+
+
+def orbit_products(c, x: float, k: int) -> np.ndarray:
+    """Prefix products A(j, x), j = 0..k, of a cocycle's generators."""
+    return prefix_products(c.generators_along(_base_orbit(c, x, k)))
 
 
 def iterate_skew(c: IsometryCocycle, x: float, v: np.ndarray, k: int):
@@ -347,6 +352,7 @@ class ProbeReport:
     argmax_k: int
     growth_slope: float
     norms: np.ndarray  # ||I(k, x0) v0|| for k = 0..n
+    orbit: np.ndarray  # the base orbit x0, T x0, ..., T^{n-1} x0
 
 
 def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
@@ -356,14 +362,16 @@ def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
     The slope is the least-squares slope of the running maximum against
     log k, 1 <= k <= n, in closed form — a growth diagnostic only, not a
     boundedness verdict.  A slope needs two points: n < 2 raises
-    ConfigInvalid, a non-finite v0 NonFinite.
+    ConfigInvalid, a non-finite v0 NonFinite.  The report keeps the base
+    orbit the products were taken along, for probes of the base itself.
     """
     if n < 2:
         raise ConfigInvalid(f"n = {n}: the growth slope needs n >= 2 steps")
     v0 = np.asarray(v0, dtype=float)
     if not np.isfinite(v0).all():
         raise NonFinite(f"fibre point v0 = {v0.tolist()} is not finite")
-    prods = orbit_products(c, x0, n)
+    orbit = _base_orbit(c, x0, n)
+    prods = prefix_products(c.generators_along(orbit))
     l = c.dim
     traj = prods[:, :l, :l] @ v0 + prods[:, :l, l]
     del prods
@@ -376,7 +384,7 @@ def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
     argmax = int(np.argmax(norms))
     return ProbeReport(
         sup_norm=float(norms[argmax]), argmax_k=argmax, growth_slope=slope,
-        norms=norms,
+        norms=norms, orbit=orbit,
     )
 
 
@@ -536,6 +544,8 @@ class ShiftCocycle:
         self.rho_coords = {int(j): p for j, p in self.rho_coords.items()}
         if not self.bilateral and any(j < 0 for j in self.rho_coords):
             raise ConfigInvalid("one-sided data cannot carry negative indices")
+        if self.truncation < 0:
+            raise ConfigInvalid(f"truncation {self.truncation} must be >= 0")
 
     @property
     def support_level(self) -> int:

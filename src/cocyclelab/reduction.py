@@ -242,13 +242,14 @@ def section_from_centers(fb: FiberBuckets, *,
     section is to being skew-invariant; it acts on and measures all cells
     as one stack.  The centres are read from the pair certificate that
     :func:`sample_fibers` kept, so a cell whose geodesic midpoint covers it
-    costs no further scan; only the others run the tangent-ball search of
-    :func:`~cocyclelab.centers.chebyshev_center` from that midpoint.  Every
-    centre is certified exact, so ``center_tol`` is accepted for
-    compatibility and ignored.
+    costs no further scan; the others run the tangent-ball search of
+    :func:`~cocyclelab.centers.chebyshev_center` from their midpoints,
+    all in one lockstep :meth:`~cocyclelab.centers.PairCertificates.centers`
+    call.  Every centre is certified exact, so ``center_tol`` is accepted
+    for compatibility and ignored.
     """
     c = fb.cocycle
-    reports = [fb.certificates.center(i) for i in range(fb.cells)]
+    reports = fb.certificates.centers()
     values = np.array([r.center for r in reports])
     if fb.conformal:
         # Centres of det-1 sets lie on the closed convex det-1 slice; one

@@ -20,12 +20,13 @@ lam1 >= lam2 of the whitened 2x2 matrix, which give the distance, and by
 Cayley-Hamilton the geodesic, an affine combination of its endpoints;
 :func:`spd_sqrt`, :func:`det` (ad - bc) and :func:`inv` (the adjugate
 over det), all elementwise over stacks.
-:class:`Whitening` is the one chart: at one point, factorized once, its
-log and exp map whole stacks to and from isometric tangent coordinates
-through one stacked ``eigh`` at every n.  The congruence helpers,
-:func:`spd_sqrt` and :func:`spd_distances_from` take a (k, n, n) stack
-where they take one point, and :func:`spd_geodesic` paired stacks; they
-check it entry by entry and name the failing entry in errors.
+:class:`Whitening` is the one chart: at one point, or at each point of a
+stack factorized as one stack, its log and exp map whole stacks to and
+from isometric tangent coordinates through one stacked ``eigh`` at every
+n.  The congruence helpers, :func:`spd_sqrt` and :func:`spd_distances_from`
+take a (k, n, n) stack where they take one point, :func:`spd_exp` where
+it takes one matrix, and :func:`spd_geodesic` paired stacks; they check
+it entry by entry and name the failing entry in errors.
 :func:`sym_eigen` has no caller in the library; it is kept because the
 benchmark's tracer wraps it by name.
 Supported dimensions are 2 <= n <= 8.  Non-finite input raises
@@ -195,8 +196,10 @@ def spd_log(P: np.ndarray) -> np.ndarray:
 
 
 def spd_exp(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential Sym(n) -> Pos(n)."""
-    return _spectral(require_symmetric(S), np.exp)
+    """Matrix exponential Sym(n) -> Pos(n) of one matrix or of each entry
+    of a (m, n, n) stack, by one ``eigh``; an error names a stack's
+    failing entry."""
+    return _spectral(_symmetric(S, "matrix"), np.exp)
 
 
 def spd_sqrt(P: np.ndarray) -> np.ndarray:
@@ -456,27 +459,34 @@ _TANGENT = {n: (r, c, np.where(r == c, 1.0, np.sqrt(2.0)))
 
 
 class Whitening:
-    """The chart at one point P = L L^T of Pos(n), checked and
-    Cholesky-factorized once for both of its maps."""
+    """The chart at a point P = L L^T of Pos(n), or at each point of a
+    (S, n, n) stack, checked and Cholesky-factorized once, as one stack,
+    for both of its maps."""
 
     def __init__(self, P: np.ndarray):
-        self.L = _cholesky(require_symmetric(P), "reference point")
+        self.L = _cholesky(_symmetric(P, "reference point"), "reference point")
 
-    def log(self, batch: np.ndarray) -> np.ndarray:
+    def log(self, batch: np.ndarray, seg: np.ndarray | None = None) -> np.ndarray:
         """Tangent coordinates (m, dim) of log(L^{-1} Q L^{-T}), of norm
-        d(P, Q), for every Q of a (m, n, n) batch :func:`_symmetric` checked."""
-        rows, cols, scale = _TANGENT[len(self.L)]
+        d(P, Q), for every Q of a (m, n, n) batch :func:`_symmetric` checked;
+        at a stack of points, Q = batch[i] is taken at point ``seg[i]``."""
+        rows, cols, scale = _TANGENT[self.L.shape[-1]]
         w = np.linalg.inv(self.L)
-        return _spectral(w @ batch @ w.T, np.log, "batch")[:, rows, cols] * scale
+        if seg is not None:
+            w = w[seg]
+        return _spectral(w @ batch @ np.swapaxes(w, -1, -2), np.log,
+                         "batch")[:, rows, cols] * scale
 
     def exp(self, v: np.ndarray) -> np.ndarray:
         """L exp(S) L^T for the symmetric S of one tangent vector (dim,) or
         of each of a (..., dim) stack, by one stacked ``eigh``; inverts
-        :meth:`log`.  S is built symmetric: only finiteness is checked."""
-        n = len(self.L)
+        :meth:`log`.  At a stack of S points, v is (S, dim), one vector at
+        each.  S is built symmetric: only finiteness is checked."""
+        n = self.L.shape[-1]
         rows, cols, scale = _TANGENT[n]
         v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != rows.shape:
+        if v.shape[-1:] != rows.shape or (
+                self.L.ndim == 3 and v.shape != (len(self.L), len(rows))):
             raise DimensionMismatch(
                 f"tangent shape {v.shape} incompatible with point {self.L.shape}")
         flat = v.reshape(-1, len(rows))
@@ -484,7 +494,7 @@ class Whitening:
                  "has non-finite entries")
         S = np.empty((len(flat), n, n))
         S[:, cols, rows] = S[:, rows, cols] = flat / scale
-        out = self.L @ _spectral(S, np.exp) @ self.L.T
+        out = self.L @ _spectral(S, np.exp) @ np.swapaxes(self.L, -1, -2)
         return symmetrize(out).reshape(v.shape[:-1] + (n, n))
 
 

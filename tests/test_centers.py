@@ -21,7 +21,7 @@ from cocyclelab.centers import (
     check_center_continuity,
     check_diameter_shrink,
     diameter,
-    hausdorff_distance,
+    hausdorff_distances,
     midpoint_set,
     pair_certificates,
     radius_at,
@@ -29,6 +29,7 @@ from cocyclelab.centers import (
 )
 from cocyclelab.errors import (
     ConfigInvalid,
+    DimensionMismatch,
     EmptySet,
     NonFinite,
     NotIsometry,
@@ -306,24 +307,33 @@ class TestCertificate:
 
 
 def counting_balls(monkeypatch):
-    """Patch ``centers._tangent_ball`` to record one entry per call."""
+    """Patch ``centers._tangent_balls`` to record one entry per lockstep
+    solve: the sizes of its segments, one ball each."""
     calls = []
-    real = centers._tangent_ball
-    monkeypatch.setattr(centers, "_tangent_ball",
-                        lambda y: calls.append(len(y)) or real(y))
+    real = centers._tangent_balls
+    monkeypatch.setattr(centers, "_tangent_balls", lambda y, sizes: (
+        calls.append(sizes.tolist()) or real(y, sizes)))
     return calls
 
 
+def one_ball(support, weights):
+    """One segment's ball (support, weights) as the search holds it."""
+    return [(np.asarray(support), np.asarray(weights, float))]
+
+
 def linearise_at(space, pts, z, ball=None):
-    """The re-linearisation of the centre search at z: ball, step g,
-    covering radius and lower bound."""
-    return _linearise(space.chart(z).log(space.points(pts)), ball)
+    """The re-linearisation of the centre search of one segment at z:
+    ball, step g, covering radius and lower bound."""
+    y = space.chart(z).log(space.points(pts))
+    ball, g, _, radius, bound = _linearise(y, np.array([0]), ball)
+    return ball, g[0], radius[0], bound[0]
 
 
 def tangent_bound_at(space, pts, z, ball):
-    """The lower bound of ``ball`` = (support, weights) at z."""
+    """The lower bound of one segment's ``ball`` at z."""
     y = space.chart(z).log(space.points(pts))
-    return _tangent_bound(y, np.einsum("ij,ij->i", y, y), ball)[1]
+    return _tangent_bound(y, np.einsum("ij,ij->i", y, y), np.array([0]),
+                          ball)[2][0]
 
 
 class TestStaleWeights:
@@ -340,7 +350,7 @@ class TestStaleWeights:
                     if len(support) == 0:
                         support = np.arange(len(pts))
                     w = rng.dirichlet(np.ones(len(support)))
-                    bound = tangent_bound_at(space, pts, z, (support, w))
+                    bound = tangent_bound_at(space, pts, z, one_ball(support, w))
                     assert bound <= r_star + 1e-12 * max(r_star, 1.0)
 
     def test_stale_bound_never_exceeds_fresh(self, rng):
@@ -357,7 +367,7 @@ class TestStaleWeights:
                     z = S2.chart(z).exp(g)
                     fresh_ball, g, radius, fresh = linearise_at(S2, pts, z)
                     w = rng.dirichlet(np.ones(m))
-                    for stale_ball in (ball, (np.arange(m), w)):
+                    for stale_ball in (ball, one_ball(np.arange(m), w)):
                         stale = tangent_bound_at(S2, pts, z, stale_ball)
                         assert stale <= fresh + 1e-12
                         assert stale <= radius + 1e-12
@@ -367,61 +377,93 @@ class TestStaleWeights:
 
     def test_euclidean_search_solves_one_ball(self, rng, monkeypatch):
         # The first move lands on the exact centre, where the same weights
-        # certify: one ball and one move wherever the pair certificate fails.
+        # certify: one ball and one move wherever the pair certificate fails,
+        # alone or with every other set in one lockstep ball solve.
         calls = counting_balls(monkeypatch)
         searched = 0
         for dim in (2, 3):
+            space = EuclideanSpace(dim)
             triangle = np.pad(acute_scalene_triangle(), ((0, 0), (0, dim - 2)))
-            for pts in [triangle, *elongated_sets(rng, dim, 30)]:
+            sets = [triangle, *elongated_sets(rng, dim, 30)]
+            for pts in sets:
                 calls.clear()
-                rep = chebyshev_center(PointSet(EuclideanSpace(dim), pts))
+                rep = chebyshev_center(PointSet(space, pts))
                 if rep.iterations == 0:
                     assert calls == []
                     continue
                 assert (rep.iterations, len(calls)) == (1, 1)
                 assert_certified(rep)
                 searched += 1
+            calls.clear()
+            reps = pair_certificates(space, *stacked(sets)).centers()
+            assert max(rep.iterations for rep in reps) == 1
+            assert calls == [[len(pts) for pts, rep in zip(sets, reps)
+                              if rep.iterations]]
         assert searched >= 20
 
     def test_spd_search_solves_one_ball_per_move(self, rng, monkeypatch):
-        # One ball at each z but the last, which the stale weights certify.
+        # One ball at each z but the last, which the stale weights certify,
+        # alone or counted per segment of one lockstep search.
         calls = counting_balls(monkeypatch)
         moves = 0
         for n in (2, 3):
-            for m in range(3, 10):
-                pts = np.array([random_spd(rng, n, 0.6) for _ in range(m)])
+            sets = [np.array([random_spd(rng, n, 0.6) for _ in range(m)])
+                    for m in range(3, 10)]
+            for pts in sets:
                 calls.clear()
                 rep = chebyshev_center(PointSet(SPDSpace(n), pts))
-                assert len(calls) == rep.iterations
+                assert sum(map(len, calls)) == len(calls) == rep.iterations
                 assert_certified(rep)
                 moves += rep.iterations
+            calls.clear()
+            reps = pair_certificates(SPDSpace(n), *stacked(sets)).centers()
+            iterations = [rep.iterations for rep in reps]
+            assert sum(map(len, calls)) == sum(iterations)
+            assert len(calls) <= max(iterations)
         assert moves >= 20
 
 
 class TestTangentFactorisation:
     def test_one_cholesky_per_move(self, rng, monkeypatch):
-        # Every z of the search is factorised once, for its log and its
-        # exp, and the point stack is checked once per search.
+        # Every move factorises the z of the segments still searching once,
+        # as one stack, for their logs and their exps: one factorisation
+        # per move of each segment, alone or in lockstep.  The point stack
+        # is checked once per search.
         factorised, checked = [], []
         cholesky, symmetric = spd._cholesky, spd._symmetric
         monkeypatch.setattr(spd, "_cholesky", lambda P, what: (
-            factorised.append(what) or cholesky(P, what)))
+            factorised.append((what, len(P))) or cholesky(P, what)))
         monkeypatch.setattr(spd, "_symmetric", lambda a, what: (
             checked.append(np.shape(a)) or symmetric(a, what)))
         moves = 0
         for space in (SPDSpace(2), SPDSpace(3)):
-            for m in range(3, 10):
-                pts = np.array([random_spd(rng, space.n, 0.6)
-                                for _ in range(m)])
-                z = pair_certificates(space, pts).mids[0]
+            sets = [np.array([random_spd(rng, space.n, 0.6) for _ in range(m)])
+                    for m in range(3, 10)]
+            for pts in sets:
+                z = pair_certificates(space, pts).mids
                 factorised.clear()
                 checked.clear()
-                rep = centers._tangent_center(space, pts, z)
-                assert factorised == ["reference point"] * (rep.iterations + 1)
+                rep, = centers._tangent_centers(space, pts, np.array([len(pts)]), z)
+                assert factorised == [("reference point", 1)] * (rep.iterations + 1)
                 assert checked.count(pts.shape) == 1
                 assert_certified(rep)
                 moves += rep.iterations
+            pts, bounds = stacked(sets)
+            z = pair_certificates(space, pts, bounds).mids
+            factorised.clear()
+            checked.clear()
+            reps = centers._tangent_centers(space, pts, np.diff(bounds), z)
+            iterations = np.array([rep.iterations for rep in reps])
+            assert factorised == [("reference point", int(np.sum(iterations >= t)))
+                                  for t in range(iterations.max() + 1)]
+            assert checked.count(pts.shape) == 1
         assert moves >= 20
+
+
+def stacked(segments):
+    """The segments as one stack of points and its bounds."""
+    return (np.concatenate(segments),
+            np.cumsum([0] + [len(pts) for pts in segments]))
 
 
 def ragged_segments(rng, space, sizes):
@@ -454,10 +496,11 @@ def assert_same_report(got, want):
 
 def assert_matches_one_segment_calls(space, segments):
     """The segmented certificate equals the one-segment call on every
-    segment, field by field, with the same diameters and centres."""
-    bounds = np.cumsum([0] + [len(pts) for pts in segments])
-    cert = pair_certificates(space, np.concatenate(segments), bounds)
+    segment, field by field, with the same diameters and centres; returns
+    the certificate and its centre reports."""
+    cert = pair_certificates(space, *stacked(segments))
     diameters = cert.diameters()
+    reports = cert.centers()
     for i, pts in enumerate(segments):
         one = pair_certificates(space, pts)
         assert cert.first[i] == one.first[0]
@@ -466,8 +509,8 @@ def assert_matches_one_segment_calls(space, segments):
         assert np.array_equal(cert.mids[i], one.mids[0])
         assert np.array_equal(cert.radius[i], one.radius[0])
         assert diameters[i] == diameter(PointSet(space, pts))
-        assert_same_report(cert.center(i), chebyshev_center(PointSet(space, pts)))
-    return cert
+        assert_same_report(reports[i], chebyshev_center(PointSet(space, pts)))
+    return cert, reports
 
 
 class TestPairCertificates:
@@ -476,9 +519,9 @@ class TestPairCertificates:
     ], ids=lambda space: space.name)
     def test_segmented_equals_one_segment_calls(self, rng, space):
         sizes = (3, 300, 1, 2, 300, 1, 3)
-        cert = assert_matches_one_segment_calls(
+        _, reports = assert_matches_one_segment_calls(
             space, list(ragged_segments(rng, space, sizes)))
-        certified = [cert.center(i).iterations == 0
+        certified = [reports[i].iterations == 0
                      for i, m in enumerate(sizes) if m > 2]
         assert any(certified) and not all(certified)
 
@@ -508,9 +551,79 @@ class TestPairCertificates:
         triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
         segments = [triangle, rng.random((2, 2)), rng.random((9, 2)),
                     triangle + 3.0, rng.random((1, 2))]
-        cert = assert_matches_one_segment_calls(E2, segments)
+        _, reports = assert_matches_one_segment_calls(E2, segments)
         # Neither triangle pair-certifies; the tangent ball takes one move.
-        assert [cert.center(i).iterations for i in (0, 3)] == [1, 1]
+        assert [reports[i].iterations for i in (0, 3)] == [1, 1]
+
+    @pytest.mark.parametrize("space", [E2, E3, S2, SPDSpace(3)],
+                             ids=lambda space: space.name)
+    def test_searches_match_one_segment_calls(self, rng, space, monkeypatch):
+        # Every failing segment searches in lockstep with the others and
+        # reports what its search alone reports, bit for bit: singletons,
+        # pairs, regular polygons, random sets, and wide Pos(n) sets that
+        # take damped steps; in R^2 also a set whose ball solve meets a
+        # singular gram matrix.
+        unsolved = []
+        solve = centers._solve_stack
+
+        def counting_solve(gram, rhs):
+            lam, solved = solve(gram, rhs)
+            unsolved.append(int(np.sum(~solved)))
+            return lam, solved
+
+        monkeypatch.setattr(centers, "_solve_stack", counting_solve)
+        segments = list(search_segments(rng, space))
+        _, reports = assert_matches_one_segment_calls(space, segments)
+        iterations = [rep.iterations for rep in reports]
+        assert sum(it > 0 for it in iterations) >= 4
+        if space is E2:
+            assert sum(unsolved) > 0
+        if isinstance(space, SPDSpace):
+            assert max(iterations) >= 5
+
+
+# Its ball search meets three collinear points, whose gram matrix LAPACK
+# finds exactly singular.
+SINGULAR_GRAM = np.array([[0.0, 1.0], [0.0, 2.0], [2.0, 3.0], [3.0, 0.0],
+                          [1.0, 3.0]])
+
+
+def search_segments(rng, space):
+    """Segments of one space for the lockstep search; see
+    ``test_searches_match_one_segment_calls``."""
+    if isinstance(space, EuclideanSpace):
+        def lift(pts):
+            return np.pad(pts, ((0, 0), (0, space.dim - 2)))
+
+        point = lambda: rng.random(space.dim)
+        polygon = lambda m: lift(_regular_polygon(m))
+        wide = lambda m: 3.0 * rng.standard_normal((m, space.dim))
+    else:
+        n = space.n
+        a, b = np.zeros((n, n)), np.zeros((n, n))
+        a[0, 0], a[1, 1] = 1.0, -1.0
+        b[0, 1] = b[1, 0] = 1.0
+
+        def point():
+            return random_spd(rng, n, 0.6)
+
+        def polygon(m):
+            turns = 2.0 * np.pi * np.arange(m) / m
+            return spd.spd_exp(0.5 * (np.cos(turns)[:, None, None] * a
+                                      + np.sin(turns)[:, None, None] * b))
+
+        def wide(m):
+            return np.array([random_spd(rng, n, 3.0) for _ in range(m)])
+    yield np.array([point()])
+    yield np.array([point(), point()])
+    for m in (3, 4, 5, 7):
+        yield polygon(m)
+    yield np.array([point() for _ in range(6)])
+    if space is E2:
+        yield SINGULAR_GRAM
+    for m in (4, 8):
+        yield wide(m)
+    yield np.array([point()])
 
 
 def _regular_polygon(m):
@@ -715,10 +828,15 @@ class TestDiameterShrink:
             assert abs(rep.diam_before - brute) <= 1e-15
 
 
+def hausdorff(space, a, b):
+    """The Hausdorff distance of one pair, as a list of one."""
+    return hausdorff_distances([(PointSet(space, a), PointSet(space, b))])[0]
+
+
 class TestCenterContinuity:
     def test_identical_sets(self, rng):
         pts = rng.random((6, 2))
-        rep = check_center_continuity(PointSet(E2, pts), PointSet(E2, pts))
+        rep, = check_center_continuity([(PointSet(E2, pts), PointSet(E2, pts))])
         assert rep.lhs <= 1e-12 and rep.passed and rep.radius_gap_ok
 
     def test_two_point_shift(self):
@@ -727,11 +845,13 @@ class TestCenterContinuity:
         eps = 1e-3
         a = PointSet(E2, np.array([[0.0, 0.0], [1.0, 0.0]]))
         b = PointSet(E2, np.array([[0.0, 0.0], [1.0 + eps, 0.0]]))
-        rep = check_center_continuity(a, b)
+        rep, = check_center_continuity([(a, b)])
         assert abs(rep.lhs - eps ** 2 / 4.0) <= 1e-10
         assert rep.passed and rep.radius_gap_ok
 
     def test_random_perturbations(self, rng):
+        # All pairs in one call, each report equal to its pair's own call.
+        pairs = []
         for eps in (1e-2, 1e-1):
             for _ in range(20):
                 m = int(rng.integers(4, 12))
@@ -741,16 +861,39 @@ class TestCenterContinuity:
                 pts_e = pts + np.column_stack(
                     [rad * np.cos(ang), rad * np.sin(ang)]
                 )
-                rep = check_center_continuity(
-                    PointSet(E2, pts), PointSet(E2, pts_e)
-                )
-                assert rep.passed
-                assert rep.radius_gap_ok
+                pairs.append((PointSet(E2, pts), PointSet(E2, pts_e)))
+        reps = check_center_continuity(pairs)
+        assert len(reps) == len(pairs)
+        for rep, pair in zip(reps, pairs):
+            assert rep.passed
+            assert rep.radius_gap_ok
+            assert rep == check_center_continuity([pair])[0]
+
+    def test_spd_pairs_match_one_pair_calls(self, rng):
+        pairs = []
+        for m in range(2, 9):
+            pts = np.array([random_spd(rng, 2, 0.5) for _ in range(m)])
+            moved = np.array([spd.gl_action(np.eye(2) + 0.02 * rng.standard_normal(
+                (2, 2)), p) for p in pts])
+            pairs.append((PointSet(S2, pts), PointSet(S2, moved)))
+        reps = check_center_continuity(pairs)
+        assert any(rep.lhs > 0.0 for rep in reps)
+        for rep, pair in zip(reps, pairs):
+            assert rep.passed and rep.radius_gap_ok
+            assert rep == check_center_continuity([pair])[0]
+
+    def test_rejects_no_pairs_and_mixed_spaces(self, rng):
+        with pytest.raises(EmptySet):
+            check_center_continuity([])
+        a = PointSet(E2, rng.random((3, 2)))
+        b = PointSet(E3, rng.random((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            check_center_continuity([(a, a), (b, b)])
 
     def test_hausdorff_double_scan(self, rng):
         a = rng.random((8, 2))
         b = rng.random((5, 2))
-        got = hausdorff_distance(PointSet(E2, a), PointSet(E2, b))
+        got = hausdorff(E2, a, b)
         d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         want = max(d.min(axis=1).max(), d.min(axis=0).max())
         assert abs(got - want) <= 1e-12
@@ -758,25 +901,36 @@ class TestCenterContinuity:
     def test_hausdorff_spd_against_pairwise_distances(self, rng):
         a = np.array([random_spd(rng, 2, 0.8) for _ in range(7)])
         b = np.array([random_spd(rng, 2, 0.8) for _ in range(4)])
-        got = hausdorff_distance(PointSet(S2, a), PointSet(S2, b))
+        got = hausdorff(S2, a, b)
         d = np.array([[spd.spd_distance(p, q) for q in b] for p in a])
         want = max(d.min(axis=1).max(), d.min(axis=0).max())
         assert abs(got - want) <= 1e-12
-        assert got == hausdorff_distance(PointSet(S2, b), PointSet(S2, a))
+        assert got == hausdorff(S2, b, a)
 
     @pytest.mark.parametrize("space", [E2, S2], ids=["euclidean", "pos2"])
     @pytest.mark.parametrize("sizes", [(1, 1), (1, 5), (6, 1), (7, 3), (2, 9)])
     def test_hausdorff_against_brute_force(self, rng, space, sizes):
-        def draw(m):
-            if space is E2:
-                return rng.random((m, 2))
-            return np.array([random_spd(rng, 2, 0.8) for _ in range(m)])
-
-        a, b = draw(sizes[0]), draw(sizes[1])
+        a, b = hausdorff_draw(rng, space, sizes[0]), hausdorff_draw(rng, space, sizes[1])
         d = np.array([[space.distance(p, q) for q in b] for p in a])
         want = max(d.min(axis=1).max(), d.min(axis=0).max())
-        got = hausdorff_distance(PointSet(space, a), PointSet(space, b))
+        got = hausdorff(space, a, b)
         assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("space", [E2, S2], ids=["euclidean", "pos2"])
+    def test_hausdorff_many_pairs_in_one_scan(self, rng, space):
+        # Ragged pairs, one scan: each distance is its pair's own.
+        sizes = [(1, 1), (1, 5), (6, 1), (7, 3), (2, 9), (4, 4)]
+        pairs = [(hausdorff_draw(rng, space, m), hausdorff_draw(rng, space, k))
+                 for m, k in sizes]
+        got = hausdorff_distances([(PointSet(space, a), PointSet(space, b))
+                                   for a, b in pairs])
+        assert got.tolist() == [hausdorff(space, a, b) for a, b in pairs]
+
+
+def hausdorff_draw(rng, space, m):
+    if space is E2:
+        return rng.random((m, 2))
+    return np.array([random_spd(rng, 2, 0.8) for _ in range(m)])
 
 
 def scalar_ball_battery(space, v0, v0p, r0, eps, samples, rng):

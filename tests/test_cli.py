@@ -190,6 +190,9 @@ class TestMalformedInput:
         ["solve", "fourier", "--grid", "0"],
         ["demo-counterexample", "--scales", "a,b"],
         ["demo-counterexample", "--scales", "nan"],
+        ["demo-counterexample", "--grid", "0"],
+        ["demo-counterexample", "--grid", "-3"],
+        ["solve", "shift", "--truncation", "-1"],
         ["recurrence", "--n", "5000", "--pairs", "0"],
         ["recurrence", "--delta", "nan"],
         ["recurrence", "--delta", "-1"],
@@ -399,6 +402,20 @@ class TestOtherCommands:
         assert summary["orbit_bounded"]
         assert summary["oscillation_above_floor"]
         assert not summary["base_minimal_probe"]
+
+    def test_demo_counterexample_builds_one_base_orbit(self, tmp_path,
+                                                       monkeypatch):
+        # The minimality probe reads the first 1e5 points of the orbit the
+        # boundedness probe walked; the base orbit is built once.
+        lengths = []
+        base = type(jump_cascade().base)
+        orbit = base.orbit
+        monkeypatch.setattr(base, "orbit", lambda self, x0, n: (
+            lengths.append(n) or orbit(self, x0, n)))
+        code, summary, _ = run_cli(tmp_path, "demo-counterexample",
+                                   "--steps", "120000")
+        assert code == 0 and not summary["base_minimal_probe"]
+        assert lengths == [120000]
 
     def test_recurrence(self, tmp_path):
         code, summary, out = run_cli(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import cocycles
-from cocyclelab.circle import GOLDEN_MEAN, RotationBase
+from cocyclelab.circle import is_dense, minimality_probe
 from cocyclelab.cocycles import (
     SCAN_BLOCK,
     FiniteIsometry,
@@ -405,6 +405,18 @@ class TestBoundednessProbe:
         rep = boundedness_probe(jc.cocycle, 0.3, v0, 100_000)
         assert rep.sup_norm <= np.linalg.norm(v0) + 2.0 * jc.sup_psi + 1e-9
 
+    @pytest.mark.parametrize("n", [2, 5000, 120_000])
+    def test_report_keeps_the_base_orbit(self, n):
+        # The orbit the products were taken along, whose first 1e5 points
+        # give the minimality probe's verdict.
+        jc = jump_cascade()
+        rep = boundedness_probe(jc.cocycle, 0.3, np.array([0.5]), n)
+        assert np.array_equal(rep.orbit, jc.base.orbit(0.3, n))
+        assert len(rep.norms) == len(rep.orbit) + 1
+        head = min(n, 10 ** 5)
+        assert is_dense(rep.orbit[:10 ** 5], 0.2) == minimality_probe(
+            jc.base, 0.3, head, 0.2)
+
     @pytest.mark.parametrize("n", [2, 3, 500, 20_000])
     def test_slope_matches_polyfit(self, rng, n):
         phi = TrigPoly.random(4, rng)
@@ -677,3 +689,11 @@ class TestShiftCocycle:
         )
         with pytest.raises(TruncationTooSmall):
             c.require_truncation()
+
+    def test_negative_truncation_rejected(self):
+        # A window of -1 coordinates is a configuration error, not a
+        # window too small for the data.
+        for data in ({}, {5: TrigPoly.constant(1.0)}):
+            with pytest.raises(ConfigInvalid, match="truncation -1"):
+                ShiftCocycle(base=golden_rotation(), rho_coords=data,
+                             truncation=-1)

@@ -101,6 +101,19 @@ class TestExpLog:
         with pytest.raises(NotPositiveDefinite):
             spd.spd_log(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_exp_stack_matches_one_matrix(self, rng, n):
+        # One matrix's exponential is its entry of the stack's, bit for bit.
+        g = rng.standard_normal((9, n, n))
+        S = (g + np.swapaxes(g, 1, 2)) / 2.0
+        out = spd.spd_exp(S)
+        assert out.shape == (9, n, n)
+        for s, e in zip(S, out):
+            assert np.array_equal(spd.spd_exp(s), e)
+        S[4, 0, 1] = np.nan
+        with pytest.raises(NonFinite, match="matrix entry 4"):
+            spd.spd_exp(S)
+
 
 def tangent_matrix(v, n):
     """The symmetric matrix of tangent coordinates v: the upper triangle
@@ -164,11 +177,34 @@ class TestWhitenedExp:
         want = [reference_spd_distance(P[0], q) for q in Q]
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - want)) <= 1e-12
         assert np.max(np.abs(at.exp(v) - Q)) <= 1e-12 * np.abs(Q).max()
-        # One point only: a stack of points is not a chart.
-        with pytest.raises(DimensionMismatch):
-            spd.Whitening(P)
         with pytest.raises(NotPositiveDefinite, match="reference point"):
             spd.Whitening(-P[2])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stack_of_points(self, rng, n):
+        # A chart at a stack of points: Q_i is logged at point seg[i], and
+        # a paired exp takes one vector at each point; both equal the
+        # charts at the points one by one, bit for bit.
+        P = np.array([random_spd(rng, n, spread=1.0) for _ in range(4)])
+        seg = np.array([0, 0, 1, 2, 2, 2, 3])
+        Q = spd.symmetrize(np.array([random_spd(rng, n, spread=1.0)
+                                     for _ in seg]))
+        at = spd.Whitening(P)
+        v = at.log(Q, seg)
+        for i, p in enumerate(P):
+            assert np.array_equal(v[seg == i], spd.Whitening(p).log(Q[seg == i]))
+        steps = v[[0, 2, 3, 6]]
+        out = at.exp(steps)
+        assert out.shape == (4, n, n)
+        for p, step, y in zip(P, steps, out):
+            assert np.array_equal(spd.Whitening(p).exp(step[None])[0], y)
+        with pytest.raises(DimensionMismatch):
+            at.exp(steps[:3])
+        with pytest.raises(DimensionMismatch):
+            at.exp(steps[0])
+        P[2] = -P[2]
+        with pytest.raises(NotPositiveDefinite, match="reference point entry 2"):
+            spd.Whitening(P)
 
 
 class TestSqrtBatch:
