@@ -856,6 +856,8 @@ def center_equivariance_check(B: PointSet, iso: Callable, tol: float = 1e-6) -> 
     d_after = B.space.pairwise(mapped.points)
     if d_before.size and float(np.max(np.abs(d_before - d_after))) > 1e-9:
         raise NotIsometry("map distorts pairwise distances beyond 1e-9")
-    c = chebyshev_center(B).center
-    c_mapped = chebyshev_center(mapped).center
-    return B.space.distance(iso(c), c_mapped) <= tol
+    # Both centres from one two-segment search.
+    rep, rep_mapped = pair_certificates(
+        B.space, np.concatenate([B.points, mapped.points]),
+        np.array([0, len(B), 2 * len(B)])).centers()
+    return B.space.distance(iso(rep.center), rep_mapped.center) <= tol

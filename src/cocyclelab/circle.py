@@ -20,6 +20,12 @@ GOLDEN_MEAN = (np.sqrt(5.0) - 1.0) / 2.0
 MINIMALITY_DENOMINATOR = 10 ** 6
 
 
+def require_finite(x: float):
+    """Raise NonFinite unless the base point x is finite."""
+    if not np.isfinite(x):
+        raise NonFinite(f"base point x = {x!r} is not finite")
+
+
 def circle_distance(x, y):
     """Wrap-around distance on [0, 1), elementwise."""
     d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) % 1.0
@@ -54,8 +60,7 @@ class RotationBase:
         """
         if abs(k) > 10 ** 9:
             raise ConfigInvalid("|k| exceeds the 1e9 iteration bound")
-        if not np.isfinite(x):
-            raise NonFinite(f"base point x = {x!r} is not finite")
+        require_finite(x)
         return float((Fraction(x) + k * self._alpha_frac) % 1)
 
     def orbit(self, x0: float, n: int) -> np.ndarray:
@@ -64,6 +69,7 @@ class RotationBase:
         Accumulation k*alpha is carried in extended precision so 1e6-step
         orbits stay accurate to ~1e-13.
         """
+        require_finite(x0)
         ks = np.arange(n, dtype=np.longdouble)
         xs = np.mod(np.longdouble(x0) + ks * np.longdouble(self.alpha), 1.0)
         return xs.astype(float)
@@ -104,6 +110,7 @@ class ParabolicBase:
         return float(np.arctan2(s, k * s + c) / np.pi % 1.0)
 
     def orbit(self, x0: float, n: int) -> np.ndarray:
+        require_finite(x0)
         ks = np.arange(n, dtype=float)
         s = np.sin(np.pi * x0)
         c = np.cos(np.pi * x0)
@@ -152,8 +159,7 @@ def _require_probe(x: float, n: int, delta: float):
     if not (1 <= n <= 10 ** 7 and 0.0 < delta < np.inf):
         raise ConfigInvalid(f"n = {n} and delta = {delta!r}: a probe needs "
                             f"1 <= n <= 1e7 and 0 < delta < inf")
-    if not np.isfinite(x):
-        raise NonFinite(f"base point x = {x!r} is not finite")
+    require_finite(x)
 
 
 def minimality_probe(base, x0: float, n: int, delta: float) -> bool:

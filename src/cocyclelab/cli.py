@@ -21,13 +21,12 @@ a non-negative integer, from either, exits 2.
 This module is the one writer of artefacts: summary.json, through one
 JSON writer, and every CSV, through one column writer, are deterministic
 for a fixed config and seed; the run's wall-clock time goes only into
-timing.json.
+timing.json.  The summary printed on stdout is the text of summary.json.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -46,10 +45,9 @@ from .centers import (
     check_ball_intersection_radius,
     check_center_continuity,
     check_diameter_shrink,
-    chebyshev_center,
-    diameter,
+    pair_certificates,
 )
-from .circle import is_dense
+from .circle import is_dense, require_finite
 from .cocycles import (
     ShiftCocycle,
     boundedness_probe,
@@ -113,21 +111,33 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_json(path: Path, payload: dict):
+def _write_json(path: Path, payload: dict) -> str:
+    """Write ``payload`` as JSON text and a newline; return the text."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
+    return text
 
 
 def _write_table(path: Path, columns: dict):
-    """One CSV: the column names, then row i of every column.  Columns hold
-    Python values (``.tolist()``), so csv writes each float as its repr."""
+    """One CSV in one write: the column names, then row i of every column.
+    Columns hold float, int, bool or str (``.tolist()``); ``str`` of each is
+    what ``csv.writer`` writes, and a str field it would quote (a comma,
+    quote or line break, or a row's one empty field) raises ValueError."""
+    names = list(columns)
+    for name, column in [("header", names), *columns.items()]:
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            if (any(ch in "".join(column) for ch in ',"\r\n')
+                    or len(names) == 1 and "" in column):
+                raise ValueError(f"{path.name} {name}: a field needs quoting")
+        elif not kinds <= {float, int, bool}:
+            raise TypeError(f"{path.name} {name}: not float, int, bool or str")
+    rows = zip(*(map(str, column) for column in columns.values()))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+        fh.write("\r\n".join([",".join(names), *map(",".join, rows)]) + "\r\n")
 
 
 def _seed_from(args) -> int:
@@ -173,7 +183,9 @@ def _load_point_set(path: str) -> PointSet:
 
 def cmd_center(args) -> dict:
     ps = _load_point_set(args.input)
-    report = chebyshev_center(ps)
+    # One certification gives the Chebyshev centre and the diameter.
+    certs = pair_certificates(ps.space, ps.points)
+    report = certs.centers()[0]
     star = bt_center(ps, rounds=args.rounds)
     shrink = check_diameter_shrink(ps) if len(ps) >= 2 else None
     out = Path(args.out)
@@ -190,7 +202,7 @@ def cmd_center(args) -> dict:
         "bt_center_distance_to_chebyshev": float(
             ps.space.distance(report.center, star)
         ),
-        "diameter": diameter(ps),
+        "diameter": certs.diameter(0),
     }
     if shrink is not None:
         summary["midpoint_shrink"] = {
@@ -422,6 +434,7 @@ def cmd_reduce(args) -> dict:
         result = (reduce_to_conformal(cocycle, oracle) if conformal
                   else reduce_to_orthogonal(cocycle, oracle))
     else:
+        require_finite(args.x0)
         v0 = oracle(args.x0) if oracle is not None else np.eye(cocycle.dim)
         fb = sample_fibers(cocycle, args.x0, v0, args.steps, args.cells,
                            conformal=conformal)
@@ -637,17 +650,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None   # build_parser(), built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, matching our config code.
         return int(exc.code) if exc.code else 0
     t0 = time.perf_counter()
     try:
         args.seed = _seed_from(args)
-        summary = args.func(args)
+        # The handler of that name now, so a wrapped or replaced one runs.
+        summary = globals()[args.func.__name__](args)
     except E.ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -660,9 +679,9 @@ def main(argv=None) -> int:
     timing = {"runtime_seconds": time.perf_counter() - t0}
     summary["seed"] = args.seed
     out = Path(args.out)
-    _write_json(out / "summary.json", summary)
+    text = _write_json(out / "summary.json", summary)
     _write_json(out / "timing.json", timing)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
+    print(text)
     return EXIT_OK
 
 

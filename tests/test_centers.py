@@ -1049,6 +1049,17 @@ class TestEquivariance:
         g = rng.standard_normal((2, 2)) + 1.5 * np.eye(2)
         assert center_equivariance_check(ps, lambda p: spd.gl_action(g, p))
 
+    def test_one_search_for_both_sets(self, rng, monkeypatch):
+        # B and iso(B) are the two segments of one pair_certificates call.
+        calls = []
+        certify = centers.pair_certificates
+        monkeypatch.setattr(centers, "pair_certificates", lambda *a: (
+            calls.append(np.diff(a[2]).tolist()) or certify(*a)))
+        ps = spd_set(rng, 6)
+        g = rng.standard_normal((2, 2)) + 1.5 * np.eye(2)
+        assert center_equivariance_check(ps, lambda p: spd.gl_action(g, p))
+        assert calls == [[6, 6]]
+
     def test_non_isometry_rejected(self, rng):
         ps = PointSet(E2, rng.random((5, 2)))
         with pytest.raises(NotIsometry):

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, artifacts, exit codes, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -14,6 +15,12 @@ import cocyclelab
 from cocyclelab import cli, spd
 from cocyclelab import errors as E
 from cocyclelab.cli import main
+from cocyclelab.centers import (
+    EuclideanSpace,
+    PointSet,
+    chebyshev_center,
+    diameter,
+)
 from cocyclelab.cocycles import twisted_birkhoff
 from cocyclelab.presets import (
     coboundary_cocycle,
@@ -105,6 +112,19 @@ class TestCenterCommand:
         path.write_text('{"space": "euclidean", "points": [[0, 0], [1, NaN]]}')
         code, _, _ = run_cli(tmp_path, "center", "--input", str(path))
         assert code == 3
+
+    def test_one_certification(self, tmp_path, tetra_file, monkeypatch):
+        # The centre and the diameter come from one pair_certificates call.
+        calls = []
+        certify = cli.pair_certificates
+        monkeypatch.setattr(cli, "pair_certificates", lambda *a: (
+            calls.append(len(a[1])) or certify(*a)))
+        code, summary, _ = run_cli(tmp_path, "center", "--input", str(tetra_file))
+        assert code == 0 and calls == [4]
+        ps = PointSet(EuclideanSpace(3),
+                      np.array(json.loads(tetra_file.read_text())["points"]))
+        assert summary["chebyshev"]["radius"] == chebyshev_center(ps).radius
+        assert summary["diameter"] == diameter(ps)
 
     def test_missing_file_is_config_error(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "center", "--input", "/nope.json")
@@ -232,11 +252,21 @@ class TestMalformedInput:
         (["recurrence", "--beta", "inf", "--n", "2000"], 3),
         (["recurrence", "--x", "nan"], 3),
         (["demo-counterexample", "--v0", "nan"], 3),
+        (["birkhoff", "--x0", "inf"], 3),
+        (["birkhoff", "--preset", "counterexample", "--x0", "nan"], 3),
+        (["demo-counterexample", "--x0", "inf"], 3),
+        (["demo-counterexample", "--x0", "nan"], 3),
+        (["reduce", "--cells", "8", "--steps", "400", "--x0", "inf"], 3),
+        (["reduce", "--cells", "8", "--steps", "400", "--x0", "nan"], 3),
     ])
-    def test_non_finite_value_fails(self, tmp_path, argv, code):
+    def test_non_finite_value_fails(self, tmp_path, capsys, argv, code):
         got, summary, out = run_cli(tmp_path, *argv)
         assert got == code and summary is None
         assert not (out / "solution.csv").exists()
+        if "--x0" in argv:
+            # Rejected where the base point enters, before any arithmetic.
+            x0 = argv[argv.index("--x0") + 1]
+            assert f"base point x = {x0} is not finite" in capsys.readouterr().err
 
     def test_every_error_has_one_exit_code(self):
         # An error outside both tuples would escape main as a traceback
@@ -477,15 +507,25 @@ ARTEFACT_RUNS = [
 ]
 
 
+def csv_writer_bytes(rows) -> bytes:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", ARTEFACT_RUNS, ids=" ".join)
-    def test_artefacts_byte_identical(self, tmp_path, tetra_file, argv):
+    def test_artefacts_byte_identical(self, tmp_path, tetra_file, capsys, argv):
         argv = [str(tetra_file) if a == "{points}" else a for a in argv]
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert main(["--out", str(out), "--seed", "5"] + argv) == 0
             # The one volatile artefact.
             (out / "timing.json").unlink()
+            # stdout is the text of summary.json.
+            summary = (out / "summary.json").read_text()
+            assert summary.endswith("}\n")
+            assert capsys.readouterr().out == summary
         names = sorted(p.name for p in a.iterdir())
         assert names == sorted(p.name for p in b.iterdir())
         assert "summary.json" in names
@@ -498,6 +538,56 @@ class TestDeterminism:
             assert all(len(row) == len(rows[0]) for row in rows)
             # The repr of a NumPy 2 scalar is "np.float64(...)".
             assert not any("np." in cell for row in rows for cell in row)
+            # The bytes csv.writer writes for these rows: its quoting and
+            # its \r\n terminators.
+            assert (a / table).read_bytes() == csv_writer_bytes(rows), table
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        argv = ["birkhoff", "--steps", "500"]
+        assert main(["--out", str(tmp_path / "a")] + argv) == 0
+        assert builds == [1]
+        # A handler replaced after the parser was built is the one that runs.
+        monkeypatch.setattr(cli, "cmd_birkhoff",
+                            lambda args: {"command": "replaced"})
+        assert main(["--out", str(tmp_path / "b")] + argv) == 0
+        assert builds == [1]
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert summary["command"] == "replaced"
+
+    @pytest.mark.parametrize("columns", [
+        {"a": [], "b": []},
+        {"x": []},
+        {"i": range(4), "x": [0.1, -0.0, float("inf"), float("nan")],
+         "n": [2 ** 70, -1, 0, 7], "ok": [True, False, True, False],
+         "s": ["1 2", "", "a b c", "x"], "t": [1e-300, 1e300, 5e-324, 1 / 3]},
+        {"s": ["a", "b c"]},
+    ], ids=["empty", "empty-one-column", "mixed", "one-str-column"])
+    def test_table_matches_csv_writer(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        cli._write_table(path, columns)
+        rows = [list(columns)] + [list(r) for r in zip(*columns.values())]
+        assert path.read_bytes() == csv_writer_bytes(rows)
+
+    @pytest.mark.parametrize("columns", [
+        {"s": ["a", "b,c"]}, {"s": ['a"b'], "x": [1.0]},
+        {"s": ["a\rb"], "x": [1.0]}, {"s": ["a\nb"], "x": [1.0]},
+        {"s": ["a", ""]}, {"a,b": [1.0]},
+    ], ids=["comma", "quote", "cr", "lf", "lone-empty", "header"])
+    def test_table_field_needing_quotes_raises(self, tmp_path, columns):
+        # csv.writer would quote these fields; the table writer does not.
+        with pytest.raises(ValueError):
+            cli._write_table(tmp_path / "t.csv", columns)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_table_rejects_numpy_scalars(self, tmp_path):
+        # csv writes repr(np.float64(x)), "np.float64(x)".
+        with pytest.raises(TypeError):
+            cli._write_table(tmp_path / "t.csv", {"x": [np.float64(0.5)]})
 
     def test_fourier_solution_csv_round_trips(self, tmp_path):
         code, _, out = run_cli(tmp_path, "solve", "fourier", "--beta", "0.7",
