@@ -259,21 +259,17 @@ class PairCertificates:
     def segment(self, i: int) -> np.ndarray:
         return self.points[self.bounds[i]:self.bounds[i + 1]]
 
-    def diameter(self, i: int) -> float:
-        """Largest pairwise distance of segment i, 0 for a singleton: d(a, b)
-        when the certificate holds, since every pair then lies within
-        2 r(c), which is d(a, b) up to CERTIFICATE_SLACK; else the O(m^2)
-        pairwise scan."""
-        pts = self.segment(i)
-        if len(pts) < 2:
-            return 0.0
-        half = float(self.half[i])
-        if _covers(half, float(self.radius[i])):
-            return 2.0 * half
-        return float(np.max(self.space.pairwise(pts)))
-
     def diameters(self) -> np.ndarray:
-        return np.array([self.diameter(i) for i in range(len(self.half))])
+        """Largest pairwise distance of every segment, 0 for a singleton:
+        d(a, b) where the certificate holds, since every pair then lies
+        within 2 r(c), which is d(a, b) up to CERTIFICATE_SLACK; the O(m^2)
+        pairwise scan only for the segments it does not cover."""
+        sizes = np.diff(self.bounds)
+        out = np.where(sizes < 2, 0.0, 2.0 * self.half)
+        for i in np.flatnonzero((sizes >= 2)
+                                & ~_covers(self.half, self.radius)).tolist():
+            out[i] = np.max(self.space.pairwise(self.segment(i)))
+        return out
 
     def centers(self) -> list[CenterReport]:
         """The certified Chebyshev centre of every segment, as
@@ -631,12 +627,12 @@ def _solve_stack(gram: np.ndarray, rhs: np.ndarray):
 def diameter(B: PointSet) -> float:
     """Largest pairwise distance; 0 for singletons.
 
-    :meth:`PairCertificates.diameter` of the one segment: d(a, b) when the
+    :meth:`PairCertificates.diameters` of the one segment: d(a, b) when the
     two-point certificate holds, without the O(m^2) pairwise scan.
     """
     if len(B) < 2:
         return 0.0
-    return pair_certificates(B.space, B.points).diameter(0)
+    return float(pair_certificates(B.space, B.points).diameters()[0])
 
 
 def midpoint_set(B: PointSet, rel_tol: float = 1e-9) -> PointSet:

@@ -63,14 +63,16 @@ class RotationBase:
         require_finite(x)
         return float((Fraction(x) + k * self._alpha_frac) % 1)
 
-    def orbit(self, x0: float, n: int) -> np.ndarray:
-        """Forward orbit x0, T x0, ..., T^{n-1} x0.
+    def orbit(self, x0: float, n: int, start: int = 0) -> np.ndarray:
+        """Forward orbit T^start x0, ..., T^{start+n-1} x0.
 
-        Accumulation k*alpha is carried in extended precision so 1e6-step
-        orbits stay accurate to ~1e-13.
+        Point k is x0 + k*alpha, carried in extended precision so 1e6-step
+        orbits stay accurate to ~1e-13, and computed from k alone, so a
+        slice from ``start`` equals the same slice of a longer orbit bit
+        for bit.
         """
         require_finite(x0)
-        ks = np.arange(n, dtype=np.longdouble)
+        ks = np.arange(start, start + n).astype(np.longdouble)
         xs = np.mod(np.longdouble(x0) + ks * np.longdouble(self.alpha), 1.0)
         return xs.astype(float)
 
@@ -109,9 +111,12 @@ class ParabolicBase:
         c = np.cos(np.pi * x)
         return float(np.arctan2(s, k * s + c) / np.pi % 1.0)
 
-    def orbit(self, x0: float, n: int) -> np.ndarray:
+    def orbit(self, x0: float, n: int, start: int = 0) -> np.ndarray:
+        """Forward orbit T^start x0, ..., T^{start+n-1} x0; point k is the
+        exact k-th power of the shear applied to x0, so a slice from
+        ``start`` equals the same slice of a longer orbit bit for bit."""
         require_finite(x0)
-        ks = np.arange(n, dtype=float)
+        ks = np.arange(start, start + n).astype(float)
         s = np.sin(np.pi * x0)
         c = np.cos(np.pi * x0)
         return np.arctan2(s, ks * s + c) / np.pi % 1.0

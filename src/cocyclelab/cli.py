@@ -202,7 +202,7 @@ def cmd_center(args) -> dict:
         "bt_center_distance_to_chebyshev": float(
             ps.space.distance(report.center, star)
         ),
-        "diameter": certs.diameter(0),
+        "diameter": float(certs.diameters()[0]),
     }
     if shrink is not None:
         summary["midpoint_shrink"] = {

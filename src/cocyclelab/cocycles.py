@@ -11,11 +11,16 @@ the orbit.  The translation part of I(k, x) is the twisted Birkhoff sum
 
 Isometries are composed as homogeneous matrices [[Psi, rho], [0, 1]], so
 isometry cocycles and matrix cocycles x -> A(x) in GL(n) share one kernel,
-``prefix_products``: every orbit walk reads the left prefix products of
-the generators along the orbit, formed by a chunked, work-efficient scan
-whose products do not depend on how far the orbit is walked.  Shift
-cocycles carry finitely supported coordinate data over the one-sided or
-two-sided coordinate shift.
+``walk_blocks``: every orbit walk reads the left prefix products of the
+generators along the orbit in blocks of WALK_BLOCK steps.  Each block
+makes its stretch of the base orbit and its generators, scans them
+(``prefix_products``, a chunked, work-efficient scan) and carries the
+product of the blocks before by one matrix product; its reader keeps
+what it needs (a norm, the last product, the rows at some steps) and
+drops the block, so a walk holds O(WALK_BLOCK) matrices at any length up
+to ITERATION_CAP.  Block starts are fixed, so the products do not depend
+on how far the orbit is walked.  Shift cocycles carry finitely supported
+coordinate data over the one-sided or two-sided coordinate shift.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import return_times
+from .circle import require_finite, return_times
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -43,6 +48,10 @@ ITERATION_CAP = 10 ** 7
 # per chunk.  Short chunks keep short orbits cheap: a chunk's prefixes are
 # one stacked product per column, so a level costs SCAN_BLOCK calls.
 SCAN_BLOCK = 8
+# Steps per block of an orbit walk (walk_blocks).  Fixed for the same
+# reason as SCAN_BLOCK; a walk holds a few stacks of this many matrices
+# whatever its length.
+WALK_BLOCK = SCAN_BLOCK ** 4
 
 
 @dataclass(frozen=True)
@@ -255,15 +264,22 @@ def prefix_products(gens: np.ndarray) -> np.ndarray:
     from.  Raises NonFinite, naming the first step, when a product is not
     finite: a non-finite generator spreads to every later product, and a
     product overflows (a partial product the scan forms on the way
-    counts).
+    counts).  Orbit walks run this scan on one block at a time
+    (:func:`walk_blocks`).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = _scan(np.asarray(gens, dtype=float))
-    finite = np.isfinite(out)
-    if not finite.all():
-        step = int(np.argmin(finite.all(axis=(1, 2))))
-        raise NonFinite(f"product at step {step} is not finite")
+    _require_finite_products(out, 0)
     return out
+
+
+def _require_finite_products(prods: np.ndarray, first: int) -> None:
+    """Raise NonFinite naming the first product of the stack that is not
+    finite, prods[i] being the product at step first + i."""
+    finite = np.isfinite(prods)
+    if not finite.all():
+        step = first + int(np.argmin(finite.all(axis=(1, 2))))
+        raise NonFinite(f"product at step {step} is not finite")
 
 
 def _scan(gens: np.ndarray) -> np.ndarray:
@@ -306,16 +322,74 @@ def _scan(gens: np.ndarray) -> np.ndarray:
     return buf[:k + 1]
 
 
-def _base_orbit(c, x: float, k: int) -> np.ndarray:
-    """The first k points of the base orbit of x, k <= ITERATION_CAP."""
+def walk_blocks(block, k: int, carry=None):
+    """Walk k steps of an orbit in blocks of at most WALK_BLOCK steps,
+    yielding each block's products for the reader to consume and drop.
+
+    For the block of steps lo < j <= hi, ``block(lo, hi)`` returns its
+    stretch xs = x_lo, ..., x_{hi-1} of the base orbit and the
+    (hi - lo, d, d) stack of generators A_lo, ..., A_{hi-1} there.
+    Yields (lo, xs, prods) with prods[i] = A_{lo+i} ... A_0 C: the product
+    at step lo + i + 1 times the start ``carry`` C, the identity when None.
+
+    A block is one scan of its generators (see :func:`prefix_products`),
+    then one 2-D product of its matrices, stacked as a (m d, d) array, with
+    the carry: the last product of the block before, or C.  Blocks start
+    at multiples of WALK_BLOCK, so the walk is prefix-stable, and a walk of
+    at most WALK_BLOCK steps without C gives prefix_products(gens)[1:] bit
+    for bit.  The walk holds O(WALK_BLOCK) matrices whatever k.  Raises
+    NonFinite naming the step of the first product that is not finite.
+    """
+    for lo in range(0, k, WALK_BLOCK):
+        xs, gens = block(lo, min(lo + WALK_BLOCK, k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = _scan(np.asarray(gens, dtype=float))[1:]
+            if carry is not None:
+                d = prods.shape[-1]
+                prods = (prods.reshape(-1, d) @ carry).reshape(prods.shape)
+        _require_finite_products(prods, lo + 1)
+        carry = prods[-1].copy()
+        yield lo, xs, prods
+
+
+def orbit_products(c, x: float, k: int):
+    """The walk of :func:`walk_blocks` along the base orbit of x, for
+    k <= ITERATION_CAP steps of a cocycle's generators: yields
+    (lo, xs, prods) per block, with xs = T^lo x, ... and
+    prods[i] = A(lo + i + 1, x).  A k < 0 or > ITERATION_CAP raises
+    ConfigInvalid before anything is walked."""
+    if k < 0:
+        raise ConfigInvalid(f"iteration count {k} is negative")
     if k > ITERATION_CAP:
         raise ConfigInvalid(f"iteration count {k} exceeds {ITERATION_CAP}")
-    return c.base.orbit(x, k)
+    require_finite(x)
+
+    def block(lo, hi):
+        xs = c.base.orbit(x, hi - lo, lo)
+        return xs, c.generators_along(xs)
+
+    return walk_blocks(block, k)
 
 
-def orbit_products(c, x: float, k: int) -> np.ndarray:
-    """Prefix products A(j, x), j = 0..k, of a cocycle's generators."""
-    return prefix_products(c.generators_along(_base_orbit(c, x, k)))
+def _order(c) -> int:
+    """Size of the matrices an orbit walk of c multiplies: l + 1 for the
+    homogeneous form of an isometry cocycle of R^l."""
+    return c.dim + 1 if isinstance(c, IsometryCocycle) else c.dim
+
+
+def _products_at(c, x: float, ks) -> np.ndarray:
+    """A(k, x) for every step k of ``ks`` as one stack, A(0, x) = I, from
+    one walk to the largest k that keeps only those rows.  A negative k
+    raises ConfigInvalid."""
+    ks, d = np.asarray(ks, dtype=int), _order(c)
+    if ks.min(initial=0) < 0:
+        raise ConfigInvalid(f"iteration count {int(ks.min())} is negative")
+    out = np.empty((len(ks), d, d))
+    out[ks == 0] = np.identity(d)
+    for lo, _, prods in orbit_products(c, x, int(ks.max(initial=0))):
+        hit = (ks > lo) & (ks <= lo + len(prods))
+        out[hit] = prods[ks[hit] - lo - 1]
+    return out
 
 
 def iterate_skew(c: IsometryCocycle, x: float, v: np.ndarray, k: int):
@@ -323,7 +397,7 @@ def iterate_skew(c: IsometryCocycle, x: float, v: np.ndarray, k: int):
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise NonFinite(f"fibre point v = {v.tolist()} is not finite")
-    last = orbit_products(c, x, k)[-1]
+    last = _products_at(c, x, [k])[0]
     l = c.dim
     v = last[:l, :l] @ v + last[:l, l]
     return c.base.step_n(x, k), v
@@ -331,13 +405,13 @@ def iterate_skew(c: IsometryCocycle, x: float, v: np.ndarray, k: int):
 
 def twisted_birkhoff(c: IsometryCocycle, x: float, k: int) -> np.ndarray:
     """Twisted Birkhoff sum: the translation part of I(k, x)."""
-    return orbit_products(c, x, k)[-1, :c.dim, c.dim].copy()
+    return _products_at(c, x, [k])[0, :c.dim, c.dim]
 
 
 def compose_along_orbit(c: IsometryCocycle, x: float, k: int) -> FiniteIsometry:
-    """Full isometry I(k, x), the last prefix product; its linear part is
-    re-orthonormalized once against rounding drift."""
-    return _isometry(orbit_products(c, x, k)[-1], c.dim)
+    """Full isometry I(k, x), the last product of one walk; its linear part
+    is re-orthonormalized once against rounding drift."""
+    return _isometry(_products_at(c, x, [k])[0], c.dim)
 
 
 def _isometry(product: np.ndarray, l: int) -> FiniteIsometry:
@@ -364,22 +438,30 @@ def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
     boundedness verdict.  A slope needs two points: n < 2 raises
     ConfigInvalid, a non-finite v0 NonFinite.  The report keeps the base
     orbit the products were taken along, for probes of the base itself.
+    The walk's blocks are read into the norms and the orbit and dropped.
     """
     if n < 2:
         raise ConfigInvalid(f"n = {n}: the growth slope needs n >= 2 steps")
     v0 = np.asarray(v0, dtype=float)
     if not np.isfinite(v0).all():
         raise NonFinite(f"fibre point v0 = {v0.tolist()} is not finite")
-    orbit = _base_orbit(c, x0, n)
-    prods = prefix_products(c.generators_along(orbit))
     l = c.dim
-    traj = prods[:, :l, :l] @ v0 + prods[:, :l, l]
-    del prods
-    norms = np.linalg.norm(traj, axis=1)
-    running = np.maximum.accumulate(norms)
-    x = np.log(np.arange(1, n + 1))
+
+    def norms_of(prods):
+        return np.linalg.norm(prods[:, :l, :l] @ v0 + prods[:, :l, l], axis=1)
+
+    walk = orbit_products(c, x0, n)  # checks n before anything is allocated
+    norms, orbit = np.empty(n + 1), np.empty(n)
+    norms[0] = norms_of(np.identity(l + 1)[None])[0]
+    for lo, xs, prods in walk:
+        orbit[lo:lo + len(xs)] = xs
+        norms[lo + 1:lo + 1 + len(prods)] = norms_of(prods)
+    # In place: besides the report, the slope holds two arrays of n floats.
+    y = np.maximum.accumulate(norms)[1:]
+    y -= y.mean()
+    x = np.arange(1, n + 1, dtype=float)
+    np.log(x, out=x)
     x -= x.mean()
-    y = running[1:] - running[1:].mean()
     slope = float(x @ y / (x @ x))
     argmax = int(np.argmax(norms))
     return ProbeReport(
@@ -392,16 +474,17 @@ def recurrence_isometries(c: IsometryCocycle, x: float, delta: float,
                           n: int) -> list[tuple[int, FiniteIsometry]]:
     """Pairs (k, I(k, x)) over the return times d(T^k x, x) < delta.
 
-    One pass along the orbit; an empirical sample of the recurrence
-    semigroup of x.  The orthonormalised linear parts are checked as one
-    stack, and a failure names the return time.
+    One walk along the orbit to the last return time, keeping only the
+    products there; an empirical sample of the recurrence semigroup of x.
+    The orthonormalised linear parts are checked as one stack, and a
+    failure names the return time.
     """
     if n > 10 ** 6:
         raise ConfigInvalid("n exceeds the 1e6 recurrence bound")
     ks = return_times(c.base, x, delta, n)
     if len(ks) == 0:
         return []
-    prods = orbit_products(c, x, int(ks[-1]))[ks]
+    prods = _products_at(c, x, ks)
     l = c.dim
     linears = gram_schmidt(prods[:, :l, :l])
     _require_orthogonal(linears, "return k =", ks)
@@ -434,9 +517,10 @@ def semigroup_closure_check(c: IsometryCocycle, x: float,
     distortion of the metric over the sampled family (C = 1 + max
     translation norm, measured, not assumed).
 
-    I(k1 + k2, x) and I(k1, T^k2 x) are read as prefixes of one walk from
-    x and one walk from each T^k2 x, which gives the same bits as a walk
-    per pair, because the scan is prefix-stable.
+    I(k1 + k2, x) and I(k1, T^k2 x) are read from one walk from x and one
+    walk from each T^k2 x, each keeping only the products the pairs read;
+    they are the same bits as a walk per pair, because the walk is
+    prefix-stable.
     """
     if max_pairs < 1:
         raise ConfigInvalid(f"max_pairs = {max_pairs} must be >= 1")
@@ -447,16 +531,16 @@ def semigroup_closure_check(c: IsometryCocycle, x: float,
     m = min(max_pairs, len(sample))
     pairs = [(sample[a], sample[b]) for a in range(m) for b in range(a, m)]
     l = c.dim
-    direct = orbit_products(c, x, max(k1 + k2 for (k1, _), (k2, _) in pairs))
-    reach = {}
+    direct = _products_at(c, x, [k1 + k2 for (k1, _), (k2, _) in pairs])
+    reads: dict[int, list] = {}
     for (k1, _), (k2, _) in pairs:
-        reach[k2] = max(k1, reach.get(k2, 0))
-    shifted = {k2: orbit_products(c, c.base.step_n(x, k2), k1)
-               for k2, k1 in reach.items()}
+        reads.setdefault(k2, []).append(k1)
+    shifted = {k2: dict(zip(k1s, _products_at(c, c.base.step_n(x, k2), k1s)))
+               for k2, k1s in reads.items()}
     checks = []
-    for (k1, i1), (k2, i2) in pairs:
+    for ((k1, i1), (k2, i2)), product in zip(pairs, direct):
         eps = _isometry(shifted[k2][k1], l).distance_to(i1)
-        dev = _isometry(direct[k1 + k2], l).distance_to(i1.compose(i2))
+        dev = _isometry(product, l).distance_to(i1.compose(i2))
         bound = (2.0 + c_const) * eps + 1e-9
         checks.append(SemigroupPairCheck(
             k1=k1, k2=k2, deviation=dev, continuity_eps=eps,
@@ -505,23 +589,31 @@ class MatrixProductReport:
 def matrix_products(c: MatrixCocycle, x: float, k: int) -> MatrixProductReport:
     """Left product A(T^{k-1} x) ... A(x), with the maxima of the norm, the
     inverse norm and the condition number over the products of steps
-    1..k (of the identity alone when k = 0), from one stacked SVD.
+    1..k (of the identity alone when k = 0), from one stacked SVD a block.
 
     Products are left raw (no re-orthogonalization): drift and
     conditioning of the raw products are themselves diagnostics.
     """
-    prods = orbit_products(c, x, k)
-    sv = np.linalg.svd(prods[1:] if k else prods, compute_uv=False)
+    product, maxima = np.identity(c.dim), []
+    for lo, _, prods in orbit_products(c, x, k):
+        maxima.append(_singular_maxima(prods, lo + 1))
+        product = prods[-1].copy()
+    top = np.max(maxima or [_singular_maxima(product[None], 0)], axis=0)
+    return MatrixProductReport(product, *map(float, top))
+
+
+def _singular_maxima(prods: np.ndarray, first: int) -> tuple:
+    """(max norm, max inverse norm, max condition number) over a stack of
+    products, prods[i] at step first + i; SingularMatrix names the first
+    singular step."""
+    sv = np.linalg.svd(prods, compute_uv=False)
     smax, smin = sv[:, 0], sv[:, -1]
     singular = smin <= 0.0
     if singular.any():
         raise SingularMatrix(
-            f"product singular at step {int(np.argmax(singular)) + 1}"
+            f"product singular at step {first + int(np.argmax(singular))}"
         )
-    return MatrixProductReport(
-        prods[-1].copy(), float(smax.max()), float((1.0 / smin).max()),
-        float((smax / smin).max()),
-    )
+    return smax.max(), (1.0 / smin).max(), (smax / smin).max()
 
 
 # -- shift cocycles ----------------------------------------------------------

@@ -11,7 +11,11 @@ is from the orthogonal group.  The conformal variant runs the same
 construction on the det-1 slice with the normalized congruence action
 and reports the defect of lambda(x) A~(x) instead.
 
-The buckets are slices of one array sorted by cell.  One segmented pair
+The fiber is walked in blocks (:func:`~cocyclelab.cocycles.walk_blocks`):
+the base orbit is binned and sorted by cell first, and each block's fiber
+points go straight to their cell-sorted slots, so the pipeline holds the
+samples and one block, not full-length stacks of generators and products.
+The buckets are slices of that one array sorted by cell.  One segmented pair
 certificate (:func:`~cocyclelab.centers.pair_certificates`), three
 distance scans over all cells per pass, is computed once in
 :func:`sample_fibers` and kept on the buckets: it gives every cell's
@@ -41,7 +45,7 @@ import numpy as np
 from . import spd
 from .centers import PairCertificates, SPDSpace, pair_certificates
 from .circle import is_dense
-from .cocycles import MatrixCocycle, _batch, _require_orthogonal, prefix_products
+from .cocycles import MatrixCocycle, _batch, _require_orthogonal, walk_blocks
 from .errors import (
     ConfigInvalid,
     EmptyCell,
@@ -80,7 +84,9 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
     projectors of S0 (see ``presets._exp_family``), so the products and
     the inverse take most of that time.  Along an orbit B(T x_k) =
     B(x_{k+1}), but the generators are not told that their points form
-    one, so both B stacks are evaluated.
+    one, so both B stacks are evaluated.  Orbit walks ask for the
+    generators one block of at most WALK_BLOCK points at a time, so these
+    stacks are block-sized whatever the orbit's length.
     """
     def stack(batch, single, xs):
         if batch is not None:
@@ -144,15 +150,17 @@ class FiberBuckets:
         return float(self.diameters.max() - self.diameters.min())
 
 
-def _unit_det_generators(gens: np.ndarray) -> np.ndarray:
+def _unit_det_generators(gens: np.ndarray, first: int) -> np.ndarray:
     """Each generator scaled to |det A| = 1; the normalized congruence
-    action of the conformal pipeline ignores the scale."""
+    action of the conformal pipeline ignores the scale.  gens[k] is
+    generator first + k, as a SingularMatrix error names it."""
     dets = np.abs(spd.det(gens))
     singular = dets <= spd.SINGULAR_TOL
     if singular.any():
         k = int(np.argmax(singular))
         raise SingularMatrix(
-            f"generator {k}: |det A| = {dets[k]:.3e} <= {spd.SINGULAR_TOL:g}"
+            f"generator {first + k}: |det A| = {dets[k]:.3e} <= "
+            f"{spd.SINGULAR_TOL:g}"
         )
     return gens / (dets ** (1.0 / gens.shape[-1]))[:, None, None]
 
@@ -163,12 +171,16 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
 
     The fiber moves by the congruence action (det-normalized when
     ``conformal``); every visited pair (x_k, P_k) lands in the cell of
-    x_k.  The samples are sorted by cell once, ``cell_points`` are slices
-    of that array, and one segmented pair certificate of all cells, kept
-    as ``certificates``, gives the diameters.  The base orbit is computed
-    once; its first DENSITY_PROBE_STEPS points must be 1/cells-dense.
-    Raises EmptyCell when they are not or when some cell stays empty,
-    which is also the honest failure mode for non-minimal bases.
+    x_k.  The base orbit is computed once; its first DENSITY_PROBE_STEPS
+    points must be 1/cells-dense.  It is binned and sorted by cell first;
+    then one block walk (:func:`~cocyclelab.cocycles.walk_blocks`) makes
+    the fibre points a block at a time and writes each straight into its
+    cell-sorted slot, so no full-length stack of generators or products is
+    held.  ``cell_points`` are slices of that one array, and one segmented
+    pair certificate of all cells, kept as ``certificates``, gives the
+    diameters.  Raises EmptyCell when the orbit fails the density probe or
+    some cell stays empty, which is also the honest failure mode for
+    non-minimal bases.
     """
     if cells < 1:
         raise ConfigInvalid(f"cells = {cells} must be >= 1")
@@ -186,33 +198,43 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
             "orbit fails the cell-scale density probe; the base is not "
             "minimal at this resolution"
         )
-    n = c.dim
-    # P_k = A(k, x0) v0 A(k, x0)^T = W_k W_k^T with W_k = A(k, x0) chol(v0),
-    # for k < steps: the generator at the last sample is never applied.
-    gens = c.generators_along(xs[:-1])
-    if conformal:
-        gens = _unit_det_generators(gens)
-    w = prefix_products(gens)
-    del gens
-    w = w @ np.linalg.cholesky(v0)
-    # A contiguous copy of the transpose keeps the stacked matmul off its
-    # strided loop; the products are the same bits.
-    points = w @ np.ascontiguousarray(w.transpose(0, 2, 1))
-    del w
-    points += points.transpose(0, 2, 1)
-    points *= 0.5
-    if conformal:
-        points = spd._renormalize_det(points)
-
-    idx = np.minimum((xs * cells).astype(int), cells - 1)
+    # Cell indices in the smallest unsigned type that holds them: a stable
+    # argsort of 8- or 16-bit keys is a radix sort, the same order as on
+    # the ints and ~6x faster on 38,400 samples.
+    idx = np.minimum((xs * cells).astype(int), cells - 1).astype(
+        np.min_scalar_type(cells - 1))
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(cells + 1))
     counts = np.diff(bounds)
     if not counts.all():
         raise EmptyCell(f"cell {int(np.argmin(counts))} of {cells} "
                         f"received no samples")
-    points = points[order]
-    certificates = pair_certificates(SPDSpace(n), points, bounds)
+    # slot[k] is the place of sample k in cell order.
+    slot = np.empty(steps, dtype=np.intp)
+    slot[order] = np.arange(steps)
+    del idx, order
+
+    def congruence(w):
+        """The points W W^T, symmetrized, of a stack of W."""
+        # A contiguous copy of the transpose keeps the stacked matmul off
+        # its strided loop; the products are the same bits.
+        p = w @ np.ascontiguousarray(w.transpose(0, 2, 1))
+        p += p.transpose(0, 2, 1)
+        p *= 0.5
+        return spd._renormalize_det(p) if conformal else p
+
+    def block(lo, hi):
+        gens = c.generators_along(xs[lo:hi])
+        return xs[lo:hi], _unit_det_generators(gens, lo) if conformal else gens
+
+    # P_k = A(k, x0) v0 A(k, x0)^T = W_k W_k^T with W_k = A(k, x0) chol(v0),
+    # for k < steps: the generator at the last sample is never applied.
+    chol = np.linalg.cholesky(v0)
+    points = np.empty((steps, c.dim, c.dim))
+    points[slot[0]] = congruence(chol[None])[0]
+    for lo, _, w in walk_blocks(block, steps - 1, carry=chol):
+        points[slot[lo + 1:lo + 1 + len(w)]] = congruence(w)
+    certificates = pair_certificates(SPDSpace(c.dim), points, bounds)
     return FiberBuckets(
         cocycle=c, conformal=conformal, cells=cells, steps=steps, x0=x0,
         cell_points=[points[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],

@@ -11,12 +11,13 @@ time, against the stacked paths of the reduction.
 import itertools
 import random
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from cocyclelab import spd
+from cocyclelab import cocycles, spd
 
 sys.setrecursionlimit(10000)
 
@@ -231,6 +232,13 @@ def sequential_prefix_products(gens):
     return np.array(out)
 
 
+def walked_products(c, x, k):
+    """The products A(j, x), j = 0..k, of one block walk along the orbit of
+    x, as one (k + 1, d, d) stack."""
+    blocks = [prods for _, _, prods in cocycles.orbit_products(c, x, k)]
+    return np.concatenate([np.identity(cocycles._order(c))[None]] + blocks)
+
+
 def sequential_congruence_orbit(gens, p0, conformal):
     """P_0 = p0 and P_{k+1} = A_k P_k A_k^T, symmetrized, and rescaled to
     det 1 when ``conformal``: the points P_0 .. P_k."""
@@ -250,3 +258,19 @@ def sequential_skew_orbit(linears, translations, v0):
     for psi, rho in zip(linears, translations):
         out.append(psi @ out[-1] + rho)
     return np.array(out)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes above the starting level that tracemalloc sees while fn
+    runs; NumPy reports its array buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()

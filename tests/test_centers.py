@@ -534,6 +534,28 @@ class TestPairCertificates:
         assert_matches_one_segment_calls(
             space, list(ragged_segments(rng, space, sizes)))
 
+    @pytest.mark.parametrize("space", [EuclideanSpace(3), SPDSpace(2)],
+                             ids=lambda space: space.name)
+    def test_diameters_match_per_segment_loop(self, rng, space):
+        # Reference: one segment at a time, 2 d(a, b)/2 where the
+        # certificate covers the segment, else the largest pairwise distance.
+        sizes = (3, 300, 1, 2, 300, 1, 3, 40)
+        cert = pair_certificates(
+            space, *stacked(list(ragged_segments(rng, space, sizes))))
+        want = []
+        for i, m in enumerate(sizes):
+            half, radius = float(cert.half[i]), float(cert.radius[i])
+            if m < 2:
+                want.append(0.0)
+            elif centers._covers(half, radius):
+                want.append(2.0 * half)
+            else:
+                want.append(float(np.max(space.pairwise(cert.segment(i)))))
+        covered = centers._covers(cert.half, cert.radius)
+        assert covered[np.array(sizes) > 2].any()
+        assert not covered[np.array(sizes) > 2].all()
+        assert cert.diameters().tolist() == want
+
     def test_ties_take_the_first_index(self):
         # From 0, the points 1 and -1 tie at distance 1, so a = 1; from 1
         # the two copies of -1 tie, so b = 2.

@@ -63,6 +63,17 @@ class TestRotation:
         for k in (0, 1, 999, 1999):
             assert circle_distance(orbit[k], base.step_n(0.37, k)) <= 1e-12
 
+    @pytest.mark.parametrize("base", [RotationBase(GOLDEN_MEAN), ParabolicBase()],
+                             ids=repr)
+    def test_orbit_slices_equal_the_full_orbit(self, base):
+        # Walk blocks start at multiples of 4096; every slice is the same
+        # bits as the full orbit's.
+        full = base.orbit(0.37, 3 * 4096 + 5)
+        for start, n in ((0, 1), (0, 4096), (4095, 2), (4096, 4096),
+                         (8192, 4096 + 5), (12000, 0)):
+            assert np.array_equal(base.orbit(0.37, n, start),
+                                  full[start:start + n])
+
     def test_long_orbit_accuracy(self):
         base = RotationBase(GOLDEN_MEAN)
         orbit = base.orbit(0.1, 10 ** 6)

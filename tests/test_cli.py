@@ -436,16 +436,19 @@ class TestOtherCommands:
     def test_demo_counterexample_builds_one_base_orbit(self, tmp_path,
                                                        monkeypatch):
         # The minimality probe reads the first 1e5 points of the orbit the
-        # boundedness probe walked; the base orbit is built once.
-        lengths = []
+        # boundedness probe walked; the base orbit is built once, one
+        # walk block after the other.
+        stretches = []
         base = type(jump_cascade().base)
         orbit = base.orbit
-        monkeypatch.setattr(base, "orbit", lambda self, x0, n: (
-            lengths.append(n) or orbit(self, x0, n)))
+        monkeypatch.setattr(base, "orbit", lambda self, x0, n, start=0: (
+            stretches.append((start, n)) or orbit(self, x0, n, start)))
         code, summary, _ = run_cli(tmp_path, "demo-counterexample",
                                    "--steps", "120000")
         assert code == 0 and not summary["base_minimal_probe"]
-        assert lengths == [120000]
+        starts = [lo for lo, _ in stretches]
+        ends = [lo + n for lo, n in stretches]
+        assert starts == [0] + ends[:-1] and ends[-1] == 120000
 
     def test_recurrence(self, tmp_path):
         code, summary, out = run_cli(

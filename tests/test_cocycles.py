@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cocyclelab import cocycles
-from cocyclelab.circle import is_dense, minimality_probe
+from cocyclelab.circle import is_dense, minimality_probe, return_times
 from cocyclelab.cocycles import (
+    ITERATION_CAP,
     SCAN_BLOCK,
+    WALK_BLOCK,
     FiniteIsometry,
     GridIsometryTable,
     IsometryCocycle,
@@ -24,6 +26,7 @@ from cocyclelab.cocycles import (
     semigroup_closure_check,
     shift_twisted_sum,
     twisted_birkhoff,
+    walk_blocks,
 )
 from cocyclelab.errors import (
     ConfigInvalid,
@@ -46,6 +49,8 @@ from conftest import (
     constant_generators,
     sequential_prefix_products,
     sequential_skew_orbit,
+    traced_peak,
+    walked_products,
 )
 
 
@@ -231,6 +236,127 @@ def skew_parts(kind, rng):
         translation_batch_fn=lambda xs: np.array([rho(x) for x in xs]),
     )
     return c, (lambda x: psi), rho
+
+
+def scaled_rotation_cocycle():
+    """A 2x2 matrix cocycle over the golden rotation: the rotation by 2 pi x
+    scaled by exp(0.05 sin 2 pi x), whose products stay bounded."""
+    def generators(xs):
+        t = 2 * np.pi * np.asarray(xs)
+        c, s = np.cos(t), np.sin(t)
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        return rot * np.exp(0.05 * s)[:, None, None]
+
+    return MatrixCocycle(golden_rotation(), 2, generators)
+
+
+WALK_COCYCLES = {
+    "matrix-2x2": scaled_rotation_cocycle,
+    "rotation-translation": lambda: rotation_translation_cocycle(
+        golden_rotation(), 0.9, TrigPoly.random(2, np.random.default_rng(3), 0.3)),
+    "jump-cascade": lambda: jump_cascade().cocycle,
+}
+# Walk lengths at the block boundaries: inside the first block, exactly
+# one block, one step into the second, and a partial fourth block.
+WALK_LENGTHS = [1, WALK_BLOCK - 1, WALK_BLOCK, WALK_BLOCK + 1,
+                3 * WALK_BLOCK + 5]
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("name", list(WALK_COCYCLES))
+    @pytest.mark.parametrize("k", WALK_LENGTHS)
+    def test_blocks_against_one_scan(self, name, k):
+        c = WALK_COCYCLES[name]()
+        x0 = 0.3
+        xs = c.base.orbit(x0, k)
+        gens = c.generators_along(xs)
+        blocks = list(orbit_products(c, x0, k))
+        assert [lo for lo, _, _ in blocks] == list(range(0, k, WALK_BLOCK))
+        assert all(len(p) == len(b) <= WALK_BLOCK for _, b, p in blocks)
+        assert np.array_equal(np.concatenate([b for _, b, _ in blocks]), xs)
+        got = walked_products(c, x0, k)
+        if k <= WALK_BLOCK:
+            # One block is the one scan, bit for bit.
+            assert np.array_equal(got, prefix_products(gens))
+        want = sequential_prefix_products(gens)
+        err = np.abs(got - want).max(axis=(1, 2))
+        scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1.0)
+        assert np.all(err <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", list(WALK_COCYCLES))
+    def test_readers_keep_the_walk_bits(self, name):
+        c = WALK_COCYCLES[name]()
+        k = 3 * WALK_BLOCK + 5
+        prods = walked_products(c, 0.3, k)
+        if isinstance(c, MatrixCocycle):
+            rep = matrix_products(c, 0.3, k)
+            assert np.array_equal(rep.product, prods[-1])
+            sv = np.linalg.svd(prods[1:], compute_uv=False)
+            assert rep.max_norm == sv[:, 0].max()
+            assert rep.max_condition == (sv[:, 0] / sv[:, -1]).max()
+            return
+        l = c.dim
+        assert np.array_equal(twisted_birkhoff(c, 0.3, k), prods[-1, :l, l])
+        v0 = np.full(l, 0.5)
+        _, v = iterate_skew(c, 0.3, v0, k)
+        assert np.array_equal(v, prods[-1, :l, :l] @ v0 + prods[-1, :l, l])
+        probe = boundedness_probe(c, 0.3, v0, k)
+        norms = np.linalg.norm(prods[:, :l, :l] @ v0 + prods[:, :l, l], axis=1)
+        assert np.array_equal(probe.norms, norms)
+        assert np.array_equal(probe.orbit, c.base.orbit(0.3, k))
+
+    def test_non_finite_generator_in_third_block(self):
+        # Generator j = 2 WALK_BLOCK + 77 is NaN, so the product at step
+        # j + 1 is the first that is not finite; two blocks are read first.
+        j = 2 * WALK_BLOCK + 77
+        bad = golden_rotation().orbit(0.3, 1, j)[0]
+        inner = scaled_rotation_cocycle()._generators
+
+        def generators(xs):
+            return np.where((xs == bad)[:, None, None], np.nan, inner(xs))
+
+        c = MatrixCocycle(golden_rotation(), 2, generators)
+        walk = orbit_products(c, 0.3, 3 * WALK_BLOCK + 5)
+        assert [lo for lo, _, _ in (next(walk), next(walk))] == [0, WALK_BLOCK]
+        with pytest.raises(NonFinite, match=rf"product at step {j + 1} is"):
+            next(walk)
+        with pytest.raises(NonFinite, match=rf"product at step {j + 1} is"):
+            matrix_products(c, 0.3, 3 * WALK_BLOCK + 5)
+
+    def test_start_carry_multiplies_every_product(self, rng):
+        gens = scan_generators(rng, WALK_BLOCK + 9, "3")
+        carry = scan_generators(rng, 1, "3")[0]
+
+        def block(lo, hi):
+            return np.arange(lo, hi), gens[lo:hi]
+
+        got = np.concatenate([p for _, _, p in walk_blocks(
+            block, len(gens), carry)])
+        want = sequential_prefix_products(gens)[1:] @ carry
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_iteration_cap(self):
+        c = WALK_COCYCLES["rotation-translation"]()
+        with pytest.raises(ConfigInvalid, match="exceeds"):
+            orbit_products(c, 0.3, ITERATION_CAP + 1)
+
+    @pytest.mark.parametrize("read", [
+        lambda c, k: list(orbit_products(c, 0.3, k)),
+        lambda c, k: twisted_birkhoff(c, 0.3, k),
+        lambda c, k: iterate_skew(c, 0.3, np.zeros(2), k),
+        lambda c, k: compose_along_orbit(c, 0.3, k),
+    ], ids=["orbit_products", "twisted_birkhoff", "iterate_skew",
+            "compose_along_orbit"])
+    def test_negative_steps_rejected(self, read):
+        c = WALK_COCYCLES["rotation-translation"]()
+        with pytest.raises(ConfigInvalid, match="-1 is negative"):
+            read(c, -1)
+
+    def test_memory_stays_at_block_size(self):
+        # 10^6 steps hold a few blocks of 4096 3x3 matrices, not the
+        # 10^6 + 1 products (~72 MB) of one stack.
+        c = WALK_COCYCLES["rotation-translation"]()
+        assert traced_peak(lambda: twisted_birkhoff(c, 0.3, 10 ** 6)) < 16e6
 
 
 class TestAgainstSequentialLoop:
@@ -451,6 +577,21 @@ class TestRecurrence:
         for _, iso in sample:
             assert iso.distance_to(FiniteIsometry.identity(2)) <= 1e-10
 
+    def test_returns_across_block_starts(self, rng):
+        # delta = 0.51 > 1/2 makes every step a return, the block starts
+        # included.
+        c = rotation_translation_cocycle(
+            golden_rotation(), 0.9, TrigPoly.random(2, rng, 0.3)
+        )
+        n = 3 * WALK_BLOCK + 5
+        prods = walked_products(c, 0.1, n)
+        sample = recurrence_isometries(c, 0.1, 0.51, n)
+        ks = [k for k, _ in sample]
+        assert ks == return_times(c.base, 0.1, 0.51, n).tolist()
+        assert ks == list(range(1, n + 1))
+        for k, iso in sample:
+            assert np.array_equal(iso.translation, prods[k, :2, 2])
+
     def test_semigroup_closure(self, rng):
         c = rotation_translation_cocycle(
             golden_rotation(), 0.9, TrigPoly.random(2, rng, 0.3)
@@ -523,7 +664,7 @@ class TestRecurrence:
             golden_rotation(), 0.9, TrigPoly.random(2, rng, 0.3)
         )
         sample = recurrence_isometries(c, 0.1, 0.02, 30_000)
-        prods = orbit_products(c, 0.1, sample[-1][0])
+        prods = walked_products(c, 0.1, sample[-1][0])
         for k, iso in sample:
             want = loop_gram_schmidt(prods[k, :2, :2])
             assert np.max(np.abs(iso.linear - want)) <= 1e-12

@@ -7,7 +7,7 @@ import pytest
 from cocyclelab import centers, presets, spd
 from cocyclelab.centers import PointSet, SPDSpace, chebyshev_center
 from cocyclelab.circle import ParabolicBase
-from cocyclelab.cocycles import MatrixCocycle, matrix_products
+from cocyclelab.cocycles import WALK_BLOCK, MatrixCocycle, matrix_products
 from cocyclelab.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -41,6 +41,7 @@ from conftest import (
     reference_invariance_residual,
     reference_oracle_distances,
     sequential_congruence_orbit,
+    traced_peak,
 )
 
 
@@ -201,6 +202,30 @@ class TestSampleFibers:
         if conformal:
             # Renormalized once: no determinant drift along the orbit.
             assert np.abs(np.linalg.det(got) - 1.0).max() <= 5e-15
+
+    def test_cell_order_is_the_stable_order_of_the_steps(self):
+        # P_k = diag(l^2k, l^-2k): the first entry grows with k, so its
+        # rank among all samples is the step of each sample.  Cell order
+        # lists the steps of each cell in ascending order, across walk
+        # blocks, as a stable sort of the cell indices does.
+        lam = 1.0001
+        c = constant_cocycle(np.diag([lam, 1.0 / lam]))
+        x0, steps, cells = 0.2, 3 * WALK_BLOCK + 5, 64
+        fb = sample_fibers(c, x0, np.eye(2), steps, cells)
+        first = np.concatenate(fb.cell_points)[:, 0, 0]
+        step_of = np.argsort(np.argsort(first))
+        xs = c.base.orbit(x0, steps)
+        cell = np.minimum((xs * cells).astype(int), cells - 1)
+        assert np.array_equal(step_of, np.argsort(cell, kind="stable"))
+        want = lam ** (2.0 * np.arange(steps))
+        assert np.allclose(np.sort(first), want, rtol=1e-12, atol=0.0)
+
+    def test_memory_is_the_samples_and_one_block(self):
+        # 38,400 samples of Pos(2) take 1.2 MB; the walk adds a few blocks
+        # of 4096 matrices, no full-length stack of generators or products.
+        c = coboundary_cocycle()
+        v0 = c.oracle_section(0.2)
+        assert traced_peak(lambda: sample_fibers(c, 0.2, v0, 38_400, 128)) < 4e6
 
     def test_singular_conformal_generator_rejected(self):
         c = constant_cocycle(np.diag([1.0, 1e-13]))
