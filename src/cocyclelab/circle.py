@@ -2,7 +2,9 @@
 deliberately non-minimal parabolic map.
 
 Points are mod-1 representatives; the metric is the wrap-around distance
-d(x, y) = min(|x - y|, 1 - |x - y|).
+d(x, y) = min(|x - y|, 1 - |x - y|).  Each map has one array formula for
+T^k x, ``_power``; ``orbit``, ``step_n``, ``step_many`` and ``step`` all
+read it, so they give the same bits for the same (x, k).
 """
 
 from __future__ import annotations
@@ -19,11 +21,18 @@ GOLDEN_MEAN = (np.sqrt(5.0) - 1.0) / 2.0
 # rational, hence that the rotation is minimal for all practical horizons.
 MINIMALITY_DENOMINATOR = 10 ** 6
 
+# Largest |k| of an iterate T^k x.  The rotation splits alpha exactly into
+# H / ALPHA_SPLIT + lo, an integer H <= 2^32 and |lo| <= 2^-33, so k H < 2^62
+# is exact int64 arithmetic for |k| <= MAX_STEPS.
+MAX_STEPS = 10 ** 9
+ALPHA_SPLIT = 2 ** 32
 
-def require_finite(x: float):
-    """Raise NonFinite unless the base point x is finite."""
+
+def require_finite(x: float) -> float:
+    """Return the base point x; raise NonFinite unless it is finite."""
     if not np.isfinite(x):
         raise NonFinite(f"base point x = {x!r} is not finite")
+    return x
 
 
 def circle_distance(x, y):
@@ -32,11 +41,37 @@ def circle_distance(x, y):
     return np.minimum(d, 1.0 - d)
 
 
-class RotationBase:
+def _steps(start: int, n: int = 1) -> np.ndarray:
+    """The int64 step counts start, ..., start + n - 1, each |k| <= 1e9."""
+    if n > 0 and max(abs(start), abs(start + n - 1)) > MAX_STEPS:
+        raise ConfigInvalid("|k| exceeds the 1e9 iteration bound")
+    return np.arange(start, start + n, dtype=np.int64)
+
+
+class _CircleMap:
+    """A circle map given by its formula ``_power(x, k)`` for T^k x; each
+    subclass defines ``orbit``, where ``perfbench/spans.py`` looks it up."""
+
+    def step(self, x: float) -> float:
+        return self.step_n(x, 1)
+
+    def step_n(self, x: float, k: int) -> float:
+        """T^k x of one finite point, for |k| <= 1e9."""
+        return float(self._power(require_finite(x), _steps(k)[0]))
+
+    def step_many(self, xs: np.ndarray, k: int = 1) -> np.ndarray:
+        """T^k of an array of points, for |k| <= 1e9."""
+        return self._power(np.asarray(xs, dtype=float), _steps(k)[0])
+
+
+class RotationBase(_CircleMap):
     """Rigid rotation x -> x + alpha (mod 1)."""
 
     def __init__(self, alpha: float, minimal: bool = True):
-        alpha = float(alpha) % 1.0
+        alpha = float(alpha)
+        if not np.isfinite(alpha):
+            raise NonFinite(f"rotation angle alpha = {alpha!r} is not finite")
+        alpha %= 1.0
         if minimal:
             frac = Fraction(alpha).limit_denominator(MINIMALITY_DENOMINATOR)
             if frac == Fraction(alpha):
@@ -47,47 +82,28 @@ class RotationBase:
                 )
         self.alpha = alpha
         self.minimal = minimal
-        self._alpha_frac = Fraction(alpha)
+        self._turns = round(alpha * ALPHA_SPLIT)
+        self._lo = alpha - self._turns / ALPHA_SPLIT
 
-    def step(self, x: float) -> float:
-        return (x + self.alpha) % 1.0
-
-    def step_n(self, x: float, k: int) -> float:
-        """k-th iterate, exact: x + k*alpha is reduced in rational arithmetic.
-
-        The float inputs are themselves dyadic rationals, so the reduction
-        mod 1 is exact and only the final conversion rounds.
-        """
-        if abs(k) > 10 ** 9:
-            raise ConfigInvalid("|k| exceeds the 1e9 iteration bound")
-        require_finite(x)
-        return float((Fraction(x) + k * self._alpha_frac) % 1)
+    def _power(self, x, k):
+        """T^k x = (x mod 1 + (frac(k H / 2^32) + k lo)) mod 1: the frac is
+        exact and |k lo| < 0.12, so the product and the two sums round to
+        within 3.4e-16 of the exact x + k alpha mod 1."""
+        turn = k * self._turns % ALPHA_SPLIT / ALPHA_SPLIT
+        return np.mod(np.mod(x, 1.0) + (turn + k * self._lo), 1.0)
 
     def orbit(self, x0: float, n: int, start: int = 0) -> np.ndarray:
-        """Forward orbit T^start x0, ..., T^{start+n-1} x0.
-
-        Point k is x0 + k*alpha, carried in extended precision so 1e6-step
-        orbits stay accurate to ~1e-13, and computed from k alone, so a
-        slice from ``start`` equals the same slice of a longer orbit bit
-        for bit.
-        """
-        require_finite(x0)
-        ks = np.arange(start, start + n).astype(np.longdouble)
-        xs = np.mod(np.longdouble(x0) + ks * np.longdouble(self.alpha), 1.0)
-        return xs.astype(float)
-
-    def step_many(self, xs: np.ndarray, k: int = 1) -> np.ndarray:
-        """k-th iterate of an array of points."""
-        return np.mod(np.asarray(xs, dtype=float) + k * self.alpha, 1.0)
+        """T^k x0 for k = start, ..., start + n - 1, as step_n gives them."""
+        return self._power(require_finite(x0), _steps(start, n))
 
     def descriptor(self) -> dict:
-        return {"type": "rotation", "alpha": self.alpha}
+        return dict(type="rotation", alpha=self.alpha, minimal=self.minimal)
 
     def __repr__(self):
         return f"RotationBase(alpha={self.alpha!r})"
 
 
-class ParabolicBase:
+class ParabolicBase(_CircleMap):
     """Projective action of the unimodular shear [[1, 0], [1, 1]] on the circle.
 
     Chart: x in [0, 1) corresponds to the projective direction of angle
@@ -99,33 +115,16 @@ class ParabolicBase:
 
     fixed_point = 0.0
 
-    def step(self, x: float) -> float:
-        return self.step_n(x, 1)
-
-    def step_n(self, x: float, k: int) -> float:
-        if abs(k) > 10 ** 9:
-            raise ConfigInvalid("|k| exceeds the 1e9 iteration bound")
+    def _power(self, x, k):
         # Homogeneous coordinates (sin pi x : cos pi x); the k-th power of
         # the shear is [[1, 0], [k, 1]], exact in float for |k| < 2^53.
         s = np.sin(np.pi * x)
         c = np.cos(np.pi * x)
-        return float(np.arctan2(s, k * s + c) / np.pi % 1.0)
+        return np.arctan2(s, k * s + c) / np.pi % 1.0
 
     def orbit(self, x0: float, n: int, start: int = 0) -> np.ndarray:
-        """Forward orbit T^start x0, ..., T^{start+n-1} x0; point k is the
-        exact k-th power of the shear applied to x0, so a slice from
-        ``start`` equals the same slice of a longer orbit bit for bit."""
-        require_finite(x0)
-        ks = np.arange(start, start + n).astype(float)
-        s = np.sin(np.pi * x0)
-        c = np.cos(np.pi * x0)
-        return np.arctan2(s, ks * s + c) / np.pi % 1.0
-
-    def step_many(self, xs: np.ndarray, k: int = 1) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        s = np.sin(np.pi * xs)
-        c = np.cos(np.pi * xs)
-        return np.arctan2(s, k * s + c) / np.pi % 1.0
+        """T^k x0 for k = start, ..., start + n - 1, as step_n gives them."""
+        return self._power(require_finite(x0), _steps(start, n))
 
     def descriptor(self) -> dict:
         return {"type": "parabolic"}
@@ -141,7 +140,11 @@ def base_from_descriptor(desc: dict):
         alpha = desc.get("alpha", "golden")
         if alpha == "golden":
             alpha = GOLDEN_MEAN
-        return RotationBase(float(alpha), minimal=desc.get("minimal", True))
+        try:
+            alpha = float(alpha)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"alpha = {alpha!r} is not a number") from exc
+        return RotationBase(alpha, minimal=desc.get("minimal", True))
     if kind == "parabolic":
         return ParabolicBase()
     raise ConfigInvalid(f"unknown base descriptor {desc!r}")

@@ -44,8 +44,8 @@ import numpy as np
 
 from . import spd
 from .centers import PairCertificates, SPDSpace, pair_certificates
-from .circle import is_dense
-from .cocycles import MatrixCocycle, _batch, _require_orthogonal, walk_blocks
+from .cocycles import (ITERATION_CAP, MatrixCocycle, _batch,
+                       _require_orthogonal, walk_blocks)
 from .errors import (
     ConfigInvalid,
     EmptyCell,
@@ -55,8 +55,6 @@ from .solvers import Section
 
 ORTHOGONALITY_SAMPLE = 64
 OCCUPANCY_FACTOR = 50
-# Orbit points of the cell-scale density probe in sample_fibers.
-DENSITY_PROBE_STEPS = 10 ** 5
 
 
 def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
@@ -171,16 +169,16 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
 
     The fiber moves by the congruence action (det-normalized when
     ``conformal``); every visited pair (x_k, P_k) lands in the cell of
-    x_k.  The base orbit is computed once; its first DENSITY_PROBE_STEPS
-    points must be 1/cells-dense.  It is binned and sorted by cell first;
-    then one block walk (:func:`~cocyclelab.cocycles.walk_blocks`) makes
-    the fibre points a block at a time and writes each straight into its
-    cell-sorted slot, so no full-length stack of generators or products is
-    held.  ``cell_points`` are slices of that one array, and one segmented
-    pair certificate of all cells, kept as ``certificates``, gives the
-    diameters.  Raises EmptyCell when the orbit fails the density probe or
-    some cell stays empty, which is also the honest failure mode for
-    non-minimal bases.
+    x_k.  The base orbit of ``steps`` <= ITERATION_CAP points is computed
+    once, binned and sorted by cell first; then one block walk
+    (:func:`~cocyclelab.cocycles.walk_blocks`) makes the fibre points a
+    block at a time and writes each straight into its cell-sorted slot, so
+    no full-length stack of generators or products is held.
+    ``cell_points`` are slices of that one array, and one segmented pair
+    certificate of all cells, kept as ``certificates``, gives the
+    diameters.  Raises EmptyCell when some cell stays empty, the honest
+    failure mode for non-minimal bases; an orbit that fills every cell has
+    no circular gap of 2/cells, so it is 1/cells-dense.
     """
     if cells < 1:
         raise ConfigInvalid(f"cells = {cells} must be >= 1")
@@ -189,15 +187,12 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
             f"steps = {steps} below the occupancy heuristic "
             f"{OCCUPANCY_FACTOR} x cells = {OCCUPANCY_FACTOR * cells}"
         )
+    if steps > ITERATION_CAP:
+        raise ConfigInvalid(f"iteration count {steps} exceeds {ITERATION_CAP}")
     v0 = spd.require_spd(np.asarray(v0, dtype=float))
     if conformal:
         v0 = spd.require_unit_determinant(v0)
     xs = c.base.orbit(x0, steps)
-    if not is_dense(xs[:DENSITY_PROBE_STEPS], 1.0 / cells):
-        raise EmptyCell(
-            "orbit fails the cell-scale density probe; the base is not "
-            "minimal at this resolution"
-        )
     # Cell indices in the smallest unsigned type that holds them: a stable
     # argsort of 8- or 16-bit keys is a radix sort, the same order as on
     # the ints and ~6x faster on 38,400 samples.
@@ -207,8 +202,8 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
     bounds = np.searchsorted(idx[order], np.arange(cells + 1))
     counts = np.diff(bounds)
     if not counts.all():
-        raise EmptyCell(f"cell {int(np.argmin(counts))} of {cells} "
-                        f"received no samples")
+        raise EmptyCell(f"cell {int(np.argmin(counts))} of {cells} is empty; "
+                        f"the base is not minimal at this resolution")
     # slot[k] is the place of sample k in cell order.
     slot = np.empty(steps, dtype=np.intp)
     slot[order] = np.arange(steps)

@@ -1,5 +1,7 @@
 """Circle bases: rotations, the parabolic map, density and return times."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from cocyclelab.circle import (
     minimality_probe,
     return_times,
 )
+from cocyclelab.cocycles import ITERATION_CAP
 from cocyclelab.errors import ConfigInvalid, NonFinite
+
+
+def exact_rotation_error(got, x, k, alpha):
+    """Circle distance from ``got`` to x + k alpha mod 1 in rationals."""
+    d = (Fraction(got) - Fraction(x) - k * Fraction(alpha)) % 1
+    return float(min(d, 1 - d))
 
 
 class TestRotation:
@@ -24,6 +33,13 @@ class TestRotation:
     def test_step_n_rejects_non_finite_point(self, x):
         with pytest.raises(NonFinite):
             RotationBase(GOLDEN_MEAN).step_n(x, 3)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, alpha):
+        with pytest.raises(NonFinite):
+            RotationBase(alpha)
+        with pytest.raises(NonFinite):
+            RotationBase(alpha, minimal=False)
 
     def test_minimal_flag_rejects_rationals(self):
         with pytest.raises(ConfigInvalid):
@@ -58,10 +74,16 @@ class TestRotation:
         ) <= 1e-15
 
     def test_orbit_matches_step_n(self):
-        base = RotationBase(GOLDEN_MEAN)
-        orbit = base.orbit(0.37, 2000)
-        for k in (0, 1, 999, 1999):
-            assert circle_distance(orbit[k], base.step_n(0.37, k)) <= 1e-12
+        # orbit, step_n and step_many read one T^k formula: the same bits,
+        # on both bases and for negative starts too.
+        for base in (RotationBase(GOLDEN_MEAN), ParabolicBase()):
+            for x in (0.37, 0.9999999, -2.25):
+                for start in (-5000, 0, 4095, 12000):
+                    orbit = base.orbit(x, 300, start)
+                    for i in (0, 1, 150, 299):
+                        k = start + i
+                        assert orbit[i] == base.step_n(x, k)
+                        assert orbit[i] == base.step_many([x], k)[0]
 
     @pytest.mark.parametrize("base", [RotationBase(GOLDEN_MEAN), ParabolicBase()],
                              ids=repr)
@@ -75,10 +97,29 @@ class TestRotation:
                                   full[start:start + n])
 
     def test_long_orbit_accuracy(self):
+        # The orbit of the float alpha against its exact rational orbit: at
+        # both ends of a 1e6-step orbit, every 99,991 steps up to the
+        # iteration cap, and at step_n's 1e9 bound.  A longdouble orbit
+        # drifted to 4e-13 over the same range.
         base = RotationBase(GOLDEN_MEAN)
-        orbit = base.orbit(0.1, 10 ** 6)
-        k = 10 ** 6 - 1
-        assert circle_distance(orbit[k], base.step_n(0.1, k)) <= 1e-12
+        for x in (0.1, 0.37, 0.9999999):
+            orbit = base.orbit(x, 10 ** 6)
+            got = [(k, orbit[k]) for k in (1, 10 ** 6 - 1)]
+            got += [(k, base.orbit(x, 1, k)[0])
+                    for k in range(0, ITERATION_CAP + 1, 99991)]
+            got += [(k, base.step_n(x, k)) for k in (-10 ** 9, 10 ** 9)]
+            for k, y in got:
+                assert exact_rotation_error(y, x, k, base.alpha) <= 3.4e-16
+
+    @pytest.mark.parametrize("base", [RotationBase(GOLDEN_MEAN), ParabolicBase()],
+                             ids=repr)
+    def test_iterates_beyond_the_bound_rejected(self, base):
+        for call in (lambda: base.step_n(0.3, 10 ** 9 + 1),
+                     lambda: base.step_many([0.3], -10 ** 9 - 1),
+                     lambda: base.orbit(0.3, 2, 10 ** 9),
+                     lambda: base.orbit(0.3, 10, -10 ** 9 - 5)):
+            with pytest.raises(ConfigInvalid, match="1e9"):
+                call()
 
 
 class TestParabolic:
@@ -169,8 +210,14 @@ def test_descriptors_round_trip():
     assert isinstance(base, RotationBase)
     assert base.alpha == GOLDEN_MEAN
     assert base_from_descriptor(base.descriptor()).alpha == base.alpha
+    rational = RotationBase(0.25, minimal=False)
+    again = base_from_descriptor(rational.descriptor())
+    assert (again.alpha, again.minimal) == (0.25, False)
     assert isinstance(
         base_from_descriptor({"type": "parabolic"}), ParabolicBase
     )
     with pytest.raises(ConfigInvalid):
         base_from_descriptor({"type": "interval-exchange"})
+    for alpha in ("abc", [0.1], None):
+        with pytest.raises(ConfigInvalid):
+            base_from_descriptor({"type": "rotation", "alpha": alpha})

@@ -21,7 +21,8 @@ from cocyclelab.centers import (
     chebyshev_center,
     diameter,
 )
-from cocyclelab.cocycles import twisted_birkhoff
+from cocyclelab.circle import RotationBase
+from cocyclelab.cocycles import ITERATION_CAP, twisted_birkhoff
 from cocyclelab.presets import (
     coboundary_cocycle,
     coboundary_isometry_cocycle,
@@ -466,6 +467,19 @@ class TestOtherCommands:
             "--steps", "4000",
         )
         assert code == 2 and summary is None
+
+    def test_reduce_steps_above_iteration_cap_is_config_error(
+            self, tmp_path, capsys, monkeypatch):
+        def no_orbit(*args):
+            raise AssertionError("the orbit must not be built")
+
+        monkeypatch.setattr(RotationBase, "orbit", no_orbit)
+        code, summary, _ = run_cli(
+            tmp_path, "reduce", "--steps", str(ITERATION_CAP + 1),
+            "--cells", "8",
+        )
+        assert code == 2 and summary is None
+        assert f"exceeds {ITERATION_CAP}" in capsys.readouterr().err
 
     def test_lemmas_without_sets_is_config_error(self, tmp_path):
         code, summary, _ = run_cli(

@@ -372,7 +372,7 @@ class TestAgainstSequentialLoop:
         tol = 1e-12 * max(1.0, np.abs(want).max())
         for k in (0, 1, SCAN_BLOCK, n):
             x_k, v_k = iterate_skew(c, x0, v0, k)
-            assert x_k == c.base.step_n(x0, k)
+            assert x_k == c.base.step_n(x0, k) == c.base.orbit(x0, k + 1)[k]
             assert np.abs(v_k - want[k]).max() <= tol
         probe = boundedness_probe(c, x0, v0, n)
         norms = np.linalg.norm(want, axis=1)

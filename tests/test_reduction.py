@@ -6,8 +6,9 @@ import pytest
 
 from cocyclelab import centers, presets, spd
 from cocyclelab.centers import PointSet, SPDSpace, chebyshev_center
-from cocyclelab.circle import ParabolicBase
-from cocyclelab.cocycles import WALK_BLOCK, MatrixCocycle, matrix_products
+from cocyclelab.circle import ParabolicBase, RotationBase
+from cocyclelab.cocycles import (ITERATION_CAP, WALK_BLOCK, MatrixCocycle,
+                                 matrix_products)
 from cocyclelab.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -261,10 +262,20 @@ class TestSampleFibers:
             sample_fibers(c, 0.2, np.eye(2), 1000, cells)
 
     def test_parabolic_base_fails_density(self):
-        base = ParabolicBase()
-        c = identity_cocycle(base)
-        with pytest.raises(EmptyCell):
-            sample_fibers(c, 0.3, np.eye(2), 3200, 64)
+        # Neither the parabolic map nor a rational rotation fills 64 cells.
+        for base in (ParabolicBase(), RotationBase(0.25, minimal=False)):
+            c = identity_cocycle(base)
+            with pytest.raises(EmptyCell, match="not minimal"):
+                sample_fibers(c, 0.3, np.eye(2), 3200, 64)
+
+    def test_steps_above_iteration_cap_rejected(self, monkeypatch):
+        def no_orbit(*args):
+            raise AssertionError("the orbit must not be built")
+
+        monkeypatch.setattr(RotationBase, "orbit", no_orbit)
+        c = identity_cocycle(golden_rotation())
+        with pytest.raises(ConfigInvalid, match="exceeds"):
+            sample_fibers(c, 0.2, np.eye(2), ITERATION_CAP + 1, 8)
 
     def test_on_graph_diameters_shrink_under_refinement(self):
         c = coboundary_cocycle()
