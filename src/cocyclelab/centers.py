@@ -98,7 +98,7 @@ class EuclideanSpace:
 
     def pairwise(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, float)
-        iu, ju = np.triu_indices(batch.shape[0], k=1)
+        iu, ju = spd.upper_pairs(batch.shape[0])
         diff = batch[iu] - batch[ju]
         return np.sqrt(np.sum(diff * diff, axis=1))
 
@@ -651,7 +651,7 @@ def _midpoints(B: PointSet, rel_tol: float) -> tuple[PointSet, float]:
     m = pts.shape[0]
     if m == 1:
         return PointSet(space, pts.copy()), 0.0
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = spd.upper_pairs(m)
     dists = space.pairwise(pts)
     diam = float(np.max(dists))
     keep = dists >= (1.0 - rel_tol) * diam

@@ -47,7 +47,7 @@ from .centers import (
     check_diameter_shrink,
     pair_certificates,
 )
-from .circle import is_dense, require_finite
+from .circle import minimality_probe, require_finite
 from .cocycles import (
     ShiftCocycle,
     boundedness_probe,
@@ -395,11 +395,13 @@ def cmd_solve(args) -> dict:
 
 def cmd_birkhoff(args) -> dict:
     cocycle = BIRKHOFF_PRESETS[args.preset](args, np.random.default_rng(args.seed))
+    # Steps < 2 reach the probe, which refuses them.
+    ks = np.unique(np.geomspace(1, max(args.steps, 1), 64).astype(int))
     # The probe starts at v0 = 0, so its norms are the twisted Birkhoff sums.
-    probe = boundedness_probe(cocycle, args.x0, np.zeros(cocycle.dim), args.steps)
-    ks = np.unique(np.geomspace(1, args.steps, 64).astype(int))
+    probe = boundedness_probe(cocycle, args.x0, np.zeros(cocycle.dim),
+                              args.steps, at=ks)
     _write_table(Path(args.out) / "birkhoff.csv", {
-        "k": ks.tolist(), "norm": probe.norms[ks].tolist(),
+        "k": ks.tolist(), "norm": probe.norms.tolist(),
     })
     return {
         "command": "birkhoff",
@@ -484,8 +486,7 @@ def cmd_demo_counterexample(args) -> dict:
     except ValueError as exc:
         raise E.ConfigInvalid(f"--scales {args.scales!r}: {exc}") from exc
     profile = oscillation_profile(section, jc.base.fixed_point, scales)
-    # The probe's own base orbit, whose first 1e5 points test minimality.
-    minimal = is_dense(probe.orbit[:10 ** 5], 0.2)
+    minimal = minimality_probe(jc.base, args.x0, min(args.steps, 10 ** 5), 0.2)
     summary = {
         "command": "demo-counterexample",
         "steps": args.steps,

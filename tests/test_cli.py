@@ -21,8 +21,12 @@ from cocyclelab.centers import (
     chebyshev_center,
     diameter,
 )
-from cocyclelab.circle import RotationBase
-from cocyclelab.cocycles import ITERATION_CAP, twisted_birkhoff
+from cocyclelab.circle import RotationBase, circle_distance, is_dense
+from cocyclelab.cocycles import (
+    ITERATION_CAP,
+    boundedness_probe,
+    twisted_birkhoff,
+)
 from cocyclelab.presets import (
     coboundary_cocycle,
     coboundary_isometry_cocycle,
@@ -37,7 +41,7 @@ from cocyclelab.reduction import sample_fibers, section_from_centers
 from cocyclelab.solvers import TwistedEquation, fourier_solve
 from cocyclelab.trigpoly import TrigPoly
 
-from conftest import reference_oracle_distances
+from conftest import reference_oracle_distances, walked_products
 
 
 def run_cli(tmp_path, *args, env_seed=None):
@@ -327,10 +331,16 @@ class TestOtherCommands:
             c = jump_cascade().cocycle
         rows = (out / "birkhoff.csv").read_text().splitlines()
         assert rows[0] == "k,norm" and len(rows) > 40
-        for row in rows[1:]:
-            k, norm = row.split(",")
+        ks, norms = np.array([row.split(",") for row in rows[1:]]).T
+        ks, norms = ks.astype(int), norms.astype(float)
+        assert np.array_equal(
+            ks, np.unique(np.geomspace(1, 5000, 64).astype(int)))
+        # The probe's norms at ks, bit for bit, from one walk of 5000 steps.
+        probe = boundedness_probe(c, 0.3, np.zeros(c.dim), 5000, at=ks)
+        assert np.array_equal(norms, probe.norms)
+        for k, norm in zip(ks, norms):
             want = np.linalg.norm(twisted_birkhoff(c, 0.3, int(k)))
-            assert abs(float(norm) - want) <= 1e-15 * max(want, 1.0)
+            assert abs(norm - want) <= 1e-15 * max(want, 1.0)
 
     def test_reduce_small(self, tmp_path):
         code, summary, out = run_cli(
@@ -434,11 +444,9 @@ class TestOtherCommands:
         assert summary["oscillation_above_floor"]
         assert not summary["base_minimal_probe"]
 
-    def test_demo_counterexample_builds_one_base_orbit(self, tmp_path,
-                                                       monkeypatch):
-        # The minimality probe reads the first 1e5 points of the orbit the
-        # boundedness probe walked; the base orbit is built once, one
-        # walk block after the other.
+    def test_demo_counterexample_base_orbits(self, tmp_path, monkeypatch):
+        # The boundedness probe walks the base orbit one block after the
+        # other; the minimality probe then builds its first 1e5 points.
         stretches = []
         base = type(jump_cascade().base)
         orbit = base.orbit
@@ -447,9 +455,43 @@ class TestOtherCommands:
         code, summary, _ = run_cli(tmp_path, "demo-counterexample",
                                    "--steps", "120000")
         assert code == 0 and not summary["base_minimal_probe"]
-        starts = [lo for lo, _ in stretches]
-        ends = [lo + n for lo, n in stretches]
+        walk, minimality = stretches[:-1], stretches[-1]
+        starts = [lo for lo, _ in walk]
+        ends = [lo + n for lo, n in walk]
         assert starts == [0] + ends[:-1] and ends[-1] == 120000
+        assert minimality == (0, 10 ** 5)
+
+    @pytest.mark.parametrize("steps", [2, 20_000, 120_000])
+    def test_demo_counterexample_summary(self, tmp_path, steps):
+        # Every summary value recomputed from all n + 1 norms, the full
+        # m x m oscillation scan and the first 1e5 points of the orbit.
+        code, summary, _ = run_cli(tmp_path, "demo-counterexample",
+                                   "--steps", str(steps))
+        assert code == 0
+        jc = jump_cascade()
+        prods = walked_products(jc.cocycle, 0.3, steps)
+        norms = np.abs(prods[:, 0, 0] * 0.5 + prods[:, 0, 1])
+        thetas = np.arange(4096) / 4096
+        values = jc.candidate_values(thetas)
+        oscillation = {}
+        for s in (0.01, 0.02, 0.05):
+            near = values[circle_distance(thetas, 0.0) <= s]
+            diff = near[:, None] - near[None, :]
+            oscillation[repr(s)] = float(np.max(np.sqrt(np.abs(diff) ** 2)))
+        bound = 0.5 + 2.0 * jc.sup_psi
+        assert summary == {
+            "command": "demo-counterexample",
+            "steps": steps,
+            "sup_norm": float(norms.max()),
+            "orbit_bound": bound,
+            "orbit_bounded": bool(norms.max() <= bound + 1e-9),
+            "oscillation": oscillation,
+            "oscillation_floor": 0.9 * jc.jump,
+            "oscillation_above_floor": True,
+            "base_minimal_probe": is_dense(
+                jc.base.orbit(0.3, steps)[:10 ** 5], 0.2),
+            "seed": 7,
+        }
 
     def test_recurrence(self, tmp_path):
         code, summary, out = run_cli(

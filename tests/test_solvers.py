@@ -42,6 +42,8 @@ from cocyclelab.solvers import (
 )
 from cocyclelab.trigpoly import TrigPoly
 
+from conftest import traced_peak
+
 ALPHA = GOLDEN_MEAN
 
 
@@ -383,6 +385,35 @@ class TestOscillation:
         prof = oscillation_profile(sec, 0.0, [0.05, 0.02, 0.01])
         for v in prof.values():
             assert v >= 0.9 * jc.jump
+
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 300])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["C1", "C2"])
+    def test_row_blocks_match_all_pairs(self, rng, m, shape):
+        # The largest distance over the full m x m difference array, bit
+        # for bit; the scan visits each pair once, in blocks of rows.
+        thetas = np.sort(rng.random(m))
+        values = (rng.standard_normal((m,) + shape)
+                  + 1j * rng.standard_normal((m,) + shape))
+        sec = Section.from_samples(thetas, values)
+        flat = values.reshape(m, -1)
+        diff = flat[:, None, :] - flat[None, :, :]
+        want = float(np.max(np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1))))
+        # Scale 4 keeps every sample, and is not below 4 sample spacings.
+        assert oscillation_profile(sec, 0.1, [4.0]) == {4.0: want}
+
+    def test_scale_with_one_sample_or_none(self):
+        thetas = np.arange(64) / 640
+        sec = Section.from_samples(thetas, np.exp(2j * np.pi * thetas))
+        assert oscillation_profile(sec, 0.5, [0.1]) == {0.1: 0.0}
+        assert oscillation_profile(sec, 63 / 640 + 0.049, [0.05]) == {0.05: 0.0}
+
+    def test_memory_stays_at_row_blocks(self):
+        # Scale 0.25 keeps 2049 of 4096 samples, whose full complex
+        # difference array alone is 67 MB.
+        jc = jump_cascade()
+        thetas = np.arange(4096) / 4096
+        sec = Section.from_samples(thetas, jc.candidate_values(thetas))
+        assert traced_peak(lambda: oscillation_profile(sec, 0.0, [0.25])) < 8e6
 
     def test_invariant_section_oscillation_along_orbit(self, rng):
         # For a skew-invariant section the oscillation proxy is nearly
