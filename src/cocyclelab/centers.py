@@ -2,7 +2,8 @@
 
 Two notions are implemented over an abstract space contract: distance,
 geodesic (of one pair, or of each pair of two paired stacks), distance
-scans, ``points(batch)``, which checks a batch once,
+scans (from one point, or with ``seg`` from one reference per segment),
+``points(batch)``, which checks a batch once,
 and ``chart(z)``, whose ``log`` and ``exp`` map such a batch and tangent
 vectors between the space and isometric tangent coordinates at z:
 
@@ -92,8 +93,10 @@ class EuclideanSpace:
         q = np.asarray(q, float)
         return (1.0 - t) * p + t * q
 
-    def distances_from(self, p, batch: np.ndarray) -> np.ndarray:
-        diff = np.asarray(batch, float) - np.asarray(p, float)
+    def distances_from(self, p, batch: np.ndarray,
+                       seg: np.ndarray | None = None) -> np.ndarray:
+        p = np.asarray(p, float)
+        diff = np.asarray(batch, float) - (p if seg is None else p[seg])
         return np.sqrt(np.sum(diff * diff, axis=1))
 
     def pairwise(self, batch: np.ndarray) -> np.ndarray:
@@ -142,8 +145,9 @@ class SPDSpace:
     def geodesic(self, p, q, t: float):
         return spd.spd_geodesic(p, q, t)
 
-    def distances_from(self, p, batch: np.ndarray) -> np.ndarray:
-        return spd.spd_distances_from(p, batch)
+    def distances_from(self, p, batch: np.ndarray,
+                       seg: np.ndarray | None = None) -> np.ndarray:
+        return spd.spd_distances_from(p, batch, seg)
 
     def pairwise(self, batch: np.ndarray) -> np.ndarray:
         return spd.pairwise_spd_distances(batch)
@@ -305,11 +309,12 @@ def pair_certificates(space, points: np.ndarray,
     """Pair certificates of every nonempty segment
     ``points[bounds[i]:bounds[i+1]]``; without ``bounds``, of all points.
 
-    Three segmented scans: each ``space.distances_from`` call takes a stack
-    of reference points paired with the points, the segment's first point,
-    then a, then c, and segmented maxima (first index on ties, as
-    ``np.argmax``) pick a, b and the radius.  Passes take whole segments,
-    at most ``spd.PAIR_CHUNK`` points each unless one segment is longer.
+    Three segmented scans: each ``space.distances_from`` call takes one
+    reference point per segment, the segment's first point, then a, then
+    c, with the segment of every point, and segmented maxima (first index
+    on ties, as ``np.argmax``) pick a, b and the radius.  Passes take
+    whole segments, at most ``spd.PAIR_CHUNK`` points each unless one
+    segment is longer.
     The midpoints of a pass are one ``space.geodesic`` call on the
     paired stacks of a and b.
     """
@@ -340,20 +345,16 @@ def _certify(space, points: np.ndarray, bounds: np.ndarray):
     seg = None if len(starts) == 1 else np.repeat(np.arange(len(starts)),
                                                   np.diff(bounds))
 
-    def spread(stack, idx=None):
-        """Entry idx[s] of ``stack``, or entry s without ``idx``, for every
-        point of segment s."""
-        if seg is None:
-            return stack[0 if idx is None else idx[0]]
-        return (stack if idx is None else stack[idx])[seg]
+    def scan(refs):
+        """Distances of every point from the reference of its segment."""
+        return space.distances_from(refs if seg is not None else refs[0],
+                                    points, seg)
 
-    a = _first_argmax(space.distances_from(spread(points, starts), points),
-                      starts, seg)
-    from_a = space.distances_from(spread(points, a), points)
+    a = _first_argmax(scan(points[starts]), starts, seg)
+    from_a = scan(points[a])
     b = _first_argmax(from_a, starts, seg)
     mids = space.geodesic(points[a], points[b], 0.5)
-    radius = np.maximum.reduceat(
-        space.distances_from(spread(mids), points), starts)
+    radius = np.maximum.reduceat(scan(mids), starts)
     return a - starts, b - starts, 0.5 * from_a[b], mids, radius
 
 

@@ -13,7 +13,10 @@ Isometries are composed as homogeneous matrices [[Psi, rho], [0, 1]], so
 isometry cocycles and matrix cocycles x -> A(x) in GL(n) share one kernel,
 ``walk_blocks``: every orbit walk reads the left prefix products of the
 generators along the orbit in blocks of WALK_BLOCK steps.  Each block
-makes its stretch of the base orbit and its generators, scans them
+makes its stretch of the base orbit, passed with its successor point
+(m + 1 points for m steps), asks the cocycle for the m generators along
+it (``orbit_generators``; a coboundary reads B(T x_k) off B(x_{k+1})
+there, so it evaluates B once per point), scans them
 (``prefix_products``, a chunked, work-efficient scan) and carries the
 product of the blocks before by one matrix product; its reader keeps
 what it needs (a norm, the last product, the rows at some steps) and
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import require_finite, return_times
+from .circle import _require_probe, circle_distance, require_finite
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -228,6 +231,11 @@ class IsometryCocycle:
         gens[:, l, l] = 1.0
         return gens
 
+    def orbit_generators(self, pts: np.ndarray) -> np.ndarray:
+        """The generators along an orbit stretch passed with its successor
+        point, pts[i + 1] = T pts[i]: the m generators at pts[:-1]."""
+        return self.generators_along(pts[:-1])
+
 
 def _batch(values, shape: tuple, what: str) -> np.ndarray:
     """A batch function's answer as a float array of exactly ``shape``;
@@ -327,10 +335,11 @@ def walk_blocks(block, k: int, carry=None):
     yielding each block's products for the reader to consume and drop.
 
     For the block of steps lo < j <= hi, ``block(lo, hi)`` returns its
-    stretch xs = x_lo, ..., x_{hi-1} of the base orbit and the
-    (hi - lo, d, d) stack of generators A_lo, ..., A_{hi-1} there.
-    Yields (lo, xs, prods) with prods[i] = A_{lo+i} ... A_0 C: the product
-    at step lo + i + 1 times the start ``carry`` C, the identity when None.
+    stretch pts = x_lo, ..., x_hi of the base orbit, with its successor
+    point x_hi, and the (hi - lo, d, d) stack of generators A_lo, ...,
+    A_{hi-1} at x_lo, ..., x_{hi-1}.  Yields (lo, pts, prods) with
+    prods[i] = A_{lo+i} ... A_0 C, the product at step lo + i + 1 (at the
+    point pts[i + 1]) times the start ``carry`` C, the identity when None.
 
     A block is one scan of its generators (see :func:`prefix_products`),
     then one 2-D product of its matrices, stacked as a (m d, d) array, with
@@ -341,7 +350,7 @@ def walk_blocks(block, k: int, carry=None):
     NonFinite naming the step of the first product that is not finite.
     """
     for lo in range(0, k, WALK_BLOCK):
-        xs, gens = block(lo, min(lo + WALK_BLOCK, k))
+        pts, gens = block(lo, min(lo + WALK_BLOCK, k))
         with np.errstate(over="ignore", invalid="ignore"):
             prods = _scan(np.asarray(gens, dtype=float))[1:]
             if carry is not None:
@@ -349,15 +358,19 @@ def walk_blocks(block, k: int, carry=None):
                 prods = (prods.reshape(-1, d) @ carry).reshape(prods.shape)
         _require_finite_products(prods, lo + 1)
         carry = prods[-1].copy()
-        yield lo, xs, prods
+        yield lo, pts, prods
 
 
 def orbit_products(c, x: float, k: int):
     """The walk of :func:`walk_blocks` along the base orbit of x, for
     k <= ITERATION_CAP steps of a cocycle's generators: yields
-    (lo, xs, prods) per block, with xs = T^lo x, ... and
-    prods[i] = A(lo + i + 1, x).  A k < 0 or > ITERATION_CAP raises
-    ConfigInvalid before anything is walked."""
+    (lo, pts, prods) per block, with pts = T^lo x, ..., T^hi x, the
+    block's stretch with its successor point, and prods[i] =
+    A(lo + i + 1, x), the product at pts[i + 1].  Each block makes one
+    stretch of m + 1 points and asks the cocycle for its m generators
+    (``orbit_generators``), so a cocycle that evaluates something at x_k
+    and at T x_k evaluates it once per point.  A k < 0 or > ITERATION_CAP
+    raises ConfigInvalid before anything is walked."""
     if k < 0:
         raise ConfigInvalid(f"iteration count {k} is negative")
     if k > ITERATION_CAP:
@@ -365,8 +378,8 @@ def orbit_products(c, x: float, k: int):
     require_finite(x)
 
     def block(lo, hi):
-        xs = c.base.orbit(x, hi - lo, lo)
-        return xs, c.generators_along(xs)
+        pts = c.base.orbit(x, hi - lo + 1, lo)
+        return pts, c.orbit_generators(pts)
 
     return walk_blocks(block, k)
 
@@ -515,19 +528,27 @@ def boundedness_probe(c: IsometryCocycle, x0: float, v0: np.ndarray,
 
 def recurrence_isometries(c: IsometryCocycle, x: float, delta: float,
                           n: int) -> list[tuple[int, FiniteIsometry]]:
-    """Pairs (k, I(k, x)) over the return times d(T^k x, x) < delta.
+    """Pairs (k, I(k, x)) over the return times 1 <= k <= n with
+    d(T^k x, x) < delta, ascending.
 
-    One walk along the orbit to the last return time, keeping only the
+    One walk of n steps along the orbit: each block reads its return times
+    off its own stretch of base points (the same bits as
+    :func:`~cocyclelab.circle.return_times` gives) and keeps only the
     products there; an empirical sample of the recurrence semigroup of x.
     The orthonormalised linear parts are checked as one stack, and a
     failure names the return time.
     """
     if n > 10 ** 6:
         raise ConfigInvalid("n exceeds the 1e6 recurrence bound")
-    ks = return_times(c.base, x, delta, n)
+    _require_probe(x, n, delta)
+    ks, kept = [], []
+    for lo, pts, prods in orbit_products(c, x, n):
+        hit = np.flatnonzero(circle_distance(pts[1:], x) < delta)
+        ks.append(lo + 1 + hit)
+        kept.append(prods[hit])
+    ks, prods = np.concatenate(ks), np.concatenate(kept)
     if len(ks) == 0:
         return []
-    prods = _products_at(c, x, ks)
     l = c.dim
     linears = gram_schmidt(prods[:, :l, :l])
     _require_orthogonal(linears, "return k =", ks)
@@ -598,13 +619,20 @@ class MatrixCocycle:
     """Invertible-matrix cocycle x -> A(x) over a base map.  ``generator``
     is array-valued, as every section is: it maps an array of k points to
     the (k, n, n) stack of A there; :meth:`generator` is its one-point view.
+    ``orbit_generator``, when given, is the same map on orbit stretches:
+    it takes m + 1 points of an orbit and returns the m generators at the
+    first m, as :meth:`orbit_generators` describes.
     """
 
     def __init__(self, base, dim: int, generator, *,
-                 bound: float | None = None, oracle_section=None):
+                 bound: float | None = None, oracle_section=None,
+                 orbit_generator=None):
         self.base = base
         self.dim = int(dim)
         self._generators = generator
+        # Optional orbit form: m + 1 points of an orbit stretch to the m
+        # generators at its first m points (see orbit_generators).
+        self._orbit_generators = orbit_generator
         self.bound = bound
         # Known invariant section, attached by coboundary constructions
         # for oracle comparisons.  It is array-valued: an array of k points
@@ -619,6 +647,16 @@ class MatrixCocycle:
         of any other shape raises DimensionMismatch."""
         return _batch(self._generators(xs), (len(xs), self.dim, self.dim),
                       "generators")
+
+    def orbit_generators(self, pts: np.ndarray) -> np.ndarray:
+        """The generators along an orbit stretch passed with its successor
+        point, pts[i + 1] = T pts[i]: the m generators at pts[:-1], from
+        the cocycle's orbit form when it has one (which may read A(x_k) off
+        values at x_{k+1} in place of T x_k), else generators_along."""
+        if self._orbit_generators is None:
+            return self.generators_along(pts[:-1])
+        return _batch(self._orbit_generators(pts),
+                      (len(pts) - 1, self.dim, self.dim), "generators")
 
 
 @dataclass

@@ -15,11 +15,17 @@ The fiber is walked in blocks (:func:`~cocyclelab.cocycles.walk_blocks`):
 the base orbit is binned and sorted by cell first, and each block's fiber
 points go straight to their cell-sorted slots, so the pipeline holds the
 samples and one block, not full-length stacks of generators and products.
+Each block asks the cocycle for the generators along its orbit stretch,
+passed with its successor point (``orbit_generators``), so a coboundary
+evaluates one B stack per stretch; the fibre points W W^T and the
+coboundary's generators are stacked products of :func:`spd.matmul`,
+elementwise at n = 2.
 The buckets are slices of that one array sorted by cell.  One segmented pair
 certificate (:func:`~cocyclelab.centers.pair_certificates`), three
 distance scans over all cells per pass, is computed once in
 :func:`sample_fibers` and kept on the buckets: it gives every cell's
-diameter there and every cell's centre in :func:`section_from_centers`.
+diameter there and every cell's centre in :func:`section_from_centers`;
+each scan measures every point from the one reference of its cell.
 Only cells whose geodesic midpoint does not certify take a pairwise
 diameter scan and the tangent-ball centre search.
 
@@ -76,15 +82,17 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
     an array of points to the factors c(x) that multiply A, which the
     det-normalized (conformal) pipeline must absorb.
 
-    Generators at k points cost two B stacks, at x and at T x, one Q
-    stack, one generic :func:`spd.inv` and two stacked products.  The
-    presets' ``b_batch`` is one matrix product onto the spectral
-    projectors of S0 (see ``presets._exp_family``), so the products and
-    the inverse take most of that time.  Along an orbit B(T x_k) =
-    B(x_{k+1}), but the generators are not told that their points form
-    one, so both B stacks are evaluated.  Orbit walks ask for the
-    generators one block of at most WALK_BLOCK points at a time, so these
-    stacks are block-sized whatever the orbit's length.
+    Generators at k points anywhere cost two B stacks, at x and at T x,
+    one Q stack, one generic :func:`spd.inv` and two stacked products
+    (:func:`spd.matmul`, elementwise at n = 2).  Orbit walks ask instead
+    for the generators along an orbit stretch x_0, ..., x_k passed with
+    its successor point (``orbit_generators``): along an orbit
+    B(T x_i) = B(x_{i+1}) up to rounding of the base map, so the cocycle's
+    orbit form evaluates one B stack at the k + 1 points and reads
+    B(x_{i+1}) Q(x_i) B(x_i)^{-1} off it, with no ``step_many``.  The two
+    forms agree to ~1e-15 relative.  Walks take at most WALK_BLOCK points
+    at a time, so these stacks are block-sized whatever the orbit's
+    length.
     """
     def stack(batch, single, xs):
         if batch is not None:
@@ -94,14 +102,23 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
     sample = np.arange(ORTHOGONALITY_SAMPLE) / ORTHOGONALITY_SAMPLE
     _require_orthogonal(stack(q_batch, q_gen, sample), "q_gen at x =", sample)
 
+    def product(b_next, xs, b):
+        """B(T x) Q(x) B(x)^{-1} c(x) at the points xs, given both B stacks."""
+        out = spd.matmul(spd.matmul(b_next, stack(q_batch, q_gen, xs)),
+                         spd.inv(b))
+        if scalar_gen is not None:
+            out *= np.asarray(scalar_gen(xs), dtype=float)[:, None, None]
+        return out
+
     def generators(xs):
         xs = np.asarray(xs, dtype=float)
-        b_next = stack(b_batch, b_gen, base.step_many(xs))
-        out = (b_next @ stack(q_batch, q_gen, xs)
-               @ spd.inv(stack(b_batch, b_gen, xs)))
-        if scalar_gen is not None:
-            out = out * np.asarray(scalar_gen(xs), dtype=float)[:, None, None]
-        return out
+        return product(stack(b_batch, b_gen, base.step_many(xs)), xs,
+                       stack(b_batch, b_gen, xs))
+
+    def orbit_generators(pts):
+        pts = np.asarray(pts, dtype=float)
+        b = stack(b_batch, b_gen, pts)
+        return product(b[1:], pts[:-1], b[:-1])
 
     # Telescoping bound from a sample of the conjugacy loop.
     bs = stack(b_batch, b_gen, np.arange(64) / 64.0)
@@ -115,7 +132,8 @@ def construct_coboundary(b_gen, q_gen, base, dim: int = 2, *,
             xs.shape + (dim, dim))
 
     return MatrixCocycle(base, dim, generators, bound=float(bound),
-                         oracle_section=oracle_section)
+                         oracle_section=oracle_section,
+                         orbit_generator=orbit_generators)
 
 
 @dataclass
@@ -211,16 +229,19 @@ def sample_fibers(c: MatrixCocycle, x0: float, v0: np.ndarray, steps: int,
 
     def congruence(w):
         """The points W W^T, symmetrized, of a stack of W."""
-        # A contiguous copy of the transpose keeps the stacked matmul off
-        # its strided loop; the products are the same bits.
-        p = w @ np.ascontiguousarray(w.transpose(0, 2, 1))
-        p += p.transpose(0, 2, 1)
-        p *= 0.5
+        p = spd.matmul(w, w.transpose(0, 2, 1))
+        if c.dim != 2:
+            # The 2x2 product is symmetric bit for bit already.
+            p += p.transpose(0, 2, 1)
+            p *= 0.5
         return spd._renormalize_det(p) if conformal else p
 
     def block(lo, hi):
-        gens = c.generators_along(xs[lo:hi])
-        return xs[lo:hi], _unit_det_generators(gens, lo) if conformal else gens
+        # The stretch with its successor point: the walk applies steps - 1
+        # generators, so hi + 1 <= steps and xs[hi] always exists.
+        gens = c.orbit_generators(xs[lo:hi + 1])
+        return xs[lo:hi + 1], (_unit_det_generators(gens, lo) if conformal
+                               else gens)
 
     # P_k = A(k, x0) v0 A(k, x0)^T = W_k W_k^T with W_k = A(k, x0) chol(v0),
     # for k < steps: the generator at the last sample is never applied.

@@ -106,6 +106,21 @@ class TestSpaces:
         mid = chart.exp(0.5 * y[0])
         assert space.distance(mid, space.geodesic(z, pts[0], 0.5)) <= 1e-12
 
+    @pytest.mark.parametrize("space", [E3, S2, SPDSpace(3)],
+                             ids=lambda s: s.name)
+    def test_segment_scan_matches_gathered_references(self, rng, space):
+        # One reference per segment gives the bits of the gathered stack
+        # refs[seg]; the Pos(n) references are symmetric only to an ulp.
+        seg = np.repeat(np.arange(4), [5, 1, 3, 7])
+        if isinstance(space, EuclideanSpace):
+            refs, pts = rng.random((4, space.dim)), rng.random((16, space.dim))
+        else:
+            refs = np.array([random_spd(rng, space.n, 1.0) for _ in range(4)])
+            pts = np.array([random_spd(rng, space.n, 1.0) for _ in seg])
+            assert (refs != np.swapaxes(refs, 1, 2)).any()
+        assert np.array_equal(space.distances_from(refs, pts, seg),
+                              space.distances_from(refs[seg], pts))
+
 
 class TestRadiusAndDiameter:
     def test_singleton(self):

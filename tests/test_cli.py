@@ -446,7 +446,8 @@ class TestOtherCommands:
 
     def test_demo_counterexample_base_orbits(self, tmp_path, monkeypatch):
         # The boundedness probe walks the base orbit one block after the
-        # other; the minimality probe then builds its first 1e5 points.
+        # other, each stretch with its successor point, the next block's
+        # first; the minimality probe then builds its first 1e5 points.
         stretches = []
         base = type(jump_cascade().base)
         orbit = base.orbit
@@ -457,7 +458,7 @@ class TestOtherCommands:
         assert code == 0 and not summary["base_minimal_probe"]
         walk, minimality = stretches[:-1], stretches[-1]
         starts = [lo for lo, _ in walk]
-        ends = [lo + n for lo, n in walk]
+        ends = [lo + n - 1 for lo, n in walk]
         assert starts == [0] + ends[:-1] and ends[-1] == 120000
         assert minimality == (0, 10 ** 5)
 

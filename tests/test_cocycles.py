@@ -36,6 +36,7 @@ from cocyclelab.errors import (
     TruncationTooSmall,
 )
 from cocyclelab.presets import (
+    coboundary_cocycle,
     coboundary_isometry_cocycle,
     golden_rotation,
     jump_cascade,
@@ -252,6 +253,7 @@ def scaled_rotation_cocycle():
 
 WALK_COCYCLES = {
     "matrix-2x2": scaled_rotation_cocycle,
+    "coboundary": coboundary_cocycle,
     "rotation-translation": lambda: rotation_translation_cocycle(
         golden_rotation(), 0.9, TrigPoly.random(2, np.random.default_rng(3), 0.3)),
     "jump-cascade": lambda: jump_cascade().cocycle,
@@ -266,14 +268,16 @@ class TestBlockWalk:
     @pytest.mark.parametrize("name", list(WALK_COCYCLES))
     @pytest.mark.parametrize("k", WALK_LENGTHS)
     def test_blocks_against_one_scan(self, name, k):
+        # Each block is its stretch of the orbit with the successor point,
+        # and its generators are the orbit form's on that stretch.
         c = WALK_COCYCLES[name]()
         x0 = 0.3
-        xs = c.base.orbit(x0, k)
-        gens = c.generators_along(xs)
+        pts = c.base.orbit(x0, k + 1)
+        gens = c.orbit_generators(pts)
         blocks = list(orbit_products(c, x0, k))
         assert [lo for lo, _, _ in blocks] == list(range(0, k, WALK_BLOCK))
-        assert all(len(p) == len(b) <= WALK_BLOCK for _, b, p in blocks)
-        assert np.array_equal(np.concatenate([b for _, b, _ in blocks]), xs)
+        assert all(len(p) + 1 == len(b) <= WALK_BLOCK + 1 for _, b, p in blocks)
+        assert all(np.array_equal(b, pts[lo:lo + len(b)]) for lo, b, _ in blocks)
         got = walked_products(c, x0, k)
         if k <= WALK_BLOCK:
             # One block is the one scan, bit for bit.
@@ -309,6 +313,16 @@ class TestBlockWalk:
         at = [k, 0, WALK_BLOCK + 1, 5, 5, WALK_BLOCK]
         got = boundedness_probe(c, 0.3, v0, k, at=at).norms
         assert np.array_equal(got, norms[at])
+
+    @pytest.mark.parametrize("name", ["matrix-2x2", "rotation-translation",
+                                      "jump-cascade"])
+    def test_default_orbit_form_is_generators_along(self, name):
+        # A cocycle without an orbit form answers generators_along at the
+        # stretch's first m points, bit for bit.
+        c = WALK_COCYCLES[name]()
+        pts = c.base.orbit(0.3, 50)
+        assert np.array_equal(c.orbit_generators(pts),
+                              c.generators_along(pts[:-1]))
 
     def test_non_finite_generator_in_third_block(self):
         # Generator j = 2 WALK_BLOCK + 77 is NaN, so the product at step
@@ -626,6 +640,37 @@ class TestRecurrence:
         assert ks == list(range(1, n + 1))
         for k, iso in sample:
             assert np.array_equal(iso.translation, prods[k, :2, 2])
+
+    @pytest.mark.parametrize("x, delta, n", [
+        (0.1, 0.02, 30_000), (0.7, 0.003, 3 * WALK_BLOCK + 5), (0.3, 0.05, 40)])
+    def test_one_walk_matches_walk_to_last_return(self, rng, x, delta, n):
+        # The returns are read off the walk's own stretches, and the walk
+        # runs to n, not to the last return: the same k, and the products
+        # are the same bits as a walk to the last return keeps.
+        c = rotation_translation_cocycle(
+            golden_rotation(), 0.9, TrigPoly.random(2, rng, 0.3)
+        )
+        ks = return_times(c.base, x, delta, n)
+        prods = walked_products(c, x, int(ks[-1]))
+        sample = recurrence_isometries(c, x, delta, n)
+        assert [k for k, _ in sample] == ks.tolist()
+        for k, iso in sample:
+            assert np.array_equal(iso.linear, gram_schmidt(prods[k, :2, :2]))
+            assert np.array_equal(iso.translation, prods[k, :2, 2])
+
+    def test_base_orbit_built_once(self, monkeypatch):
+        # One stretch per block, each with its successor point: n + 1 points
+        # and one more per block after the first, not the 2n of a separate
+        # return-time scan.
+        base = golden_rotation()
+        made = []
+        orbit = type(base).orbit
+        monkeypatch.setattr(type(base), "orbit", lambda self, x0, n, start=0: (
+            made.append(n) or orbit(self, x0, n, start)))
+        c = constant_cocycle(base, 2, [0.0, 0.0])
+        n = 30_000
+        assert recurrence_isometries(c, 0.1, 0.02, n)
+        assert sum(made) == n + len(made)
 
     def test_semigroup_closure(self, rng):
         c = rotation_translation_cocycle(

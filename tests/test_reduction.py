@@ -135,6 +135,36 @@ class TestConstructCoboundary:
         phi = np.array([bb @ bb.T for bb in b])
         assert np.max(np.abs(c.oracle_section(xs) - phi)) <= 1e-13
 
+    @pytest.mark.parametrize("make", [
+        coboundary_cocycle, conformal_coboundary_cocycle,
+        lambda: coboundary_3x3(),
+    ], ids=["coboundary", "conformal-coboundary", "3x3"])
+    def test_orbit_form_matches_generators_along(self, make):
+        # Along an orbit B(T x_k) is read off B(x_{k+1}); the two agree to
+        # rounding of the base map and of the products.
+        c = make()
+        pts = c.base.orbit(0.2, 400, 5)
+        got = c.orbit_generators(pts)
+        want = c.generators_along(pts[:-1])
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+
+    def test_orbit_form_evaluates_b_once_per_point(self):
+        # One B stack at the m + 1 points of the stretch, and no T x.
+        calls = []
+        _, b_batch = presets._exp_family(conjugacy_direction())
+
+        def counted(xs):
+            calls.append(np.array(xs, dtype=float))
+            return b_batch(xs)
+
+        c = construct_coboundary(lambda x: counted([x])[0], rotation_matrix,
+                                 golden_rotation(), b_batch=counted)
+        calls.clear()
+        pts = c.base.orbit(0.2, 33)
+        c.orbit_generators(pts)
+        assert len(calls) == 1 and np.array_equal(calls[0], pts)
+
     def test_singular_conjugacy_raises_typed_error(self):
         # B(x) = diag(1, 0) for x >= 0.9 has no inverse: SingularMatrix,
         # which the CLI maps to an exit code, naming the entry.

@@ -382,6 +382,63 @@ class TestDistance:
             with pytest.raises(NotSymmetric, match=f"reference point entry {k}"):
                 spd.spd_distances_from(skewed, Q)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_segment_scan_matches_paired_stack(self, rng, n):
+        # One reference per segment gives the bits of the paired stack
+        # P[seg], the 2x2 references being symmetric only to an ulp, so
+        # that reading P[..., 1, 0] in place of P[..., 0, 1] would show.
+        P = np.array([random_spd(rng, n, spread=1.0) for _ in range(5)])
+        assert (P != np.swapaxes(P, 1, 2)).any()
+        seg = np.repeat(np.arange(5), [3, 1, 6, 2, 4])
+        Q = np.array([random_spd(rng, n, spread=1.0) for _ in seg])
+        got = spd.spd_distances_from(P, Q, seg)
+        assert np.array_equal(got, spd.spd_distances_from(P[seg], Q))
+        want = [reference_spd_distance(P[s], q) for s, q in zip(seg, Q)]
+        assert np.max(np.abs(got - want)) <= 1e-12
+        with pytest.raises(DimensionMismatch, match="segment indices"):
+            spd.spd_distances_from(P, Q, seg[:-1])
+        with pytest.raises(DimensionMismatch):
+            spd.spd_distances_from(P[0], Q, seg)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_segment_scan_names_bad_reference(self, rng, n):
+        # A reference is checked once, and an error names its entry of P.
+        P = np.array([random_spd(rng, n) for _ in range(4)])
+        seg = np.repeat(np.arange(4), 3)
+        Q = np.array([random_spd(rng, n) for _ in seg])
+        indefinite = P.copy()
+        indefinite[2] = -indefinite[2]
+        with pytest.raises(NotPositiveDefinite, match="reference point entry 2"):
+            spd.spd_distances_from(indefinite, Q, seg)
+        non_finite = P.copy()
+        non_finite[3] = _with_entry(P[3], np.nan)
+        with pytest.raises(NonFinite, match="reference point entry 3"):
+            spd.spd_distances_from(non_finite, Q, seg)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_matmul(self, rng, n):
+        # BLAS may fuse its multiply-adds, so the 2x2 closed form agrees
+        # with @ to a few ulps, not bit for bit; n >= 3 is @ itself.
+        A = rng.standard_normal((500, n, n))
+        B = rng.standard_normal((500, n, n))
+        got = spd.matmul(A, B)
+        want = A @ B
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+        if n > 2:
+            assert np.array_equal(got, want)
+        # Broadcasting one matrix against a stack.
+        want = A[0] @ B
+        err = np.max(np.abs(spd.matmul(A[0], B) - want))
+        assert err <= 4e-15 * np.max(np.abs(want))
+
+    def test_congruence_is_exactly_symmetric(self, rng):
+        W = rng.standard_normal((500, 2, 2))
+        P = spd.matmul(W, np.swapaxes(W, 1, 2))
+        assert np.array_equal(P, np.swapaxes(P, 1, 2))
+
 
 class TestGeodesic:
     def test_endpoints(self, rng):
